@@ -28,13 +28,14 @@ def kernel_block(kernel: KernelLike, A: np.ndarray, B: np.ndarray | None = None)
 
 @dataclass(frozen=True)
 class KernelRidgeModel:
-    """Dual-form ridge fit: alpha = (K + n*lambda*I)^{-1} residual."""
+    """Dual-form ridge fit: alpha = (K + n*lambda*I + jitter*I)^{-1} residual."""
 
     centers: np.ndarray          # training points on the unit cube
     alpha: np.ndarray
     lam: float
     kernel: KernelLike
     gram_matrix: np.ndarray
+    jitter: float                # diagonal jitter the Cholesky solve needed; 0.0 if none
 
     def predict_unit(self, unit_points: np.ndarray) -> np.ndarray:
         return kernel_block(self.kernel, unit_points, self.centers) @ self.alpha
@@ -50,7 +51,9 @@ def kernel_ridge_fit(kernel: KernelLike, data: Dataset, residual: np.ndarray,
     """Fit g by kernel ridge on a residual vector.
 
     alpha = (K + n*lambda*I)^{-1} r on the rescaled design; the penalty
-    recorded on the member is lambda * alpha^T K alpha.
+    recorded on the member is lambda * alpha^T K alpha.  If the system
+    only factors with added diagonal jitter, the model's ``jitter`` says
+    how much.
     """
     if not lam > 0.0:
         raise ValueError("lambda must be positive")
@@ -59,8 +62,8 @@ def kernel_ridge_fit(kernel: KernelLike, data: Dataset, residual: np.ndarray,
         raise ValueError("residual length must match dataset")
     centers = data.unit_X
     K = kernel_block(kernel, centers) if gram is None else gram
-    alpha = cholesky_solve(K + data.n * lam * np.eye(data.n), residual).solution
-    model = KernelRidgeModel(centers, alpha, lam, kernel, K)
+    solved = cholesky_solve(K + data.n * lam * np.eye(data.n), residual)
+    model = KernelRidgeModel(centers, solved.solution, lam, kernel, K, solved.jitter_used)
 
     def evaluator(points, _model=model, _to_unit=data.to_unit):
         return _model.predict_unit(_to_unit(points))

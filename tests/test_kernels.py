@@ -194,6 +194,23 @@ class TestKernelRidge:
         np.testing.assert_allclose(m(data.X), K @ alpha, atol=1e-10)
         assert m.penalty_value == pytest.approx(lam * float(alpha @ K @ alpha))
 
+    def test_ordinary_fit_uses_no_jitter(self):
+        data = self._data()
+        m = kernel_ridge_fit(MaternSpec(nu=2.5, p=1, phi=1.0), data, data.y, 0.05)
+        assert m.coefficients.jitter == 0.0
+
+    def test_jitter_of_singular_system_is_kept(self):
+        # duplicated centers make K singular, and a tiny lambda cannot fix it
+        base = self._data(n=10, seed=6)
+        data = Dataset(np.repeat(base.X, 2, axis=0), np.repeat(base.y, 2))
+        spec = MaternSpec(nu=2.5, p=1, phi=1.0)
+        lam = 1e-18
+        model = kernel_ridge_fit(spec, data, data.y, lam).coefficients
+        assert model.jitter > 0.0
+        K = matern_gram(spec, data.unit_X)
+        system = K + (data.n * lam + model.jitter) * np.eye(data.n)
+        np.testing.assert_allclose(system @ model.alpha, data.y, atol=1e-6)
+
     def test_perturbation_optimality(self):
         # the ridge solution minimizes ||r - K a||_n^2 + lam a' K a
         data = self._data(seed=2)

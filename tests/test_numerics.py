@@ -1,14 +1,17 @@
 """Numerical kernel layer: Bessel K, quadrature, designs, linear algebra.
 
 Reference values were frozen from a 30-digit arbitrary-precision
-evaluation, independent of the implementation under test.
+evaluation, independent of the implementation under test.  A second,
+independent Bessel K oracle is the integral representation evaluated by
+Gauss-Legendre quadrature below.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpm.numerics import (
@@ -61,13 +64,96 @@ BESSEL_TABLE = [
     (3.5, 1.0, 17.059534664572099),
     (3.5, 2.0, 1.1544010551925914),
     (3.5, 30.0, 2.6063619483386783e-14),
+    (0.3, 0.05, 3.8119663367691108),
+    (0.3, 1.0, 0.43507602420880202),
+    (0.3, 1.99, 0.11748072729765913),
+    (0.3, 2.01, 0.11461225751690988),
+    (0.3, 3.3, 0.024908607983984746),
+    (0.3, 10.0, 1.7856607016823022e-5),
+    (0.3, 30.0, 2.1356270283260949e-14),
+    (1.75, 0.05, 292.11964252968551),
+    (1.75, 1.0, 1.2044027254924635),
+    (1.75, 1.99, 0.21446011524194251),
+    (1.75, 2.01, 0.20820385688451433),
+    (1.75, 3.3, 0.03687587911238402),
+    (1.75, 10.0, 2.0572747155312189e-5),
+    (1.75, 30.0, 2.2422760705446107e-14),
+    (2.7, 0.05, 16338.512785968002),
+    (2.7, 1.0, 4.3742418261911628),
+    (2.7, 1.99, 0.48175160391427536),
+    (2.7, 2.01, 0.46488797285504311),
+    (2.7, 3.3, 0.063422021763391397),
+    (2.7, 10.0, 2.5138298286300634e-5),
+    (2.7, 30.0, 2.4030878842059365e-14),
+    (4.2, 0.05, 2.0759340747294533e+7),
+    (4.2, 1.0, 66.009022106017301),
+    (4.2, 1.99, 2.9577490648117019),
+    (4.2, 2.01, 2.8202452111241271),
+    (4.2, 3.3, 0.22424753757601373),
+    (4.2, 10.0, 4.0876218717040477e-5),
+    (4.2, 30.0, 2.8465803726034514e-14),
 ]
+
+# 24-point Gauss-Legendre nodes/weights on [0, 1], used per panel.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+_GL_X = (_GL_X + 1.0) / 2.0
+_GL_W = _GL_W / 2.0
+
+
+def _log_cosh(a: np.ndarray) -> np.ndarray:
+    """log(cosh(a)) without overflow for large a."""
+    a = np.abs(a)
+    small = a < 20.0
+    out = a - math.log(2.0) + np.log1p(np.exp(-2.0 * np.clip(a, 20.0, None)))
+    if np.any(small):
+        out = np.where(small, np.log(np.cosh(np.where(small, a, 0.0))), out)
+    return out
+
+
+def _integral_upper_limit(order: float, x: float) -> float:
+    """Truncation point T: integrand negligible relative to its peak beyond T."""
+    tstar = math.asinh(order / x) if order > 0.0 else 0.0
+    peak = -x * math.cosh(tstar) + float(_log_cosh(np.array(order * tstar)))
+    t = tstar + 1.0
+    while t < 800.0:
+        val = -x * math.cosh(t) + float(_log_cosh(np.array(order * t)))
+        if val < peak - 45.0 or val < -760.0:
+            break
+        t += 1.0
+    return t
+
+
+def _integral_on_panels(order: float, x: float, n_panels: int, upper: float) -> float:
+    edges = np.linspace(0.0, upper, n_panels + 1)
+    width = edges[1] - edges[0]
+    nodes = (edges[:-1, None] + width * _GL_X[None, :]).ravel()
+    weights = np.broadcast_to(width * _GL_W, (n_panels, _GL_X.size)).ravel()
+    with np.errstate(over="ignore"):
+        expo = -x * np.cosh(nodes) + _log_cosh(order * nodes)
+        return float(np.exp(expo) @ weights)
+
+
+def k_integral(order: float, x: float) -> float:
+    """K_order(x) = int_0^inf exp(-x cosh t) cosh(order t) dt.
+
+    Composite 24-point Gauss-Legendre panels on [0, T], doubled until two
+    refinements agree to 1e-12 relative.
+    """
+    upper = _integral_upper_limit(order, x)
+    n_panels = max(4, int(math.ceil(upper)))
+    approx = _integral_on_panels(order, x, n_panels, upper)
+    for _ in range(3):
+        refined = _integral_on_panels(order, x, 2 * n_panels, upper)
+        if abs(refined - approx) < 1e-12 * abs(refined):
+            return refined
+        approx, n_panels = refined, 2 * n_panels
+    return approx
 
 
 class TestBesselK:
     @pytest.mark.parametrize("order,x,expected", BESSEL_TABLE)
     def test_frozen_table(self, order, x, expected):
-        assert bessel_k(order, x) == pytest.approx(expected, rel=5e-13)
+        assert bessel_k(order, x) == pytest.approx(expected, rel=1e-13)
 
     def test_half_integer_elementary_form(self):
         # K_{1/2}(x) = sqrt(pi/(2x)) exp(-x)
@@ -76,11 +162,33 @@ class TestBesselK:
                 math.sqrt(math.pi / (2 * x)) * math.exp(-x), rel=1e-13)
 
     def test_vectorized_matches_scalar(self):
-        xs = np.array([0.2, 1.0, 3.3, 8.0])
-        batch = bessel_k(2.5, xs)
-        assert batch.shape == xs.shape
-        for xi, bi in zip(xs, batch):
-            assert bi == bessel_k(2.5, float(xi))
+        # arguments on both sides of the series / continued-fraction switch
+        xs = np.array([0.2, 1.0, 1.9, 2.1, 3.3, 8.0, 25.0])
+        for order in (2.5, 0, 1, 3, 2.7):
+            batch = bessel_k(order, xs)
+            assert batch.shape == xs.shape
+            for xi, bi in zip(xs, batch):
+                assert bi == bessel_k(order, float(xi)), (order, xi)
+
+    @given(st.floats(0.0, 6.0), st.floats(0.05, 30.0))
+    @example(2.2250738585072014e-309, 1.0)  # once saturated: the small-x bound diverges as order -> 0
+    @settings(max_examples=100, deadline=None)
+    def test_matches_integral_oracle(self, order, x):
+        assert bessel_k(order, x) == pytest.approx(k_integral(order, x), rel=1e-12)
+
+    def test_matches_scipy(self):
+        kv = pytest.importorskip("scipy.special").kv
+        xs = np.geomspace(0.05, 30.0, 301)
+        for order in (0, 1, 2, 2.7, 3, 0.3, 1.75, 4.2, 0.49, 6):
+            # scipy's own error reaches about 1e-13 just below x = 2
+            np.testing.assert_allclose(bessel_k(order, xs), kv(order, xs), rtol=5e-13)
+
+    @pytest.mark.parametrize("order", [0, 3, 2.7])
+    def test_underflows_to_exact_zero(self, order):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bessel_k(order, 750.0) == 0.0
+            np.testing.assert_array_equal(bessel_k(order, np.array([750.0, 1e5])), 0.0)
 
     def test_saturation_is_finite_sentinel(self):
         # K_3(x) ~ 8/x^3 near zero, far beyond float range at x=1e-120
@@ -106,7 +214,7 @@ class TestBesselK:
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     @given(st.floats(0.05, 30.0), st.floats(0.05, 30.0),
-           st.sampled_from([0.5, 1.5, 2.0, 3.5]))
+           st.sampled_from([0.5, 1.5, 2.0, 2.7, 3.0, 3.5]))
     @settings(max_examples=50, deadline=None)
     def test_decreasing_in_x(self, a, b, order):
         lo, hi = sorted((a, b))
