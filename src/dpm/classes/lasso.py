@@ -84,7 +84,8 @@ def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float,
         return pts @ _b + _a
 
     model = LinearModel(beta_orig, intercept, math.inf, converged=converged)
-    return FunctionClassMember("linear", evaluator, penalty, coefficients=model)
+    return FunctionClassMember("linear", evaluator, penalty, coefficients=model,
+                               fitted=data.X @ beta_orig + intercept)
 
 
 class LassoFitter(FunctionClassFitter):

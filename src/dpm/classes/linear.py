@@ -77,7 +77,7 @@ def fit_linear_ols(data: Dataset, residual: np.ndarray, include_intercept: bool 
     fitted = evaluator(data.X)
     penalty = (ridge_gamma / 2.0) * float(fitted @ fitted) / data.n if ridge_gamma > 0.0 else 0.0
     model = LinearModel(beta, intercept, norm_bound)
-    return FunctionClassMember("linear", evaluator, penalty, coefficients=model)
+    return FunctionClassMember("linear", evaluator, penalty, coefficients=model, fitted=fitted)
 
 
 def fit_finite_basis(basis: Sequence[Callable], data: Dataset, residual: np.ndarray,
@@ -110,7 +110,8 @@ def fit_finite_basis(basis: Sequence[Callable], data: Dataset, residual: np.ndar
         return cols @ _alpha
 
     model = FiniteBasisModel(tuple(basis), alpha, l2_bound)
-    return FunctionClassMember("finite-basis", evaluator, 0.0, coefficients=model)
+    return FunctionClassMember("finite-basis", evaluator, 0.0, coefficients=model,
+                               fitted=evaluator(data.X))
 
 
 class LinearFitter(FunctionClassFitter):

@@ -94,6 +94,7 @@ def fit_boosted_stumps(data: Dataset, residual: np.ndarray, lambda_g: float,
     n_lambda = data.n * lambda_g
     sorted_cols = _presort(X)
     stumps = []
+    fitted = np.zeros(data.n)  # summed in round order, as StumpEnsemble.predict does
     for _ in range(max_rounds):
         found = _best_stump(sorted_cols, resid, n_lambda)
         if found is None:
@@ -104,11 +105,12 @@ def fit_boosted_stumps(data: Dataset, residual: np.ndarray, lambda_g: float,
             st = Stump(j, thr, learning_rate * left, learning_rate * right)
         pred = np.where(X[:, st.feature] <= st.threshold, st.left_value, st.right_value)
         resid -= pred
+        fitted += pred
         stumps.append(st)
     ensemble = StumpEnsemble(tuple(stumps), learning_rate, lambda_g)
     penalty = lambda_g * float(sum(s.left_value ** 2 + s.right_value ** 2 for s in stumps))
     return FunctionClassMember("stump-ensemble", ensemble.predict, penalty,
-                               coefficients=ensemble)
+                               coefficients=ensemble, fitted=fitted)
 
 
 class StumpFitter(FunctionClassFitter):

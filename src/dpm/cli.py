@@ -28,7 +28,7 @@ from .experiments import (
     run_table2,
     write_result_files,
 )
-from .fitter import FitterError, fit_double_penalty
+from .fitter import FitterError, fit_double_penalty, training_values
 from .kernels import KernelRidgeFitter, MaternSpec
 from .separability import empirical_theta, psi
 from .transect import (
@@ -86,8 +86,8 @@ def _cmd_fit(args) -> int:
     else:
         fitter_f, fitter_g = pair.fitters(data, args.lambda_f, args.lambda_g)
     fit = fit_double_penalty(data, fitter_f, fitter_g)
-    f_vals = fit.f_hat(data.X)
-    g_vals = fit.g_hat(data.X)
+    f_vals = training_values(fit.f_hat, data)
+    g_vals = training_values(fit.g_hat, data)
 
     report = {
         "version": __version__,

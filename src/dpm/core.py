@@ -98,13 +98,17 @@ class FunctionClassMember:
 
     `evaluator` maps points in the original domain (m x p array, or a
     1-D array when p = 1) to fitted values; `coefficients` carries the
-    descriptor-specific parameterization.
+    descriptor-specific parameterization.  `fitted`, when set, holds the
+    member's values at the training points `data.X` of the fit that made
+    it, and must equal `member(data.X)` exactly; the alternation reads it
+    instead of re-evaluating the member.  It takes no part in comparisons.
     """
 
     descriptor: str
     evaluator: Callable[[np.ndarray], np.ndarray]
     penalty_value: float
     coefficients: object = None
+    fitted: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.descriptor not in DESCRIPTORS:
@@ -120,7 +124,10 @@ class FunctionClassFitter(ABC):
     """Solve argmin over the class of ||r - h||_n^2 + L(h) for residual r.
 
     Implementations must never return a member whose penalized objective
-    on the residual exceeds that of the zero function.
+    on the residual exceeds that of the zero function.  A fitter that
+    already holds the member's values at `data.X` should return them as
+    `fitted`, equal to `member(data.X)` exactly; a member without them is
+    evaluated at `data.X` by the caller.
     """
 
     @abstractmethod

@@ -46,6 +46,11 @@ class FitterError(RuntimeError):
         self.partial_trace = partial_trace
 
 
+def training_values(member: FunctionClassMember, data: Dataset) -> np.ndarray:
+    """The member's values at ``data.X``: its ``fitted`` array if it has one."""
+    return member(data.X) if member.fitted is None else member.fitted
+
+
 def fit_double_penalty(data: Dataset, fitter_f: FunctionClassFitter,
                        fitter_g: FunctionClassFitter,
                        stop: StoppingRule = StoppingRule(),
@@ -70,7 +75,7 @@ def fit_double_penalty(data: Dataset, fitter_f: FunctionClassFitter,
                               tuple(trace)) from exc
 
     f_member = run_fit(fitter_f, y, "f")
-    f_vals = f_member(data.X)
+    f_vals = training_values(f_member, data)
     g_member = zero_member(descriptor=f_member.descriptor)
     g_vals = np.zeros(data.n)
 
@@ -78,9 +83,9 @@ def fit_double_penalty(data: Dataset, fitter_f: FunctionClassFitter,
     prev_objective = float("inf")
     for _ in range(stop.max_iters):
         g_member_new = run_fit(fitter_g, y - f_vals, "g")
-        g_vals_new = g_member_new(data.X)
+        g_vals_new = training_values(g_member_new, data)
         f_member_new = run_fit(fitter_f, y - g_vals_new, "f")
-        f_vals_new = f_member_new(data.X)
+        f_vals_new = training_values(f_member_new, data)
 
         delta_f = empirical_norm(f_vals_new - f_vals)
         delta_g = empirical_norm(g_vals_new - g_vals)

@@ -1,5 +1,5 @@
-from .matern import MaternSpec, OrthonormalBasis, matern_eval, matern_gram, orthonormal_linear_basis
-from .projection import ProjectedKernel, projected_kernel_eval
+from .matern import MaternSpec, OrthonormalBasis, matern_gram, orthonormal_linear_basis
+from .projection import ProjectedKernel
 from .ridge import (
     KernelRidgeFitter,
     KernelRidgeModel,
@@ -11,11 +11,9 @@ from .ridge import (
 __all__ = [
     "MaternSpec",
     "OrthonormalBasis",
-    "matern_eval",
     "matern_gram",
     "orthonormal_linear_basis",
     "ProjectedKernel",
-    "projected_kernel_eval",
     "KernelRidgeFitter",
     "KernelRidgeModel",
     "gcv_select_lambda",

@@ -18,8 +18,7 @@ import numpy as np
 
 from ..numerics import bessel_k
 
-__all__ = ["MaternSpec", "OrthonormalBasis", "matern_eval", "matern_gram",
-           "orthonormal_linear_basis"]
+__all__ = ["MaternSpec", "OrthonormalBasis", "matern_gram", "orthonormal_linear_basis"]
 
 
 @dataclass(frozen=True)
@@ -57,16 +56,6 @@ def matern_of_distance(spec: MaternSpec, r: np.ndarray) -> np.ndarray:
         # saturated Bessel values at z -> 0 resolve to the limit 1
         out[pos] = np.where(np.isfinite(vals), np.clip(vals, 0.0, 1.0), 1.0)
     return out
-
-
-def matern_eval(spec: MaternSpec, s: np.ndarray, t: np.ndarray) -> float:
-    """Kernel value for a single pair of points."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if s.shape != t.shape or s.size != spec.p:
-        raise ValueError(f"points must both have dimension {spec.p}")
-    r = float(np.sqrt(np.sum((s - t) ** 2)))
-    return float(matern_of_distance(spec, np.array(r)))
 
 
 def matern_gram(spec: MaternSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:

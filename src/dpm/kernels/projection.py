@@ -23,7 +23,7 @@ import numpy as np
 from ..numerics import QuadratureRule
 from .matern import MaternSpec, OrthonormalBasis, matern_gram, orthonormal_linear_basis
 
-__all__ = ["ProjectedKernel", "projected_kernel_eval"]
+__all__ = ["ProjectedKernel"]
 
 
 class ProjectedKernel:
@@ -32,6 +32,9 @@ class ProjectedKernel:
     Heavy quadrature-grid quantities (kernel values on the rule's points,
     weighted basis, moment matrix M) are computed once at construction and
     cached; per-call work is one base Gram block plus rank-(p+1) updates.
+    The moments at the rule's own points are among the cached quantities,
+    and a block against the rule's points takes its moments from the base
+    block it has already built.
     """
 
     def __init__(self, base: MaternSpec, quadrature: QuadratureRule,
@@ -52,6 +55,7 @@ class ProjectedKernel:
         self._rule_points = sq
         self._weighted_basis = wq[:, None] * (raw @ self._transform)   # (m, d)
         psi_qq = matern_gram(base, sq, sq)
+        self._rule_moments = psi_qq @ self._weighted_basis                  # (m, d)
         self._moment_matrix = self._weighted_basis.T @ psi_qq @ self._weighted_basis
 
     def _basis_at(self, points: np.ndarray) -> np.ndarray:
@@ -59,6 +63,8 @@ class ProjectedKernel:
 
     def _moments_at(self, points: np.ndarray) -> np.ndarray:
         # m_k(y) = int Psi(s, y) e_k(s) ds under the attached rule
+        if np.array_equal(points, self._rule_points):
+            return self._rule_moments
         return matern_gram(self.base, points, self._rule_points) @ self._weighted_basis
 
     def gram(self, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -73,7 +79,9 @@ class ProjectedKernel:
         psi = matern_gram(self.base, A, B)
         ea = self._basis_at(A)
         eb = ea if B_was_none else self._basis_at(B)
-        ma = self._moments_at(A)
+        # against the rule's own points, psi already holds Psi(A, rule points)
+        ma = (psi @ self._weighted_basis if np.array_equal(B, self._rule_points)
+              else self._moments_at(A))
         mb = ma if B_was_none else self._moments_at(B)
         return psi - ea @ mb.T - ma @ eb.T + ea @ self._moment_matrix @ eb.T
 
@@ -82,10 +90,3 @@ class ProjectedKernel:
         y = np.atleast_2d(np.asarray(y, dtype=float))
         vals = self.gram(self._rule_points, y)             # (m, len(y))
         return float(np.max(np.abs(self._weighted_basis.T @ vals)))
-
-
-def projected_kernel_eval(pk: ProjectedKernel, x: np.ndarray, y: np.ndarray) -> float:
-    """Projected kernel value for one pair of points."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return float(pk.gram(x[None, :], y[None, :])[0, 0])

@@ -8,11 +8,11 @@ from typing import Optional, Union
 import numpy as np
 
 from ..core import Dataset, FunctionClassFitter, FunctionClassMember
-from ..numerics import cholesky_solve
+from ..numerics import cholesky_solve, refined_solve
 from .matern import MaternSpec, matern_gram
 from .projection import ProjectedKernel
 
-__all__ = ["KernelRidgeModel", "KernelRidgeFitter", "kernel_ridge_fit",
+__all__ = ["KernelRidgeModel", "KernelRidgeFitter", "RidgeSystem", "kernel_ridge_fit",
            "gcv_select_lambda", "rkhs_norm_sq"]
 
 KernelLike = Union[MaternSpec, ProjectedKernel]
@@ -46,12 +46,44 @@ def rkhs_norm_sq(model: KernelRidgeModel) -> float:
     return float(model.alpha @ model.gram_matrix @ model.alpha)
 
 
+@dataclass(frozen=True)
+class RidgeSystem:
+    """The ridge system K + n*lambda*I of one Gram matrix, factored once.
+
+    ``inverse_factor`` is L^{-1} for the Cholesky factor L of
+    K + (n*lambda + jitter)*I, from one ``cholesky_solve`` against the
+    identity; ``jitter`` is the diagonal jitter that solve needed.  Each
+    solve is then a few matrix-vector products.  The explicit inverse that
+    call also returns is not kept: products with it lose accuracy on
+    near-singular systems, and refinement cannot win it back.
+    """
+
+    gram: np.ndarray
+    lam: float
+    jitter: float
+    inverse_factor: np.ndarray
+
+    @classmethod
+    def factor(cls, gram: np.ndarray, lam: float) -> "RidgeSystem":
+        n = gram.shape[0]
+        solved = cholesky_solve(gram + n * lam * np.eye(n), np.eye(n))
+        return cls(gram, lam, solved.jitter_used, solved.inverse_factor)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        shift = self.gram.shape[0] * self.lam + self.jitter
+        return refined_solve(self.inverse_factor, lambda x: self.gram @ x + shift * x, rhs)
+
+
 def kernel_ridge_fit(kernel: KernelLike, data: Dataset, residual: np.ndarray,
-                     lam: float, gram: np.ndarray | None = None) -> FunctionClassMember:
+                     lam: float, gram: np.ndarray | None = None,
+                     system: RidgeSystem | None = None) -> FunctionClassMember:
     """Fit g by kernel ridge on a residual vector.
 
     alpha = (K + n*lambda*I)^{-1} r on the rescaled design; the penalty
-    recorded on the member is lambda * alpha^T K alpha.  If the system
+    recorded on the member is lambda * alpha^T K alpha and its ``fitted``
+    values are K alpha.  ``gram`` is K at ``data.unit_X`` if the caller
+    has it; ``system`` is the factored system for K and ``lam`` (its Gram
+    is then used as K), otherwise it is factored here.  If the system
     only factors with added diagonal jitter, the model's ``jitter`` says
     how much.
     """
@@ -60,16 +92,22 @@ def kernel_ridge_fit(kernel: KernelLike, data: Dataset, residual: np.ndarray,
     residual = np.asarray(residual, dtype=float).ravel()
     if residual.size != data.n:
         raise ValueError("residual length must match dataset")
-    centers = data.unit_X
-    K = kernel_block(kernel, centers) if gram is None else gram
-    solved = cholesky_solve(K + data.n * lam * np.eye(data.n), residual)
-    model = KernelRidgeModel(centers, solved.solution, lam, kernel, K, solved.jitter_used)
+    if system is None:
+        if gram is None:
+            gram = kernel_block(kernel, data.unit_X)
+        system = RidgeSystem.factor(gram, lam)
+    elif system.lam != lam or system.gram.shape[0] != data.n:
+        raise ValueError("system was factored for another lambda or dataset size")
+    K = system.gram
+    model = KernelRidgeModel(data.unit_X, system.solve(residual), lam, kernel, K,
+                             system.jitter)
 
     def evaluator(points, _model=model, _to_unit=data.to_unit):
         return _model.predict_unit(_to_unit(points))
 
     penalty = lam * rkhs_norm_sq(model)
-    return FunctionClassMember("kernel-expansion", evaluator, penalty, coefficients=model)
+    return FunctionClassMember("kernel-expansion", evaluator, penalty, coefficients=model,
+                               fitted=K @ model.alpha)
 
 
 @dataclass(frozen=True)
@@ -81,13 +119,15 @@ class GcvPoint:
 
 
 def gcv_select_lambda(kernel: KernelLike, data: Dataset, residual: np.ndarray,
-                      grid: Optional[np.ndarray] = None) -> tuple[float, list[GcvPoint]]:
+                      grid: Optional[np.ndarray] = None,
+                      gram: np.ndarray | None = None) -> tuple[float, list[GcvPoint]]:
     """Pick lambda on a grid by generalized cross validation.
 
     GCV(lambda) = (1/n)||(I-A)r||^2 / ((1/n) tr(I-A))^2 with the smoother
     A = K (K + n*lambda*I)^{-1}.  Grid points where tr(I-A) <= 0 are
     flagged invalid and skipped.  Default grid: 20 log-spaced values of
-    n*lambda in [1e-6, 1e2].
+    n*lambda in [1e-6, 1e2].  ``gram`` is K at ``data.unit_X`` if the
+    caller has it.
     """
     residual = np.asarray(residual, dtype=float).ravel()
     n = data.n
@@ -96,7 +136,7 @@ def gcv_select_lambda(kernel: KernelLike, data: Dataset, residual: np.ndarray,
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or np.any(grid <= 0.0):
         raise ValueError("grid must be non-empty positive lambdas")
-    K = kernel_block(kernel, data.unit_X)
+    K = kernel_block(kernel, data.unit_X) if gram is None else gram
     curve: list[GcvPoint] = []
     best_lam, best_score = None, np.inf
     eye = np.eye(n)
@@ -122,7 +162,9 @@ class KernelRidgeFitter(FunctionClassFitter):
 
     With ``lam=None`` the penalty is chosen by GCV on the first residual
     this fitter sees and frozen for later calls, matching the protocol of
-    selecting lambda once at the start of the alternation.
+    selecting lambda once at the start of the alternation.  The Gram
+    matrix of the last dataset and its factored ridge system at the frozen
+    lambda are kept, so an alternation builds and factors each once.
     """
 
     def __init__(self, kernel: KernelLike, lam: Optional[float] = None,
@@ -132,6 +174,7 @@ class KernelRidgeFitter(FunctionClassFitter):
         self.gcv_grid = gcv_grid
         self.gcv_curve: Optional[list[GcvPoint]] = None
         self._gram_cache: tuple[Optional[Dataset], Optional[np.ndarray]] = (None, None)
+        self._system_cache: tuple[Optional[Dataset], Optional[RidgeSystem]] = (None, None)
 
     def _gram_for(self, data: Dataset) -> np.ndarray:
         cached_data, cached_K = self._gram_cache
@@ -141,9 +184,17 @@ class KernelRidgeFitter(FunctionClassFitter):
         self._gram_cache = (data, K)
         return K
 
+    def _system_for(self, data: Dataset) -> RidgeSystem:
+        cached_data, system = self._system_cache
+        if cached_data is data and system.lam == self.lam:
+            return system
+        system = RidgeSystem.factor(self._gram_for(data), self.lam)
+        self._system_cache = (data, system)
+        return system
+
     def fit(self, data: Dataset, residual: np.ndarray) -> FunctionClassMember:
         if self.lam is None:
             self.lam, self.gcv_curve = gcv_select_lambda(
-                self.kernel, data, residual, self.gcv_grid)
+                self.kernel, data, residual, self.gcv_grid, gram=self._gram_for(data))
         return kernel_ridge_fit(self.kernel, data, residual, self.lam,
-                                gram=self._gram_for(data))
+                                system=self._system_for(data))

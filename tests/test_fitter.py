@@ -1,17 +1,24 @@
 """Alternating fit loop, slope estimation, and rate-bound verification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpm.classes import FiniteBasisFitter, LinearFitter
-from dpm.core import AdditiveFit, Dataset, TraceRecord, empirical_norm
+from dpm.classes import FiniteBasisFitter, LassoFitter, LinearFitter, StumpFitter
+from dpm.core import AdditiveFit, Dataset, TraceRecord, empirical_norm, zero_member
 from dpm.fitter import (
     FitterError,
     StoppingRule,
     estimate_convergence_slope,
     fit_double_penalty,
+    training_values,
     verify_rate_bound,
 )
+from dpm.kernels import KernelRidgeFitter, MaternSpec, ProjectedKernel
+from dpm.numerics import QuadratureRule
 
 
 def _sine_data(n=40, theta=3.0, seed=7):
@@ -42,6 +49,57 @@ class FailingFitter:
             raise np.linalg.LinAlgError("synthetic failure")
         from dpm.core import zero_member
         return zero_member()
+
+
+def _fitter(kind, data, nu):
+    spec = MaternSpec(nu=nu + data.p / 2.0, p=data.p, phi=1.0)
+    if kind == "linear":
+        return LinearFitter(ridge_gamma=0.5)
+    if kind == "finite-basis":
+        # the basis sees a 1-D array when p = 1
+        def cols(t):
+            return np.reshape(t, (len(t), -1))
+        return FiniteBasisFitter([lambda t: np.sin(3.0 * cols(t)[:, 0]),
+                                  lambda t: cols(t)[:, -1] ** 2], l2_bound=1.0)
+    if kind == "lasso":
+        return LassoFitter(0.05)
+    if kind == "stumps":
+        return StumpFitter(0.01)
+    if kind == "kernel":
+        return KernelRidgeFitter(spec, lam=1e-3)
+    # projected kernel with the training points as its rule, as in example1
+    rule = QuadratureRule(data.unit_X.copy(), np.full(data.n, 1.0 / data.n))
+    return KernelRidgeFitter(ProjectedKernel(spec, rule), lam=None)
+
+
+class TestFittedValues:
+    KINDS = ("linear", "finite-basis", "lasso", "stumps", "kernel", "projected-kernel")
+
+    @given(st.sampled_from(KINDS), st.integers(8, 40), st.integers(1, 3),
+           st.sampled_from([2.5, 3.0, 3.7]), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_fitted_equals_evaluation_at_training_points(self, kind, n, p, nu, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 2.0, (n, p))
+        y = X @ rng.normal(size=p) + np.sin(4.0 * X[:, 0]) + rng.normal(0, 0.2, n)
+        data = Dataset(X, y, omega_bounds=[(-1.0, 2.0)] * p)
+        fitter = _fitter(kind, data, nu)
+        for residual in (y, y - 0.5 * X[:, -1]):   # a second fit reuses the caches
+            member = fitter.fit(data, residual)
+            assert member.fitted is not None
+            assert np.array_equal(member.fitted, member(data.X))
+
+    def test_fitted_takes_no_part_in_comparison(self):
+        data, _ = _sine_data(n=10)
+        member = LinearFitter().fit(data, data.y)
+        assert "fitted" not in repr(member)
+        assert member == dataclasses.replace(member, fitted=None)
+
+    def test_member_without_fitted_is_evaluated(self):
+        data, _ = _sine_data(n=10)
+        member = zero_member()
+        assert member.fitted is None
+        np.testing.assert_array_equal(training_values(member, data), np.zeros(10))
 
 
 class TestStoppingRule:

@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from dpm.core import Dataset
+import dpm.kernels.projection as projection_module
+import dpm.kernels.ridge as ridge_module
+from dpm.classes import LinearFitter
+from dpm.core import Dataset, zero_member
+from dpm.fitter import StoppingRule, fit_double_penalty
 from dpm.kernels import (
     KernelRidgeFitter,
     MaternSpec,
@@ -13,7 +17,6 @@ from dpm.kernels import (
     ProjectedKernel,
     gcv_select_lambda,
     kernel_ridge_fit,
-    matern_eval,
     matern_gram,
     orthonormal_linear_basis,
 )
@@ -64,10 +67,10 @@ class TestMaternValues:
         for r in (0.4, 1.3, 2.0):
             assert matern_of_distance(spec, r) == pytest.approx(
                 _matern35_closed(r), rel=1e-11)
-        s = np.zeros(5)
-        t = np.full(5, 2.0 / math.sqrt(5.0))
-        assert matern_eval(spec, s, t) == pytest.approx(_matern35_closed(2.0),
-                                                        rel=1e-11)
+        s = np.zeros((1, 5))
+        t = np.full((1, 5), 2.0 / math.sqrt(5.0))
+        assert matern_gram(spec, s, t)[0, 0] == pytest.approx(_matern35_closed(2.0),
+                                                              rel=1e-11)
 
     def test_zero_distance_and_bounds(self):
         spec = MaternSpec(nu=2.5, p=1, phi=1.0)
@@ -175,6 +178,91 @@ class TestProjectedKernel:
                                    atol=1e-10)
 
 
+class _ZeroFitter:
+    def fit(self, data, residual):
+        return zero_member()
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestKernelRidgeFitterCaches:
+    def _data(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0, 1, (30, 2))
+        return Dataset(x, 2.0 * x[:, 0] + np.sin(5.0 * x[:, 1]) + rng.normal(0, 0.1, 30))
+
+    def test_one_gram_and_one_factorization_per_alternation(self, monkeypatch):
+        grams = _counting(monkeypatch, ridge_module, "matern_gram")
+        solves = _counting(monkeypatch, ridge_module, "cholesky_solve")
+        spec = MaternSpec(nu=4.5, p=2, phi=1.0)
+        data = self._data(seed=1)
+        fitter_g = KernelRidgeFitter(spec, lam=0.01)
+        fit = fit_double_penalty(data, LinearFitter(), fitter_g)
+        assert fit.iterations > 2
+        assert (len(grams), len(solves)) == (1, 1)
+        # same dataset object and lambda: nothing is rebuilt
+        fit_double_penalty(data, LinearFitter(), fitter_g)
+        assert (len(grams), len(solves)) == (1, 1)
+        # a new dataset (equal values, new object) rebuilds both
+        same_values = Dataset(data.X.copy(), data.y.copy())
+        fit_double_penalty(same_values, LinearFitter(), fitter_g)
+        assert (len(grams), len(solves)) == (2, 2)
+        # a new lambda refactors the system on the kept Gram matrix
+        fitter_g.lam = 0.02
+        refit = fit_double_penalty(same_values, LinearFitter(), fitter_g)
+        assert (len(grams), len(solves)) == (2, 3)
+        assert refit.g_hat.coefficients.lam == 0.02
+
+    def test_gcv_reuses_the_fitter_gram(self, monkeypatch):
+        grams = _counting(monkeypatch, ridge_module, "matern_gram")
+        data = self._data(seed=2)
+        fitter_g = KernelRidgeFitter(MaternSpec(nu=4.5, p=2, phi=1.0), lam=None)
+        fit_double_penalty(data, LinearFitter(), fitter_g)
+        assert fitter_g.gcv_curve is not None
+        assert len(grams) == 1
+
+    def test_cached_fit_matches_direct_fit(self):
+        data = self._data(seed=3)
+        spec = MaternSpec(nu=4.5, p=2, phi=1.0)
+        fitter = KernelRidgeFitter(spec, lam=0.01)
+        fitter.fit(data, data.y)
+        residual = data.y - 0.3 * data.X[:, 0]
+        cached = fitter.fit(data, residual)
+        direct = kernel_ridge_fit(spec, data, residual, 0.01)
+        np.testing.assert_allclose(cached.coefficients.alpha, direct.coefficients.alpha,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(cached.fitted, cached(data.X))
+
+
+class TestProjectedKernelRuleMoments:
+    def test_blocks_at_rule_points_build_one_base_block(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        u = rng.uniform(0, 1, (15, 1))
+        pk = ProjectedKernel(MaternSpec(nu=3.5, p=1, phi=1.0),
+                             QuadratureRule(u.copy(), np.full(15, 1.0 / 15)))
+        grams = _counting(monkeypatch, projection_module, "matern_gram")
+        K = pk.gram(u)
+        assert len(grams) == 1                       # psi only; moments are cached
+        other = rng.uniform(0, 1, (4, 1))
+        cross = pk.gram(other, u)
+        assert len(grams) == 2                       # psi holds the moments of `other`
+        pk.gram(other)
+        assert len(grams) == 4                       # psi and the moments of `other`
+        full = pk.gram(np.vstack([u, other]))        # no rule-point shortcut here
+        np.testing.assert_allclose(full[:15, :15], K, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(full[15:, :15], cross, rtol=0, atol=1e-13)
+
+
 class TestKernelRidge:
     def _data(self, n=25, seed=1):
         rng = np.random.default_rng(seed)
@@ -206,6 +294,21 @@ class TestKernelRidge:
         spec = MaternSpec(nu=2.5, p=1, phi=1.0)
         lam = 1e-18
         model = kernel_ridge_fit(spec, data, data.y, lam).coefficients
+        assert model.jitter > 0.0
+        K = matern_gram(spec, data.unit_X)
+        system = K + (data.n * lam + model.jitter) * np.eye(data.n)
+        np.testing.assert_allclose(system @ model.alpha, data.y, atol=1e-6)
+
+    def test_jitter_of_singular_system_is_kept_through_the_alternation(self):
+        # the same singular system, factored once by the fitter and reused
+        base = self._data(n=10, seed=6)
+        data = Dataset(np.repeat(base.X, 2, axis=0), np.repeat(base.y, 2))
+        spec = MaternSpec(nu=2.5, p=1, phi=1.0)
+        lam = 1e-18
+        fit = fit_double_penalty(data, _ZeroFitter(), KernelRidgeFitter(spec, lam=lam),
+                                 StoppingRule(max_iters=3))
+        assert fit.iterations > 1
+        model = fit.g_hat.coefficients
         assert model.jitter > 0.0
         K = matern_gram(spec, data.unit_X)
         system = K + (data.n * lam + model.jitter) * np.eye(data.n)

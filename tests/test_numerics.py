@@ -21,6 +21,7 @@ from dpm.numerics import (
     SeededRng,
     bessel_k,
     cholesky_solve,
+    refined_solve,
     gauss_legendre_01,
     halton,
     maximin_lhs,
@@ -373,6 +374,31 @@ class TestCholeskySolve:
         B = rng.normal(size=(10, 3))
         res = cholesky_solve(a, B)
         assert np.allclose(a @ res.solution, B, atol=1e-9)
+
+    def test_inverse_factor_solves_further_right_hand_sides(self):
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(30, 30))
+        a = m @ m.T + 30 * np.eye(30)
+        res = cholesky_solve(a, np.eye(30))
+        L_inv = res.inverse_factor
+        np.testing.assert_allclose(L_inv @ a @ L_inv.T, np.eye(30), atol=1e-12)
+        assert np.allclose(np.tril(L_inv), L_inv)
+        b = rng.normal(size=30)
+        np.testing.assert_array_equal(refined_solve(L_inv, a.__matmul__, b),
+                                      cholesky_solve(a, b).solution)
+
+    def test_near_singular_residual_stays_small(self):
+        # duplicated points with a tiny ridge: the jittered system's condition
+        # number is about 6e16; a product with the explicit inverse from the
+        # same factorization misses this bound by about eight orders of magnitude
+        x = np.repeat(np.linspace(0.0, 1.0, 100), 2)
+        a = np.exp(-np.abs(x[:, None] - x[None, :])) * (1.0 + np.abs(x[:, None] - x[None, :]))
+        a = a + 1e-16 * np.eye(200)
+        b = np.sin(6.0 * x)
+        res = cholesky_solve(a, b)
+        system = a + res.jitter_used * np.eye(200)
+        scale = np.max(np.abs(system)) * np.max(np.abs(res.solution))
+        assert np.max(np.abs(system @ res.solution - b)) <= 1e-12 * scale
 
 
 class TestSymEig:
