@@ -32,9 +32,7 @@ class ProjectedKernel:
     Heavy quadrature-grid quantities (kernel values on the rule's points,
     weighted basis, moment matrix M) are computed once at construction and
     cached; per-call work is one base Gram block plus rank-(p+1) updates.
-    The moments at the rule's own points are among the cached quantities,
-    and a block against the rule's points takes its moments from the base
-    block it has already built.
+    The moments at the rule's own points are among the cached quantities.
     """
 
     def __init__(self, base: MaternSpec, quadrature: QuadratureRule,
@@ -79,9 +77,7 @@ class ProjectedKernel:
         psi = matern_gram(self.base, A, B)
         ea = self._basis_at(A)
         eb = ea if B_was_none else self._basis_at(B)
-        # against the rule's own points, psi already holds Psi(A, rule points)
-        ma = (psi @ self._weighted_basis if np.array_equal(B, self._rule_points)
-              else self._moments_at(A))
+        ma = self._moments_at(A)
         mb = ma if B_was_none else self._moments_at(B)
         return psi - ea @ mb.T - ma @ eb.T + ea @ self._moment_matrix @ eb.T
 

@@ -75,17 +75,15 @@ class RidgeSystem:
 
 
 def kernel_ridge_fit(kernel: KernelLike, data: Dataset, residual: np.ndarray,
-                     lam: float, gram: np.ndarray | None = None,
-                     system: RidgeSystem | None = None) -> FunctionClassMember:
+                     lam: float, system: RidgeSystem | None = None) -> FunctionClassMember:
     """Fit g by kernel ridge on a residual vector.
 
     alpha = (K + n*lambda*I)^{-1} r on the rescaled design; the penalty
     recorded on the member is lambda * alpha^T K alpha and its ``fitted``
-    values are K alpha.  ``gram`` is K at ``data.unit_X`` if the caller
-    has it; ``system`` is the factored system for K and ``lam`` (its Gram
-    is then used as K), otherwise it is factored here.  If the system
-    only factors with added diagonal jitter, the model's ``jitter`` says
-    how much.
+    values are K alpha.  ``system`` is the factored system for K at
+    ``data.unit_X`` and ``lam`` if the caller has it; otherwise K is built
+    and factored here.  If the system only factors with added diagonal
+    jitter, the model's ``jitter`` says how much.
     """
     if not lam > 0.0:
         raise ValueError("lambda must be positive")
@@ -93,9 +91,7 @@ def kernel_ridge_fit(kernel: KernelLike, data: Dataset, residual: np.ndarray,
     if residual.size != data.n:
         raise ValueError("residual length must match dataset")
     if system is None:
-        if gram is None:
-            gram = kernel_block(kernel, data.unit_X)
-        system = RidgeSystem.factor(gram, lam)
+        system = RidgeSystem.factor(kernel_block(kernel, data.unit_X), lam)
     elif system.lam != lam or system.gram.shape[0] != data.n:
         raise ValueError("system was factored for another lambda or dataset size")
     K = system.gram

@@ -245,7 +245,7 @@ class TestKernelRidgeFitterCaches:
 
 
 class TestProjectedKernelRuleMoments:
-    def test_blocks_at_rule_points_build_one_base_block(self, monkeypatch):
+    def test_moments_at_rule_points_are_cached(self, monkeypatch):
         rng = np.random.default_rng(9)
         u = rng.uniform(0, 1, (15, 1))
         pk = ProjectedKernel(MaternSpec(nu=3.5, p=1, phi=1.0),
@@ -255,9 +255,9 @@ class TestProjectedKernelRuleMoments:
         assert len(grams) == 1                       # psi only; moments are cached
         other = rng.uniform(0, 1, (4, 1))
         cross = pk.gram(other, u)
-        assert len(grams) == 2                       # psi holds the moments of `other`
+        assert len(grams) == 3                       # psi and the moments of `other`
         pk.gram(other)
-        assert len(grams) == 4                       # psi and the moments of `other`
+        assert len(grams) == 5                       # psi and the moments of `other`
         full = pk.gram(np.vstack([u, other]))        # no rule-point shortcut here
         np.testing.assert_allclose(full[:15, :15], K, rtol=0, atol=1e-13)
         np.testing.assert_allclose(full[15:, :15], cross, rtol=0, atol=1e-13)
