@@ -29,7 +29,7 @@ from .experiments import (
     write_result_files,
 )
 from .fitter import FitterError, fit_double_penalty, training_values
-from .kernels import KernelRidgeFitter, MaternSpec
+from .kernels import KernelRidgeFitter
 from .separability import empirical_theta, psi
 from .transect import (
     DiagnosticRow,
@@ -80,9 +80,8 @@ def _cmd_fit(args) -> int:
     if not args.gcv and args.lambda_g is None:
         raise ValueError("--lambda-g is required unless --gcv is given")
     if args.gcv:
-        fitter_f, _ = pair.fitters(data, args.lambda_f, 1.0)
-        spec = MaternSpec(nu=3.5 + data.p / 2.0, p=data.p, phi=1.0)
-        fitter_g = KernelRidgeFitter(spec, lam=None)
+        fitter_f, fixed_g = pair.fitters(data, args.lambda_f, 1.0)
+        fitter_g = KernelRidgeFitter(fixed_g.kernel, lam=None)
     else:
         fitter_f, fitter_g = pair.fitters(data, args.lambda_f, args.lambda_g)
     fit = fit_double_penalty(data, fitter_f, fitter_g)

@@ -27,11 +27,6 @@ class LoadedCsv:
     feature_ranges: tuple[tuple[float, float], ...]
     dropped_columns: tuple[str, ...]
 
-    def to_original(self, unit_points: np.ndarray) -> np.ndarray:
-        lo = np.array([r[0] for r in self.feature_ranges])
-        hi = np.array([r[1] for r in self.feature_ranges])
-        return lo + np.asarray(unit_points, dtype=float) * (hi - lo)
-
 
 def _parse_cell(raw: str, row_num: int, col_name: str) -> float:
     try:

@@ -1,4 +1,4 @@
-from .testfuncs import gramacy1d, sine_linear, sun5d, test_function_eval
+from .testfuncs import gramacy1d, sine_linear, sun5d
 from .results import ExperimentResult, write_result_files
 from .tables import run_table1, run_table2, sine_linear_cell
 from .example1 import run_example1
@@ -8,7 +8,6 @@ __all__ = [
     "gramacy1d",
     "sine_linear",
     "sun5d",
-    "test_function_eval",
     "ExperimentResult",
     "write_result_files",
     "run_table1",

@@ -2,10 +2,11 @@
 
 For each noise level and replication, a fresh 50-point maximin Latin
 hypercube is drawn, the response is the 5-D two-bump function plus
-Gaussian noise, and the alternation runs for a fixed number of
-iterations at several ridge levels n*lambda.  Training error, prediction
-error on a 1000-point Halton set, and empirical L2 norms of the two
-components are averaged over replications.
+Gaussian noise, and the alternation (``fit_double_penalty`` with an
+affine f and kernel ridge g) runs for a fixed number of iterations at
+several ridge levels n*lambda.  Training error, prediction error on a
+1000-point Halton set, and empirical L2 norms of the two components are
+averaged over replications for every iterate.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import time
 
 import numpy as np
 
-from ..classes import fit_linear_ols
-from ..core import Dataset
-from ..kernels import MaternSpec, matern_gram
-from ..numerics import cholesky_solve, halton, maximin_lhs
+from ..classes import LinearFitter
+from ..core import Dataset, FunctionClassFitter, FunctionClassMember
+from ..fitter import StoppingRule, fit_double_penalty
+from ..kernels import KernelRidgeFitter, MaternSpec, matern_gram
+from ..numerics import halton, maximin_lhs
 from .results import ExperimentResult
 from .testfuncs import sun5d
 
@@ -27,6 +29,19 @@ _BESSEL_ORDER = 3.5
 
 def _halton_block(count: int, dims: int) -> np.ndarray:
     return np.array([halton(i, dims) for i in range(1, count + 1)])
+
+
+class _KeepMembers(FunctionClassFitter):
+    """Pass-through fitter that keeps every member its inner fitter returns."""
+
+    def __init__(self, inner: FunctionClassFitter):
+        self.inner = inner
+        self.members = []
+
+    def fit(self, data: Dataset, residual: np.ndarray) -> FunctionClassMember:
+        member = self.inner.fit(data, residual)
+        self.members.append(member)
+        return member
 
 
 def run_example2(nlambdas=(1.0, 0.1, 0.001, 1e-9), noise_sds=(0.1, 0.01),
@@ -40,6 +55,7 @@ def run_example2(nlambdas=(1.0, 0.1, 0.001, 1e-9), noise_sds=(0.1, 0.01),
     x_test = _halton_block(1000, _P)
     h_test = sun5d(x_test)
     bounds = tuple((0.0, 1.0) for _ in range(_P))
+    stop = StoppingRule(max_iters=iters, change_tol=0.0)
 
     sums = {(sd, nl, it): np.zeros(4)
             for sd in noise_sds for nl in nlambdas for it in range(1, iters + 1)}
@@ -49,22 +65,17 @@ def run_example2(nlambdas=(1.0, 0.1, 0.001, 1e-9), noise_sds=(0.1, 0.01),
             X = maximin_lhs(n, _P, rng)
             y = sun5d(X) + rng.normal(0.0, noise_sd, n)
             data = Dataset(X, y, omega_bounds=bounds)
-            K = matern_gram(spec, X)
             K_test = matern_gram(spec, x_test, X)
-            f0 = fit_linear_ols(data, y)
-            f0_vals = f0(X)
             for nl in nlambdas:
-                f_member, f_vals = f0, f0_vals
-                for it in range(1, iters + 1):
-                    alpha = cholesky_solve(K + nl * np.eye(n),
-                                           y - f_vals).solution
-                    g_vals = K @ alpha
-                    f_member = fit_linear_ols(data, y - g_vals)
-                    f_vals = f_member(X)
-                    f_test = f_member(x_test)
-                    g_test = K_test @ alpha
+                fs = _KeepMembers(LinearFitter())
+                gs = _KeepMembers(KernelRidgeFitter(spec, lam=nl / n))
+                fit_double_penalty(data, fs, gs, stop)
+                # f_0 starts the run, so iterate m pairs f_m with g_m
+                for it, (f_m, g_m) in enumerate(zip(fs.members[1:], gs.members), start=1):
+                    f_test = f_m(x_test)
+                    g_test = K_test @ g_m.coefficients.alpha
                     sums[(noise_sd, nl, it)] += (
-                        np.mean((y - f_vals - g_vals) ** 2),
+                        np.mean((y - f_m.fitted - g_m.fitted) ** 2),
                         np.mean((h_test - f_test - g_test) ** 2),
                         np.sqrt(np.mean(f_test ** 2)),
                         np.sqrt(np.mean(g_test ** 2)),

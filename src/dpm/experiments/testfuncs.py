@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
 
@@ -27,32 +25,3 @@ def sine_linear(theta: float, beta1: float, beta2: float, x: np.ndarray) -> np.n
     """beta1 * x + beta2 * sin(theta x) on [0,1]."""
     x = np.asarray(x, dtype=float)
     return beta1 * x + beta2 * np.sin(theta * x)
-
-
-_SINE_LINEAR_RE = re.compile(r"^sine-linear\(([^,]+),([^,]+),([^)]+)\)$")
-
-
-def test_function_eval(name: str, x) -> float:
-    """Evaluate a named test function at one point.
-
-    ``name`` is ``gramacy1d``, ``sun5d``, or ``sine-linear(theta,b1,b2)``.
-    Points outside the function's domain raise ValueError.
-    """
-    if name == "gramacy1d":
-        xv = float(np.asarray(x, dtype=float).reshape(()))
-        if not 0.5 <= xv <= 2.5:
-            raise ValueError(f"gramacy1d domain is [0.5, 2.5], got {xv}")
-        return float(gramacy1d(np.array(xv)))
-    if name == "sun5d":
-        pt = np.asarray(x, dtype=float).ravel()
-        if pt.size != 5 or np.any(pt < 0.0) or np.any(pt > 1.0):
-            raise ValueError("sun5d domain is [0,1]^5")
-        return float(sun5d(pt[None, :])[0])
-    match = _SINE_LINEAR_RE.match(name.replace(" ", ""))
-    if match:
-        theta, b1, b2 = (float(g) for g in match.groups())
-        xv = float(np.asarray(x, dtype=float).reshape(()))
-        if not 0.0 <= xv <= 1.0:
-            raise ValueError(f"sine-linear domain is [0,1], got {xv}")
-        return float(sine_linear(theta, b1, b2, np.array(xv)))
-    raise ValueError(f"unknown test function {name!r}")

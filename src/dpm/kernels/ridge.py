@@ -115,23 +115,18 @@ class GcvPoint:
 
 
 def gcv_select_lambda(kernel: KernelLike, data: Dataset, residual: np.ndarray,
-                      grid: Optional[np.ndarray] = None,
                       gram: np.ndarray | None = None) -> tuple[float, list[GcvPoint]]:
-    """Pick lambda on a grid by generalized cross validation.
+    """Pick lambda on a fixed grid by generalized cross validation.
 
     GCV(lambda) = (1/n)||(I-A)r||^2 / ((1/n) tr(I-A))^2 with the smoother
     A = K (K + n*lambda*I)^{-1}.  Grid points where tr(I-A) <= 0 are
-    flagged invalid and skipped.  Default grid: 20 log-spaced values of
+    flagged invalid and skipped.  The grid is 20 log-spaced values of
     n*lambda in [1e-6, 1e2].  ``gram`` is K at ``data.unit_X`` if the
     caller has it.
     """
     residual = np.asarray(residual, dtype=float).ravel()
     n = data.n
-    if grid is None:
-        grid = np.logspace(-6.0, 2.0, 20) / n
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or np.any(grid <= 0.0):
-        raise ValueError("grid must be non-empty positive lambdas")
+    grid = np.logspace(-6.0, 2.0, 20) / n
     K = kernel_block(kernel, data.unit_X) if gram is None else gram
     curve: list[GcvPoint] = []
     best_lam, best_score = None, np.inf
@@ -163,11 +158,9 @@ class KernelRidgeFitter(FunctionClassFitter):
     lambda are kept, so an alternation builds and factors each once.
     """
 
-    def __init__(self, kernel: KernelLike, lam: Optional[float] = None,
-                 gcv_grid: Optional[np.ndarray] = None):
+    def __init__(self, kernel: KernelLike, lam: Optional[float] = None):
         self.kernel = kernel
         self.lam = lam
-        self.gcv_grid = gcv_grid
         self.gcv_curve: Optional[list[GcvPoint]] = None
         self._gram_cache: tuple[Optional[Dataset], Optional[np.ndarray]] = (None, None)
         self._system_cache: tuple[Optional[Dataset], Optional[RidgeSystem]] = (None, None)
@@ -191,6 +184,6 @@ class KernelRidgeFitter(FunctionClassFitter):
     def fit(self, data: Dataset, residual: np.ndarray) -> FunctionClassMember:
         if self.lam is None:
             self.lam, self.gcv_curve = gcv_select_lambda(
-                self.kernel, data, residual, self.gcv_grid, gram=self._gram_for(data))
+                self.kernel, data, residual, gram=self._gram_for(data))
         return kernel_ridge_fit(self.kernel, data, residual, self.lam,
                                 system=self._system_for(data))

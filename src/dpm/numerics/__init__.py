@@ -2,7 +2,6 @@ from .bessel import K_SATURATION, bessel_k
 from .design import maximin_lhs
 from .linalg import CholeskySolveResult, cholesky_solve, refined_solve, sym_eig_small
 from .quadrature import QuadratureRule, gauss_legendre_01, halton, tensor_or_qmc_rule
-from .rng import SeededRng
 
 __all__ = [
     "K_SATURATION",
@@ -16,5 +15,4 @@ __all__ = [
     "gauss_legendre_01",
     "halton",
     "tensor_or_qmc_rule",
-    "SeededRng",
 ]

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rng import SeededRng
-
 __all__ = ["maximin_lhs"]
 
 
@@ -15,7 +13,7 @@ def _min_pairwise(design: np.ndarray) -> float:
     return d.min()
 
 
-def maximin_lhs(n: int, p: int, rng: SeededRng | np.random.Generator,
+def maximin_lhs(n: int, p: int, rng: np.random.Generator,
                 restarts: int = 2, swaps: int = 150) -> np.ndarray:
     """Maximin Latin hypercube design: n points in [0,1]^p.
 
@@ -30,14 +28,13 @@ def maximin_lhs(n: int, p: int, rng: SeededRng | np.random.Generator,
         raise ValueError(f"dimension must be at least 1, got p={p}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    gen = rng.generator if isinstance(rng, SeededRng) else rng
     best, best_score = None, -1.0
     for _ in range(restarts):
-        design = (np.argsort(gen.random((p, n)), axis=1).T + gen.random((n, p))) / n
+        design = (np.argsort(rng.random((p, n)), axis=1).T + rng.random((n, p))) / n
         current = _min_pairwise(design)
         for _ in range(swaps):
-            j = gen.integers(p)
-            a, b = gen.integers(n, size=2)
+            j = rng.integers(p)
+            a, b = rng.integers(n, size=2)
             candidate = design.copy()
             candidate[[a, b], j] = candidate[[b, a], j]
             score = _min_pairwise(candidate)

@@ -39,29 +39,24 @@ def refined_solve(inverse_factor: np.ndarray, matvec, B: np.ndarray) -> np.ndarr
     return X + inverse_factor.T @ (inverse_factor @ R)
 
 
-def cholesky_solve(A: np.ndarray, B: np.ndarray, jitter: float = 0.0) -> CholeskySolveResult:
-    """Solve (A + jitter*I) X = B for symmetric positive definite A.
+def cholesky_solve(A: np.ndarray, B: np.ndarray) -> CholeskySolveResult:
+    """Solve A X = B for symmetric positive definite A.
 
-    If factorization fails the jitter escalates by factors of 10, at most
-    three times (starting from a scale-relative floor when jitter is 0),
-    and the jitter actually used is reported alongside the solution.
-    One step of iterative refinement keeps the residual near machine
-    precision even for ill-conditioned systems.  Numpy has no triangular
-    solve, so the factor is inverted once and every solve is a matrix
-    product; the result keeps that inverse factor for further right-hand
-    sides (see ``refined_solve``).
+    If A does not factor, a diagonal jitter is added: first a
+    scale-relative floor, then 10 and 100 times it.  The jitter actually
+    used (0.0 if none) is reported alongside the solution.  The solve is
+    followed by one refinement pass against the jittered matrix.  Numpy
+    has no triangular solve, so the factor is inverted once and every
+    solve is a matrix product; the result keeps that inverse factor for
+    further right-hand sides (see ``refined_solve``).
     """
     A = _require_symmetric(A, "A")
     B = np.asarray(B, dtype=float)
-    if jitter < 0.0:
-        raise ValueError("jitter must be non-negative")
     n = A.shape[0]
     floor = 1e-14 * max(1.0, float(np.max(np.abs(A))) if A.size else 1.0)
-    attempts = [jitter]
-    step = jitter if jitter > 0.0 else floor
-    for _ in range(3):
-        attempts.append(step)
-        step *= 10.0
+    attempts = [0.0, floor]
+    for _ in range(2):
+        attempts.append(attempts[-1] * 10.0)
     eye = np.eye(n)
     last_error = None
     for j in attempts:

@@ -53,7 +53,8 @@ class TestLoadCsv:
         # unit scale hits both endpoints per column
         assert np.allclose(loaded.data.unit_X.min(axis=0), 0.0)
         assert np.allclose(loaded.data.unit_X.max(axis=0), 1.0)
-        back = loaded.to_original(loaded.data.unit_X)
+        lo, hi = np.array(loaded.feature_ranges).T
+        back = lo + loaded.data.unit_X * (hi - lo)
         np.testing.assert_allclose(back, X, rtol=1e-10)
 
     def test_feature_subset(self, tmp_path):

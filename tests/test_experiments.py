@@ -13,8 +13,12 @@ from dpm.experiments import (
     run_table2,
     write_result_files,
 )
+from dpm.classes import fit_linear_ols
+from dpm.core import Dataset
 from dpm.experiments.testfuncs import gramacy1d, sine_linear, sun5d
-from dpm.experiments.testfuncs import test_function_eval as eval_named
+from dpm.kernels import MaternSpec, matern_gram
+from dpm.kernels import ridge as ridge_module
+from dpm.numerics import cholesky_solve, halton, maximin_lhs
 from dpm.separability import psi
 
 
@@ -23,14 +27,10 @@ class TestFunctions:
         assert gramacy1d(0.55) == pytest.approx(-0.86808465909090909, rel=1e-14)
         # sin(10 pi) = 0 and (x-1)^4 = 0 at x = 1
         assert abs(gramacy1d(1.0)) < 1e-14
-        assert eval_named("gramacy1d", 0.55) == pytest.approx(
-            -0.86808465909090909, rel=1e-14)
 
     def test_sun5d_pins(self):
         center = np.full(5, 0.5)
         assert sun5d(center)[0] == pytest.approx(2.3454915028125263, rel=1e-14)
-        assert eval_named("sun5d", center) == pytest.approx(
-            2.3454915028125263, rel=1e-14)
         batch = sun5d(np.vstack([center, np.zeros(5)]))
         assert batch.shape == (2,)
 
@@ -38,21 +38,9 @@ class TestFunctions:
         x = np.array([0.0, 0.25, 1.0])
         np.testing.assert_allclose(sine_linear(3.0, 1.0, 3.0, x),
                                    x + 3.0 * np.sin(3.0 * x), atol=0)
-        assert eval_named("sine-linear(3,1,3)", 0.0) == 0.0
-        assert eval_named("sine-linear(3, 1, 3)", 0.5) == pytest.approx(
+        assert sine_linear(3.0, 1.0, 3.0, 0.0) == 0.0
+        assert sine_linear(3.0, 1.0, 3.0, 0.5) == pytest.approx(
             0.5 + 3.0 * np.sin(1.5), rel=1e-14)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            eval_named("gramacy1d", 0.3)
-        with pytest.raises(ValueError):
-            eval_named("sun5d", np.full(5, 1.2))
-        with pytest.raises(ValueError):
-            eval_named("sun5d", np.full(4, 0.5))
-        with pytest.raises(ValueError):
-            eval_named("sine-linear(3,1,3)", 1.5)
-        with pytest.raises(ValueError, match="unknown"):
-            eval_named("rosenbrock", 0.5)
 
 
 class TestResultFiles:
@@ -166,3 +154,58 @@ class TestExampleRuns:
     def test_example2_deterministic(self):
         kw = dict(nlambdas=(0.1,), noise_sds=(0.1,), iters=1, reps=2, seed=8)
         assert run_example2(**kw).rows == run_example2(**kw).rows
+
+
+def _example2_reference(nlambdas, noise_sds, iters, n, reps, seed):
+    """The 5-D study with its alternation written out by hand."""
+    spec = MaternSpec(nu=6.0, p=5, phi=1.0 / (2.0 * np.sqrt(3.5)))
+    x_test = np.array([halton(i, 5) for i in range(1, 1001)])
+    h_test = sun5d(x_test)
+    rows = []
+    for level, noise_sd in enumerate(noise_sds):
+        rng = np.random.default_rng(seed + level)
+        sums = np.zeros((len(nlambdas), iters, 4))
+        for _ in range(reps):
+            X = maximin_lhs(n, 5, rng)
+            y = sun5d(X) + rng.normal(0.0, noise_sd, n)
+            data = Dataset(X, y, omega_bounds=[(0.0, 1.0)] * 5)
+            K = matern_gram(spec, X)
+            K_test = matern_gram(spec, x_test, X)
+            for i, nl in enumerate(nlambdas):
+                f_vals = fit_linear_ols(data, y)(X)
+                for it in range(iters):
+                    alpha = cholesky_solve(K + nl * np.eye(n), y - f_vals).solution
+                    g_vals = K @ alpha
+                    f_member = fit_linear_ols(data, y - g_vals)
+                    f_vals = f_member(X)
+                    f_test = f_member(x_test)
+                    g_test = K_test @ alpha
+                    sums[i, it] += (np.mean((y - f_vals - g_vals) ** 2),
+                                    np.mean((h_test - f_test - g_test) ** 2),
+                                    np.sqrt(np.mean(f_test ** 2)),
+                                    np.sqrt(np.mean(g_test ** 2)))
+        for i, nl in enumerate(nlambdas):
+            for it in range(iters):
+                rows.append((noise_sd, nl, it + 1, *(sums[i, it] / reps)))
+    return np.array(rows)
+
+
+class TestExample2Alternation:
+    def test_matches_hand_written_alternation(self):
+        kw = dict(nlambdas=(1.0, 1e-9), noise_sds=(0.1, 0.01), iters=3, reps=3)
+        res = run_example2(**kw)
+        expected = _example2_reference(n=50, seed=0, **kw)
+        np.testing.assert_allclose(np.array(res.rows), expected, rtol=1e-9, atol=1e-11)
+
+    def test_one_factorization_per_ridge_system(self, monkeypatch):
+        calls = []
+        original = ridge_module.cholesky_solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ridge_module, "cholesky_solve", counted)
+        reps, nlambdas = 2, (1.0, 0.1, 1e-9)
+        run_example2(nlambdas=nlambdas, noise_sds=(0.1,), iters=4, reps=reps)
+        assert len(calls) == reps * len(nlambdas)

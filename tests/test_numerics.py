@@ -18,7 +18,6 @@ from dpm.numerics import (
     K_SATURATION,
     CholeskySolveResult,
     QuadratureRule,
-    SeededRng,
     bessel_k,
     cholesky_solve,
     refined_solve,
@@ -309,15 +308,15 @@ class TestQuadratureRule:
 class TestMaximinLhs:
     def test_is_latin_hypercube(self):
         n, p = 17, 3
-        design = maximin_lhs(n, p, SeededRng(5))
+        design = maximin_lhs(n, p, np.random.default_rng(5))
         assert design.shape == (n, p)
         for j in range(p):
             bins = np.floor(design[:, j] * n).astype(int)
             assert sorted(bins) == list(range(n))
 
     def test_deterministic_given_seed(self):
-        a = maximin_lhs(12, 2, SeededRng(99))
-        b = maximin_lhs(12, 2, SeededRng(99))
+        a = maximin_lhs(12, 2, np.random.default_rng(99))
+        b = maximin_lhs(12, 2, np.random.default_rng(99))
         np.testing.assert_array_equal(a, b)
 
     def test_swaps_do_not_hurt_min_distance(self):
@@ -326,15 +325,15 @@ class TestMaximinLhs:
             np.fill_diagonal(diff, np.inf)
             return diff.min()
 
-        raw = maximin_lhs(20, 2, SeededRng(31), restarts=1, swaps=0)
-        optimized = maximin_lhs(20, 2, SeededRng(31), restarts=1, swaps=150)
+        raw = maximin_lhs(20, 2, np.random.default_rng(31), restarts=1, swaps=0)
+        optimized = maximin_lhs(20, 2, np.random.default_rng(31), restarts=1, swaps=150)
         assert min_dist(optimized) >= min_dist(raw)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            maximin_lhs(1, 2, SeededRng(0))
+            maximin_lhs(1, 2, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            maximin_lhs(5, 0, SeededRng(0))
+            maximin_lhs(5, 0, np.random.default_rng(0))
 
 
 class TestCholeskySolve:
@@ -414,17 +413,3 @@ class TestSymEig:
         with pytest.raises(ValueError):
             sym_eig_small(np.eye(201))
 
-
-class TestSeededRng:
-    def test_children_are_stable_and_distinct(self):
-        root = SeededRng(123)
-        a1 = root.child(0).generator.random(4)
-        a2 = SeededRng(123).child(0).generator.random(4)
-        b = root.child(1).generator.random(4)
-        np.testing.assert_array_equal(a1, a2)
-        assert not np.array_equal(a1, b)
-
-    def test_generator_matches_numpy_default(self):
-        ours = SeededRng(777).generator.random(5)
-        theirs = np.random.default_rng(777).random(5)
-        np.testing.assert_array_equal(ours, theirs)
