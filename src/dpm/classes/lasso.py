@@ -9,6 +9,9 @@ import numpy as np
 from ..core import Dataset, FunctionClassFitter, FunctionClassMember
 from .linear import LinearModel
 
+MAX_SWEEPS = 1000
+TOL = 1e-8
+
 
 def _standardize(X: np.ndarray):
     # zero mean, unit empirical norm per column; constant columns flagged out
@@ -32,15 +35,14 @@ def lasso_lambda_max(data: Dataset, residual: np.ndarray) -> float:
     return float(np.max(np.abs(2.0 * (Z[:, active].T @ rc) / data.n)))
 
 
-def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float,
-              max_sweeps: int = 1000, tol: float = 1e-8) -> FunctionClassMember:
+def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float) -> FunctionClassMember:
     """Minimize (1/n)||r - a - Xb||^2 + lambda_f * ||b||_1 (standardized scale).
 
     Features are standardized internally; the intercept is unpenalized.
     Coordinate updates are the soft threshold b_j <- S(<z_j, rho>/n, lambda_f/2)
     since columns have unit empirical norm.  Stops when the largest
-    coefficient change in a sweep drops below ``tol``; a run that exhausts
-    ``max_sweeps`` is returned with ``converged=False``.
+    coefficient change in a sweep drops below ``TOL``; a run that exhausts
+    ``MAX_SWEEPS`` is returned with ``converged=False``.
     """
     if lambda_f < 0.0:
         raise ValueError("lambda_f must be non-negative")
@@ -57,7 +59,7 @@ def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float,
     half = lambda_f / 2.0
     converged = False
     idx = np.flatnonzero(active_cols)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         biggest = 0.0
         for j in idx:
             zj = Z[:, j]
@@ -67,7 +69,7 @@ def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float,
                 work += zj * (beta[j] - new)
                 biggest = max(biggest, abs(new - beta[j]))
                 beta[j] = new
-        if biggest < tol:
+        if biggest < TOL:
             converged = True
             break
 
@@ -89,10 +91,8 @@ def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float,
 
 
 class LassoFitter(FunctionClassFitter):
-    def __init__(self, lambda_f: float, max_sweeps: int = 1000, tol: float = 1e-8):
+    def __init__(self, lambda_f: float):
         self.lambda_f = lambda_f
-        self.max_sweeps = max_sweeps
-        self.tol = tol
 
     def fit(self, data: Dataset, residual: np.ndarray) -> FunctionClassMember:
-        return fit_lasso(data, residual, self.lambda_f, self.max_sweeps, self.tol)
+        return fit_lasso(data, residual, self.lambda_f)

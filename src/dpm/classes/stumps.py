@@ -36,39 +36,23 @@ class StumpEnsemble:
 
 def _presort(X: np.ndarray):
     # sort once per fit; every boosting round reuses the same order
-    cols = []
-    for j in range(X.shape[1]):
-        xj = X[:, j]
-        order = np.argsort(xj, kind="stable")
-        xs = xj[order]
-        if xs[0] == xs[-1]:
-            cols.append(None)  # constant column: nothing to split on
-            continue
-        cut = np.flatnonzero(xs[:-1] < xs[1:])  # split between distinct values
-        cols.append((order, xs, cut, cut + 1.0, X.shape[0] - (cut + 1.0)))
-    return cols
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    return order, xs, xs[:-1] < xs[1:]  # a cut lies between distinct values
 
 
-def _best_stump(sorted_cols, resid: np.ndarray, n_lambda: float):
-    # maximize sum_L^2/(n_L + n*lambda) + sum_R^2/(n_R + n*lambda)
-    best = None
-    best_gain = -np.inf
-    for j, col in enumerate(sorted_cols):
-        if col is None:
-            continue
-        order, xs, cut, nl, nr = col
-        csum = np.cumsum(resid[order])
-        total = csum[-1]
-        sl = csum[cut]
-        sr = total - sl
-        gain = sl ** 2 / (nl + n_lambda) + sr ** 2 / (nr + n_lambda)
-        k = int(np.argmax(gain))
-        if gain[k] > best_gain:
-            i = cut[k]
-            best_gain = float(gain[k])
-            best = (j, float(0.5 * (xs[i] + xs[i + 1])),
-                    float(sl[k] / (nl[k] + n_lambda)), float(sr[k] / (nr[k] + n_lambda)))
-    return best
+def _best_stump(order, xs, valid, resid: np.ndarray, n_lambda: float):
+    # maximize sum_L^2/(n_L + n*lambda) + sum_R^2/(n_R + n*lambda) over every
+    # valid (cut, feature); the first maximum in (feature, cut) order wins
+    csum = np.cumsum(resid[order], axis=0)
+    sl = csum[:-1]
+    sr = csum[-1] - sl
+    nl = np.arange(1.0, resid.size)[:, None]
+    nr = resid.size - nl
+    gain = np.where(valid, sl ** 2 / (nl + n_lambda) + sr ** 2 / (nr + n_lambda), -np.inf)
+    j, i = divmod(int(np.argmax(gain.T)), gain.shape[0])
+    return (j, float(0.5 * (xs[i, j] + xs[i + 1, j])),
+            float(sl[i, j] / (nl[i, 0] + n_lambda)), float(sr[i, j] / (nr[i, 0] + n_lambda)))
 
 
 def fit_boosted_stumps(data: Dataset, residual: np.ndarray, lambda_g: float,
@@ -78,8 +62,9 @@ def fit_boosted_stumps(data: Dataset, residual: np.ndarray, lambda_g: float,
     Each round fits the least-squares stump with shrunk leaves
     ``sum(resid in leaf) / (count + n*lambda_g)``, scaled by the learning
     rate, and updates the residual.  Penalty value is lambda_g times the
-    sum of squared (stored, rate-scaled) leaf values.  If every feature is
-    constant the ensemble falls back to shrunk-mean single leaves.
+    sum of squared (stored, rate-scaled) leaf values.  If no feature has a
+    cut (every feature constant, or a single row) the ensemble falls back
+    to shrunk-mean single leaves.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
@@ -92,17 +77,16 @@ def fit_boosted_stumps(data: Dataset, residual: np.ndarray, lambda_g: float,
         raise ValueError("residual length must match dataset")
     X = data.X
     n_lambda = data.n * lambda_g
-    sorted_cols = _presort(X)
+    order, xs, valid = _presort(X)
     stumps = []
     fitted = np.zeros(data.n)  # summed in round order, as StumpEnsemble.predict does
     for _ in range(max_rounds):
-        found = _best_stump(sorted_cols, resid, n_lambda)
-        if found is None:
+        if valid.any():
+            j, thr, left, right = _best_stump(order, xs, valid, resid, n_lambda)
+            st = Stump(j, thr, learning_rate * left, learning_rate * right)
+        else:
             value = learning_rate * float(resid.sum() / (data.n + n_lambda))
             st = Stump(0, np.inf, value, value)
-        else:
-            j, thr, left, right = found
-            st = Stump(j, thr, learning_rate * left, learning_rate * right)
         pred = np.where(X[:, st.feature] <= st.threshold, st.left_value, st.right_value)
         resid -= pred
         fitted += pred

@@ -8,7 +8,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ..core import Dataset, FunctionClassFitter, FunctionClassMember
-from ..numerics import cholesky_solve, refined_solve
+from ..numerics import cholesky_solve
 from .matern import MaternSpec, matern_gram
 from .projection import ProjectedKernel
 
@@ -53,9 +53,9 @@ class RidgeSystem:
     ``inverse_factor`` is L^{-1} for the Cholesky factor L of
     K + (n*lambda + jitter)*I, from one ``cholesky_solve`` against the
     identity; ``jitter`` is the diagonal jitter that solve needed.  Each
-    solve is then a few matrix-vector products.  The explicit inverse that
-    call also returns is not kept: products with it lose accuracy on
-    near-singular systems, and refinement cannot win it back.
+    solve is then two matrix-vector products, L^{-T} (L^{-1} r).  The
+    explicit inverse that call also returns is not kept: products with it
+    lose accuracy on near-singular systems.
     """
 
     gram: np.ndarray
@@ -70,8 +70,7 @@ class RidgeSystem:
         return cls(gram, lam, solved.jitter_used, solved.inverse_factor)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        shift = self.gram.shape[0] * self.lam + self.jitter
-        return refined_solve(self.inverse_factor, lambda x: self.gram @ x + shift * x, rhs)
+        return self.inverse_factor.T @ (self.inverse_factor @ rhs)
 
 
 def kernel_ridge_fit(kernel: KernelLike, data: Dataset, residual: np.ndarray,

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CholeskySolveResult", "cholesky_solve", "refined_solve", "sym_eig_small"]
+__all__ = ["CholeskySolveResult", "cholesky_solve", "sym_eig_small"]
 
 MAX_EIG_DIM = 200
 
@@ -28,27 +28,14 @@ class CholeskySolveResult:
     inverse_factor: np.ndarray = field(repr=False)   # L^{-1}, L L^T = A + jitter_used*I
 
 
-def refined_solve(inverse_factor: np.ndarray, matvec, B: np.ndarray) -> np.ndarray:
-    """X = L^{-T} L^{-1} B plus one refinement pass against ``matvec``.
-
-    ``inverse_factor`` is L^{-1} for a Cholesky factor L of the matrix M
-    that ``matvec`` applies.
-    """
-    X = inverse_factor.T @ (inverse_factor @ B)
-    R = B - matvec(X)
-    return X + inverse_factor.T @ (inverse_factor @ R)
-
-
 def cholesky_solve(A: np.ndarray, B: np.ndarray) -> CholeskySolveResult:
     """Solve A X = B for symmetric positive definite A.
 
     If A does not factor, a diagonal jitter is added: first a
     scale-relative floor, then 10 and 100 times it.  The jitter actually
-    used (0.0 if none) is reported alongside the solution.  The solve is
-    followed by one refinement pass against the jittered matrix.  Numpy
-    has no triangular solve, so the factor is inverted once and every
-    solve is a matrix product; the result keeps that inverse factor for
-    further right-hand sides (see ``refined_solve``).
+    used (0.0 if none) is reported alongside the solution.  Numpy has no
+    triangular solve, so the factor L is inverted once and the solution is
+    L^{-T} (L^{-1} B); the result keeps L^{-1} for further right-hand sides.
     """
     A = _require_symmetric(A, "A")
     B = np.asarray(B, dtype=float)
@@ -67,8 +54,7 @@ def cholesky_solve(A: np.ndarray, B: np.ndarray) -> CholeskySolveResult:
             last_error = exc
             continue
         L_inv = np.linalg.solve(L, eye)
-        # one refinement pass against the jittered system
-        return CholeskySolveResult(refined_solve(L_inv, lambda X: M @ X, B), j, L_inv)
+        return CholeskySolveResult(L_inv.T @ (L_inv @ B), j, L_inv)
     raise np.linalg.LinAlgError(
         f"matrix ({n}x{n}) not positive definite after jitter escalation "
         f"to {attempts[-1]:g}: {last_error}")

@@ -104,23 +104,13 @@ def grid_sweep(data: Dataset, lambda_f_grid, lambda_g_grid, cv: CvConfig,
                pair: LearnerPair | None = None,
                transect_c: float | None = None) -> GridSweepResult:
     """Full Cartesian sweep; with ``transect_c`` also reports how far the
-    grid-wide best cor(y, f+g) sits above the best along that transect."""
+    grid-wide best cor(y, f+g) sits above the best along that transect.
+    The transect runs first, and grid cells on it take its rows."""
     pair = pair or LearnerPair()
     lf_grid = [float(v) for v in lambda_f_grid]
     lg_grid = [float(v) for v in lambda_g_grid]
     if not lf_grid or not lg_grid:
         raise ValueError("grids must be non-empty")
-    rows = []
-    for lf in lf_grid:
-        for lg in lg_grid:
-            try:
-                rows.append(_cell(data, pair, lf, lg, cv))
-            except (CvCellError, ValueError) as exc:
-                warnings.warn(f"grid cell ({lf:g}, {lg:g}) skipped: {exc}")
-    if not rows:
-        raise CvCellError("every grid cell failed")
-    grid_max = max(row.cor_total for row in rows)
-
     transect_rows: tuple[DiagnosticRow, ...] = ()
     transect_max = None
     if transect_c is not None:
@@ -128,4 +118,19 @@ def grid_sweep(data: Dataset, lambda_f_grid, lambda_g_grid, cv: CvConfig,
         transect_rows = tuple(transect_sweep(data, config, cv))
         if transect_rows:
             transect_max = max(row.cor_total for row in transect_rows)
+    done = {(row.lambda_f, row.lambda_g): row for row in transect_rows}
+
+    rows = []
+    for lf in lf_grid:
+        for lg in lg_grid:
+            if (lf, lg) in done:
+                rows.append(done[(lf, lg)])
+                continue
+            try:
+                rows.append(_cell(data, pair, lf, lg, cv))
+            except (CvCellError, ValueError) as exc:
+                warnings.warn(f"grid cell ({lf:g}, {lg:g}) skipped: {exc}")
+    if not rows:
+        raise CvCellError("every grid cell failed")
+    grid_max = max(row.cor_total for row in rows)
     return GridSweepResult(tuple(rows), grid_max, transect_rows, transect_max)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpm.classes import (
     LassoFitter,
@@ -15,6 +17,7 @@ from dpm.classes import (
     fit_linear_ols,
     lasso_lambda_max,
 )
+from dpm.classes.stumps import _best_stump, _presort
 from dpm.core import Dataset
 
 
@@ -185,7 +188,64 @@ class TestLasso:
         assert member.descriptor == "linear"
 
 
+def _presort_by_column(X):
+    # oracle: the per-column split search that the one-matrix search replaced
+    cols = []
+    for j in range(X.shape[1]):
+        xj = X[:, j]
+        order = np.argsort(xj, kind="stable")
+        xs = xj[order]
+        if xs[0] == xs[-1]:
+            cols.append(None)
+            continue
+        cut = np.flatnonzero(xs[:-1] < xs[1:])
+        cols.append((order, xs, cut, cut + 1.0, X.shape[0] - (cut + 1.0)))
+    return cols
+
+
+def _best_stump_by_column(sorted_cols, resid, n_lambda):
+    best = None
+    best_gain = -np.inf
+    for j, col in enumerate(sorted_cols):
+        if col is None:
+            continue
+        order, xs, cut, nl, nr = col
+        csum = np.cumsum(resid[order])
+        sl = csum[cut]
+        sr = csum[-1] - sl
+        gain = sl ** 2 / (nl + n_lambda) + sr ** 2 / (nr + n_lambda)
+        k = int(np.argmax(gain))
+        if gain[k] > best_gain:
+            i = cut[k]
+            best_gain = float(gain[k])
+            best = (j, float(0.5 * (xs[i] + xs[i + 1])),
+                    float(sl[k] / (nl[k] + n_lambda)), float(sr[k] / (nr[k] + n_lambda)))
+    return best
+
+
 class TestStumps:
+    @given(st.integers(1, 25), st.integers(1, 4), st.booleans(),
+           st.sampled_from(["none", "first", "all"]), st.sampled_from(["normal", "integer", "zero"]),
+           st.booleans(), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_split_search_matches_per_column_oracle(self, n, p, ties, constant, resid_kind,
+                                                    zero_lambda, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 4, (n, p)) / 3.0 if ties else rng.uniform(0.0, 1.0, (n, p))
+        if constant == "first":
+            X[:, 0] = 0.5
+        elif constant == "all":
+            X[:] = 0.5
+        resid = {"normal": rng.normal(size=n), "integer": rng.integers(-2, 3, n) * 1.0,
+                 "zero": np.zeros(n)}[resid_kind]
+        n_lambda = 0.0 if zero_lambda else n * float(rng.uniform(0.0, 1.0))
+        expected = _best_stump_by_column(_presort_by_column(X), resid, n_lambda)
+        order, xs, valid = _presort(X)
+        if expected is None:
+            assert not valid.any()
+        else:
+            assert _best_stump(order, xs, valid, resid, n_lambda) == expected
+
     def test_single_split_recovers_step(self):
         x = np.linspace(0.0, 1.0, 50)
         y = np.where(x <= 0.42, -1.0, 2.0)
@@ -211,13 +271,14 @@ class TestStumps:
             lam * (st.left_value ** 2 + st.right_value ** 2))
 
     def test_constant_features_fall_back_to_mean_leaf(self):
-        X = np.full((6, 2), 0.3)
-        y = np.arange(6.0)
-        m = fit_boosted_stumps(Dataset(X, y), y, lambda_g=0.0,
-                               max_rounds=1, learning_rate=1.0)
-        st = m.coefficients.rounds[0]
-        assert st.threshold == np.inf
-        assert st.left_value == pytest.approx(y.mean())
+        # a single row has no cut either: its gain matrix is empty
+        for X, y in ((np.full((6, 2), 0.3), np.arange(6.0)),
+                     (np.array([[0.2, 0.9]]), np.array([2.0]))):
+            m = fit_boosted_stumps(Dataset(X, y), y, lambda_g=0.0,
+                                   max_rounds=1, learning_rate=1.0)
+            st = m.coefficients.rounds[0]
+            assert st.threshold == np.inf
+            assert st.left_value == pytest.approx(y.mean())
 
     def test_training_mse_nonincreasing_in_rounds(self):
         rng = np.random.default_rng(9)

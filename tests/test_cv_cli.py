@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import dpm.transect as transect_module
 from dpm.cli import main
 from dpm.core import Dataset
 from dpm.cv import (
@@ -235,6 +236,25 @@ class TestTransect:
         assert len(result.rows) == 1
         assert result.gap == 0.0
         assert result.grid_max == result.transect_max
+
+    def test_grid_cells_on_the_transect_are_cross_validated_once(self, monkeypatch):
+        cells = []
+        original = transect_module.cross_validated_predictions
+
+        def counted(*args, **kwargs):
+            cells.append(args[2:4])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(transect_module, "cross_validated_predictions", counted)
+        data = _cv_dataset(seed=8)
+        cv = CvConfig(folds=3, repeats=1, seed=2)
+        lf_grid = (0.1, 1.0)
+        on_transect = TransectConfig(c=-1.0, lambda_f_grid=lf_grid)
+        lg_grid = sorted(on_transect.lambda_g_for(lf) for lf in lf_grid)
+        result = grid_sweep(data, lf_grid, lg_grid, cv, transect_c=-1.0)
+        assert len(cells) == len(set(cells)) == 4
+        assert len(result.rows) == 4 and len(result.transect_rows) == 2
+        assert set(result.transect_rows) <= set(result.rows)
 
 
 class TestCli:

@@ -209,3 +209,17 @@ class TestExample2Alternation:
         reps, nlambdas = 2, (1.0, 0.1, 1e-9)
         run_example2(nlambdas=nlambdas, noise_sds=(0.1,), iters=4, reps=reps)
         assert len(calls) == reps * len(nlambdas)
+
+    def test_one_gram_per_rep(self, monkeypatch):
+        # every n*lambda of a rep shares the training Gram
+        calls = []
+        original = ridge_module.matern_gram
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ridge_module, "matern_gram", counted)
+        reps = 2
+        run_example2(nlambdas=(1.0, 0.1, 1e-9), noise_sds=(0.1, 0.01), iters=2, reps=reps)
+        assert len(calls) == 2 * reps
