@@ -41,18 +41,22 @@ def _presort(X: np.ndarray):
     return order, xs, xs[:-1] < xs[1:]  # a cut lies between distinct values
 
 
-def _best_stump(order, xs, valid, resid: np.ndarray, n_lambda: float):
+def _leaf_denominators(n: int, n_lambda: float):
+    # n_L + n*lambda and n_R + n*lambda for the cut after each sorted row
+    n_left = np.arange(1.0, n)[:, None]
+    return n_left + n_lambda, (n - n_left) + n_lambda
+
+
+def _best_stump(order, xs, valid, resid: np.ndarray, den_l, den_r):
     # maximize sum_L^2/(n_L + n*lambda) + sum_R^2/(n_R + n*lambda) over every
     # valid (cut, feature); the first maximum in (feature, cut) order wins
     csum = np.cumsum(resid[order], axis=0)
     sl = csum[:-1]
     sr = csum[-1] - sl
-    nl = np.arange(1.0, resid.size)[:, None]
-    nr = resid.size - nl
-    gain = np.where(valid, sl ** 2 / (nl + n_lambda) + sr ** 2 / (nr + n_lambda), -np.inf)
+    gain = np.where(valid, sl ** 2 / den_l + sr ** 2 / den_r, -np.inf)
     j, i = divmod(int(np.argmax(gain.T)), gain.shape[0])
     return (j, float(0.5 * (xs[i, j] + xs[i + 1, j])),
-            float(sl[i, j] / (nl[i, 0] + n_lambda)), float(sr[i, j] / (nr[i, 0] + n_lambda)))
+            float(sl[i, j] / den_l[i, 0]), float(sr[i, j] / den_r[i, 0]))
 
 
 def fit_boosted_stumps(data: Dataset, residual: np.ndarray, lambda_g: float,
@@ -78,11 +82,13 @@ def fit_boosted_stumps(data: Dataset, residual: np.ndarray, lambda_g: float,
     X = data.X
     n_lambda = data.n * lambda_g
     order, xs, valid = _presort(X)
+    has_cut = valid.any()
+    den_l, den_r = _leaf_denominators(data.n, n_lambda)
     stumps = []
     fitted = np.zeros(data.n)  # summed in round order, as StumpEnsemble.predict does
     for _ in range(max_rounds):
-        if valid.any():
-            j, thr, left, right = _best_stump(order, xs, valid, resid, n_lambda)
+        if has_cut:
+            j, thr, left, right = _best_stump(order, xs, valid, resid, den_l, den_r)
             st = Stump(j, thr, learning_rate * left, learning_rate * right)
         else:
             value = learning_rate * float(resid.sum() / (data.n + n_lambda))

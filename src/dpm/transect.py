@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -105,7 +105,11 @@ def grid_sweep(data: Dataset, lambda_f_grid, lambda_g_grid, cv: CvConfig,
                transect_c: float | None = None) -> GridSweepResult:
     """Full Cartesian sweep; with ``transect_c`` also reports how far the
     grid-wide best cor(y, f+g) sits above the best along that transect.
-    The transect runs first, and grid cells on it take its rows."""
+
+    The transect runs first, and a grid cell takes the transect row at its
+    lambda_f when its lambda_g is within 1e-12 relative of the row's (log
+    grids and ``10 ** (c - log10(lambda_f))`` can differ by an ulp).  The
+    reused row carries the grid's own (lambda_f, lambda_g)."""
     pair = pair or LearnerPair()
     lf_grid = [float(v) for v in lambda_f_grid]
     lg_grid = [float(v) for v in lambda_g_grid]
@@ -118,13 +122,14 @@ def grid_sweep(data: Dataset, lambda_f_grid, lambda_g_grid, cv: CvConfig,
         transect_rows = tuple(transect_sweep(data, config, cv))
         if transect_rows:
             transect_max = max(row.cor_total for row in transect_rows)
-    done = {(row.lambda_f, row.lambda_g): row for row in transect_rows}
+    on_transect = {row.lambda_f: row for row in transect_rows}
 
     rows = []
     for lf in lf_grid:
         for lg in lg_grid:
-            if (lf, lg) in done:
-                rows.append(done[(lf, lg)])
+            done = on_transect.get(lf)
+            if done is not None and math.isclose(lg, done.lambda_g, rel_tol=1e-12):
+                rows.append(replace(done, lambda_g=lg))
                 continue
             try:
                 rows.append(_cell(data, pair, lf, lg, cv))

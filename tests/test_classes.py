@@ -17,7 +17,7 @@ from dpm.classes import (
     fit_linear_ols,
     lasso_lambda_max,
 )
-from dpm.classes.stumps import _best_stump, _presort
+from dpm.classes.stumps import _best_stump, _leaf_denominators, _presort
 from dpm.core import Dataset
 
 
@@ -244,7 +244,8 @@ class TestStumps:
         if expected is None:
             assert not valid.any()
         else:
-            assert _best_stump(order, xs, valid, resid, n_lambda) == expected
+            dens = _leaf_denominators(n, n_lambda)
+            assert _best_stump(order, xs, valid, resid, *dens) == expected
 
     def test_single_split_recovers_step(self):
         x = np.linspace(0.0, 1.0, 50)

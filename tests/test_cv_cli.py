@@ -1,13 +1,14 @@
 """CSV loading, cross-validation plumbing, transect sweeps, and the CLI."""
 
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 import dpm.transect as transect_module
-from dpm.cli import main
+from dpm.cli import _parse_log_grid, main
 from dpm.core import Dataset
 from dpm.cv import (
     CvConfig,
@@ -255,6 +256,29 @@ class TestTransect:
         assert len(cells) == len(set(cells)) == 4
         assert len(result.rows) == 4 and len(result.transect_rows) == 2
         assert set(result.transect_rows) <= set(result.rows)
+
+    def test_grid_cells_an_ulp_off_the_transect_take_its_rows(self, monkeypatch):
+        cells = []
+
+        def counted(data, pair, lf, lg, cv):
+            cells.append((lf, lg))
+            return data.X[:, 0], data.X[:, 1] + lg * data.y
+
+        monkeypatch.setattr(transect_module, "cross_validated_predictions", counted)
+        grid = _parse_log_grid("1e-3:1e1:7")
+        on_transect = TransectConfig(c=-2.0, lambda_f_grid=grid)
+        transect_lg = [on_transect.lambda_g_for(lf) for lf in grid]
+        # every transect cell lies on the grid, but some only to the last digit
+        assert all(any(math.isclose(lg, g, rel_tol=1e-12) for g in grid) for lg in transect_lg)
+        assert sum(lg in grid for lg in transect_lg) < len(grid)
+        result = grid_sweep(_cv_dataset(seed=8), grid, grid, CvConfig(folds=3, repeats=1),
+                            transect_c=-2.0)
+        assert len(cells) == 49
+        assert [(r.lambda_f, r.lambda_g) for r in result.rows] == [
+            (lf, lg) for lf in grid for lg in grid]
+        reused = [r for r in result.rows if (r.lambda_f, r.lambda_g) not in cells[7:]]
+        assert [(r.cor_f, r.cor_g, r.cor_total) for r in reused] == [
+            (r.cor_f, r.cor_g, r.cor_total) for r in result.transect_rows]
 
 
 class TestCli:

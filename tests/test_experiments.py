@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import dpm.experiments.example2 as example2_module
 from dpm.experiments import (
     ExperimentResult,
     run_example1,
@@ -20,6 +21,7 @@ from dpm.kernels import MaternSpec, matern_gram
 from dpm.kernels import ridge as ridge_module
 from dpm.numerics import cholesky_solve, halton, maximin_lhs
 from dpm.separability import psi
+from test_numerics import maximin_lhs_full_rescore
 
 
 class TestFunctions:
@@ -154,6 +156,11 @@ class TestExampleRuns:
     def test_example2_deterministic(self):
         kw = dict(nlambdas=(0.1,), noise_sds=(0.1,), iters=1, reps=2, seed=8)
         assert run_example2(**kw).rows == run_example2(**kw).rows
+
+    def test_example2_rows_equal_with_full_rescoring_designs(self, monkeypatch):
+        fast = run_example2(noise_sds=(0.1,), reps=3).rows
+        monkeypatch.setattr(example2_module, "maximin_lhs", maximin_lhs_full_rescore)
+        assert run_example2(noise_sds=(0.1,), reps=3).rows == fast
 
 
 def _example2_reference(nlambdas, noise_sds, iters, n, reps, seed):

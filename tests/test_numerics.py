@@ -304,7 +304,99 @@ class TestQuadratureRule:
         assert rule.integrate(vals) == pytest.approx(0.5 * (1.0 / 3.0), rel=1e-12)
 
 
+def maximin_lhs_full_rescore(n, p, rng, restarts=2, swaps=150):
+    """Oracle: maximin LHS that re-scores every candidate from scratch."""
+
+    def min_pairwise(design):
+        d = np.sqrt(((design[:, None] - design[None, :]) ** 2).sum(-1))
+        np.fill_diagonal(d, np.inf)
+        return d.min()
+
+    best, best_score = None, -1.0
+    for _ in range(restarts):
+        design = (np.argsort(rng.random((p, n)), axis=1).T + rng.random((n, p))) / n
+        current = min_pairwise(design)
+        for _ in range(swaps):
+            j = rng.integers(p)
+            a, b = rng.integers(n, size=2)
+            candidate = design.copy()
+            candidate[[a, b], j] = candidate[[b, a], j]
+            score = min_pairwise(candidate)
+            if score > current:
+                design, current = candidate, score
+        if current > best_score:
+            best_score, best = current, design
+    return best
+
+
+class ScriptedRng:
+    """Replays fixed draws where maximin_lhs asks its generator for them."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self, shape):
+        return self.draws.pop(0)
+
+    def integers(self, high, size=None):
+        return self.draws.pop(0)
+
+
 class TestMaximinLhs:
+    @given(st.integers(2, 24), st.integers(1, 6), st.integers(1, 3), st.integers(0, 200),
+           st.integers(0, 2 ** 32 - 1))
+    @example(2, 1, 1, 200, 0)  # half the draws swap a row with itself
+    @example(2, 4, 3, 200, 1)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_rescoring_oracle(self, n, p, restarts, swaps, seed):
+        fast = maximin_lhs(n, p, np.random.default_rng(seed), restarts, swaps)
+        full = maximin_lhs_full_rescore(n, p, np.random.default_rng(seed), restarts, swaps)
+        assert np.array_equal(fast, full)
+
+    def test_swap_that_ties_in_rounded_distance_is_rejected(self):
+        def min_sq(design):
+            d = ((design[:, None] - design[None, :]) ** 2).sum(-1)
+            np.fill_diagonal(d, np.inf)
+            return d.min()
+
+        # three points whose closest pair is rows 0 and 2; swapping column 0
+        # of rows 0 and 1 mirrors row 0 about row 2.  Nudge row 1 by ulps
+        # until the swap lengthens the squared distance but not its root.
+        ranks = np.array([[0.1, 0.3, 0.2]] * 2)  # bins 0, 2, 1 in both columns
+        u = 0.4
+        for _ in range(100):
+            jitter = np.array([[0.6, 0.15], [u, 0.97], [0.5, 0.5]])
+            design = (np.argsort(ranks, axis=1).T + jitter) / 3
+            swapped = design.copy()
+            swapped[[0, 1], 0] = swapped[[1, 0], 0]
+            before, after = min_sq(design), min_sq(swapped)
+            if after > before and math.sqrt(after) == math.sqrt(before):
+                break
+            u = np.nextafter(u, 1.0)
+        else:
+            pytest.fail("no tie found")
+        draws = [ranks, jitter, 0, np.array([0, 1])]
+        for fit in (maximin_lhs, maximin_lhs_full_rescore):
+            kept = fit(3, 2, ScriptedRng(draws), restarts=1, swaps=1)
+            assert np.array_equal(kept, design)
+
+    def test_first_of_equally_good_restarts_is_kept(self):
+        # the second restart's rows are the first's in another order
+        ranks = np.array([[0.1, 0.2, 0.3]] * 2)  # row i in bin i of both columns
+        jitter = np.array([[0.6, 0.15], [0.4, 0.97], [0.5, 0.5]])
+        first = (np.argsort(ranks, axis=1).T + jitter) / 3
+        draws = [ranks, jitter, ranks[:, ::-1], jitter[::-1]]
+        for fit in (maximin_lhs, maximin_lhs_full_rescore):
+            kept = fit(3, 2, ScriptedRng(draws), restarts=2, swaps=0)
+            assert np.array_equal(kept, first)
+            assert np.array_equal(fit(3, 2, ScriptedRng(draws[2:]), restarts=1, swaps=0),
+                                  first[::-1])
+
+    def test_paper_size_designs_match_oracle(self):
+        for seed in range(10):
+            assert np.array_equal(maximin_lhs(50, 5, np.random.default_rng(seed)),
+                                  maximin_lhs_full_rescore(50, 5, np.random.default_rng(seed)))
+
     def test_is_latin_hypercube(self):
         n, p = 17, 3
         design = maximin_lhs(n, p, np.random.default_rng(5))
