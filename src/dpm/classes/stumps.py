@@ -8,6 +8,9 @@ import numpy as np
 
 from ..core import Dataset, FunctionClassFitter, FunctionClassMember
 
+MAX_ROUNDS = 10
+LEARNING_RATE = 0.3
+
 
 @dataclass(frozen=True)
 class Stump:
@@ -59,21 +62,16 @@ def _best_stump(order, xs, valid, resid: np.ndarray, den_l, den_r):
             float(sl[i, j] / den_l[i, 0]), float(sr[i, j] / den_r[i, 0]))
 
 
-def fit_boosted_stumps(data: Dataset, residual: np.ndarray, lambda_g: float,
-                       max_rounds: int = 10, learning_rate: float = 0.3) -> FunctionClassMember:
+def fit_boosted_stumps(data: Dataset, residual: np.ndarray, lambda_g: float) -> FunctionClassMember:
     """Greedy boosted stumps on a residual vector.
 
-    Each round fits the least-squares stump with shrunk leaves
-    ``sum(resid in leaf) / (count + n*lambda_g)``, scaled by the learning
-    rate, and updates the residual.  Penalty value is lambda_g times the
-    sum of squared (stored, rate-scaled) leaf values.  If no feature has a
-    cut (every feature constant, or a single row) the ensemble falls back
-    to shrunk-mean single leaves.
+    Each of ``MAX_ROUNDS`` rounds fits the least-squares stump with shrunk
+    leaves ``sum(resid in leaf) / (count + n*lambda_g)``, scaled by
+    ``LEARNING_RATE``, and updates the residual.  Penalty value is lambda_g
+    times the sum of squared (stored, rate-scaled) leaf values.  If no
+    feature has a cut (every feature constant, or a single row) the
+    ensemble falls back to shrunk-mean single leaves.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
-    if not 0.0 < learning_rate <= 1.0:
-        raise ValueError("learning_rate must be in (0, 1]")
     if lambda_g < 0.0:
         raise ValueError("lambda_g must be non-negative")
     resid = np.asarray(residual, dtype=float).ravel().copy()
@@ -86,29 +84,26 @@ def fit_boosted_stumps(data: Dataset, residual: np.ndarray, lambda_g: float,
     den_l, den_r = _leaf_denominators(data.n, n_lambda)
     stumps = []
     fitted = np.zeros(data.n)  # summed in round order, as StumpEnsemble.predict does
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         if has_cut:
             j, thr, left, right = _best_stump(order, xs, valid, resid, den_l, den_r)
-            st = Stump(j, thr, learning_rate * left, learning_rate * right)
+            st = Stump(j, thr, LEARNING_RATE * left, LEARNING_RATE * right)
         else:
-            value = learning_rate * float(resid.sum() / (data.n + n_lambda))
+            value = LEARNING_RATE * float(resid.sum() / (data.n + n_lambda))
             st = Stump(0, np.inf, value, value)
         pred = np.where(X[:, st.feature] <= st.threshold, st.left_value, st.right_value)
         resid -= pred
         fitted += pred
         stumps.append(st)
-    ensemble = StumpEnsemble(tuple(stumps), learning_rate, lambda_g)
+    ensemble = StumpEnsemble(tuple(stumps), LEARNING_RATE, lambda_g)
     penalty = lambda_g * float(sum(s.left_value ** 2 + s.right_value ** 2 for s in stumps))
     return FunctionClassMember("stump-ensemble", ensemble.predict, penalty,
                                coefficients=ensemble, fitted=fitted)
 
 
 class StumpFitter(FunctionClassFitter):
-    def __init__(self, lambda_g: float, max_rounds: int = 10, learning_rate: float = 0.3):
+    def __init__(self, lambda_g: float):
         self.lambda_g = lambda_g
-        self.max_rounds = max_rounds
-        self.learning_rate = learning_rate
 
     def fit(self, data: Dataset, residual: np.ndarray) -> FunctionClassMember:
-        return fit_boosted_stumps(data, residual, self.lambda_g,
-                                  self.max_rounds, self.learning_rate)
+        return fit_boosted_stumps(data, residual, self.lambda_g)

@@ -40,13 +40,13 @@ def _parse_cell(raw: str, row_num: int, col_name: str) -> float:
     return value
 
 
-def load_csv(path, response_column: str,
-             feature_columns: list[str] | None = None) -> LoadedCsv:
+def load_csv(path, response_column: str) -> LoadedCsv:
     """Read a headered CSV into a Dataset on [0,1]^p.
 
-    Features are min-max rescaled per column; constant feature columns
-    are dropped with a warning.  Row numbers in errors count physical
-    file lines, header included.
+    Every column but the response is a feature.  Features are min-max
+    rescaled per column; constant feature columns are dropped with a
+    warning.  Row numbers in errors count physical file lines, header
+    included.
     """
     path = Path(path)
     if not path.exists():
@@ -61,13 +61,7 @@ def load_csv(path, response_column: str,
         if response_column not in header:
             raise CsvFormatError(
                 f"response column {response_column!r} not in header {header}")
-        if feature_columns is None:
-            feature_columns = [h for h in header if h != response_column]
-        missing = [c for c in feature_columns if c not in header]
-        if missing:
-            raise CsvFormatError(f"feature columns not in header: {missing}")
-        if response_column in feature_columns:
-            raise CsvFormatError("response column listed among features")
+        feature_columns = [h for h in header if h != response_column]
         if not feature_columns:
             raise CsvFormatError("no feature columns left")
 

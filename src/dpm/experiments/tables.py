@@ -17,15 +17,15 @@ import numpy as np
 from ..fitter import estimate_convergence_slope
 from ..separability import psi
 from .results import ExperimentResult
+from .testfuncs import sine_linear
 
 _BETA = (1.0, 3.0)
+MAX_CYCLES = 5000
 
 
-def _cell_slope(distances: np.ndarray, burn_in: int = 3) -> float | None:
+def _cell_slope(distances: np.ndarray) -> float | None:
     """Burn-in cascade: relax the warm-up window until >=3 points remain."""
-    for b in (burn_in, 2, 1, 0):
-        if b > burn_in:
-            continue
+    for b in (3, 2, 1, 0):
         try:
             slope, _, _ = estimate_convergence_slope(distances, burn_in=b)
             return slope
@@ -35,8 +35,7 @@ def _cell_slope(distances: np.ndarray, burn_in: int = 3) -> float | None:
 
 
 def sine_linear_cell(theta: float, n: int, reps: int, noise_var: float,
-                     seed: int, tol: float = 1e-4,
-                     max_cycles: int = 5000) -> dict:
+                     seed: int, tol: float = 1e-4) -> dict:
     """Run one (theta, n) cell; returns slope/iteration summaries.
 
     Iteration counts are sub-fits after the initial linear fit, which is
@@ -53,7 +52,7 @@ def sine_linear_cell(theta: float, n: int, reps: int, noise_var: float,
     for _ in range(reps):
         x = rng.uniform(0.0, 1.0, n)
         s = np.sin(theta * x)
-        y = _BETA[0] * x + _BETA[1] * s + rng.normal(0.0, noise_sd, n)
+        y = sine_linear(theta, *_BETA, x) + rng.normal(0.0, noise_sd, n)
         target, *_ = np.linalg.lstsq(np.column_stack([x, s]), y, rcond=None)
         norm_x = float(np.sqrt(np.mean(x * x)))
         norm_s = float(np.sqrt(np.mean(s * s)))
@@ -65,7 +64,7 @@ def sine_linear_cell(theta: float, n: int, reps: int, noise_var: float,
         a2 = 0.0
         n_sub = 0
         cycle_dists = []
-        for _cycle in range(1, max_cycles + 1):
+        for _cycle in range(MAX_CYCLES):
             a2 = float(np.dot(y - a1 * x, s) / np.dot(s, s))
             n_sub += 1
             if dist(a1, a2) < tol:

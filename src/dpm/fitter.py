@@ -24,7 +24,8 @@ from .core import (
 class StoppingRule:
     """Stop on iteration cap, objective stall, or small iterate change.
 
-    ``change_tol`` applies to ||f_m - f_{m-1}||_n + ||g_m - g_{m-1}||_n.
+    ``max_iters`` (at least 1) always caps the run.  ``change_tol``
+    applies to ||f_m - f_{m-1}||_n + ||g_m - g_{m-1}||_n.
     ``objective_tol`` (when positive) fires once the per-iteration
     objective improvement falls below it.
     """
@@ -34,8 +35,8 @@ class StoppingRule:
     change_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_iters < 1 and self.objective_tol <= 0.0 and self.change_tol <= 0.0:
-            raise ValueError("at least one stopping criterion must be active")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 class FitterError(RuntimeError):

@@ -65,6 +65,8 @@ class RidgeSystem:
 
     @classmethod
     def factor(cls, gram: np.ndarray, lam: float) -> "RidgeSystem":
+        if not lam > 0.0:
+            raise ValueError("lambda must be positive")
         n = gram.shape[0]
         solved = cholesky_solve(gram + n * lam * np.eye(n), np.eye(n))
         return cls(gram, lam, solved.jitter_used, solved.inverse_factor)
@@ -74,33 +76,26 @@ class RidgeSystem:
 
 
 def kernel_ridge_fit(kernel: KernelLike, data: Dataset, residual: np.ndarray,
-                     lam: float, system: RidgeSystem | None = None) -> FunctionClassMember:
+                     system: RidgeSystem) -> FunctionClassMember:
     """Fit g by kernel ridge on a residual vector.
 
-    alpha = (K + n*lambda*I)^{-1} r on the rescaled design; the penalty
-    recorded on the member is lambda * alpha^T K alpha and its ``fitted``
-    values are K alpha.  ``system`` is the factored system for K at
-    ``data.unit_X`` and ``lam`` if the caller has it; otherwise K is built
-    and factored here.  If the system only factors with added diagonal
-    jitter, the model's ``jitter`` says how much.
+    ``system`` is K + n*lambda*I factored for K at ``data.unit_X``; lambda
+    is read from it.  alpha = (K + n*lambda*I)^{-1} r on the rescaled
+    design; the penalty recorded on the member is lambda * alpha^T K alpha
+    and its ``fitted`` values are K alpha.  If the system only factored
+    with added diagonal jitter, the model's ``jitter`` says how much.
     """
-    if not lam > 0.0:
-        raise ValueError("lambda must be positive")
     residual = np.asarray(residual, dtype=float).ravel()
     if residual.size != data.n:
         raise ValueError("residual length must match dataset")
-    if system is None:
-        system = RidgeSystem.factor(kernel_block(kernel, data.unit_X), lam)
-    elif system.lam != lam or system.gram.shape[0] != data.n:
-        raise ValueError("system was factored for another lambda or dataset size")
     K = system.gram
-    model = KernelRidgeModel(data.unit_X, system.solve(residual), lam, kernel, K,
+    model = KernelRidgeModel(data.unit_X, system.solve(residual), system.lam, kernel, K,
                              system.jitter)
 
     def evaluator(points, _model=model, _to_unit=data.to_unit):
         return _model.predict_unit(_to_unit(points))
 
-    penalty = lam * rkhs_norm_sq(model)
+    penalty = system.lam * rkhs_norm_sq(model)
     return FunctionClassMember("kernel-expansion", evaluator, penalty, coefficients=model,
                                fitted=K @ model.alpha)
 
@@ -110,41 +105,29 @@ class GcvPoint:
     lam: float
     n_lam: float
     score: float
-    valid: bool
 
 
-def gcv_select_lambda(kernel: KernelLike, data: Dataset, residual: np.ndarray,
-                      gram: np.ndarray | None = None) -> tuple[float, list[GcvPoint]]:
+def gcv_select_lambda(gram: np.ndarray, residual: np.ndarray) -> tuple[float, list[GcvPoint]]:
     """Pick lambda on a fixed grid by generalized cross validation.
 
     GCV(lambda) = (1/n)||(I-A)r||^2 / ((1/n) tr(I-A))^2 with the smoother
-    A = K (K + n*lambda*I)^{-1}.  Grid points where tr(I-A) <= 0 are
-    flagged invalid and skipped.  The grid is 20 log-spaced values of
-    n*lambda in [1e-6, 1e2].  ``gram`` is K at ``data.unit_X`` if the
-    caller has it.
+    A = K (K + n*lambda*I)^{-1}, scored at 20 log-spaced values of
+    n*lambda in [1e-6, 1e2].  One eigendecomposition K = U diag(s) U^T
+    gives I - A = U diag(n*lambda / (s + n*lambda)) U^T at every grid
+    point (Golub, Heath & Wahba 1979).  K is positive semidefinite, so
+    eigenvalues below 0 are rounding error and are clipped to 0; every
+    weight then lies in (0, 1].  Ties go to the smaller lambda.
     """
-    residual = np.asarray(residual, dtype=float).ravel()
-    n = data.n
+    n = gram.shape[0]
     grid = np.logspace(-6.0, 2.0, 20) / n
-    K = kernel_block(kernel, data.unit_X) if gram is None else gram
-    curve: list[GcvPoint] = []
-    best_lam, best_score = None, np.inf
-    eye = np.eye(n)
-    for lam in grid:
-        n_lam = n * lam
-        inv = cholesky_solve(K + n_lam * eye, eye).solution
-        resid_vec = n_lam * (inv @ residual)
-        tr = n_lam * float(np.trace(inv))
-        if tr <= 0.0:
-            curve.append(GcvPoint(float(lam), float(n_lam), float("nan"), False))
-            continue
-        score = float(np.mean(resid_vec ** 2)) / ((tr / n) ** 2)
-        curve.append(GcvPoint(float(lam), float(n_lam), score, True))
-        if score < best_score:
-            best_score, best_lam = score, float(lam)
-    if best_lam is None:
-        raise ValueError("no valid grid point for GCV")
-    return best_lam, curve
+    n_lam = n * grid
+    s, U = np.linalg.eigh(gram)
+    weights = n_lam[:, None] / (np.maximum(s, 0.0) + n_lam[:, None])
+    z_sq = (U.T @ np.asarray(residual, dtype=float).ravel()) ** 2
+    scores = (weights ** 2 @ z_sq / n) / (weights.sum(axis=1) / n) ** 2
+    curve = [GcvPoint(float(lam), float(nl), float(score))
+             for lam, nl, score in zip(grid, n_lam, scores)]
+    return float(grid[np.argmin(scores)]), curve
 
 
 class KernelRidgeFitter(FunctionClassFitter):
@@ -152,37 +135,27 @@ class KernelRidgeFitter(FunctionClassFitter):
 
     With ``lam=None`` the penalty is chosen by GCV on the first residual
     this fitter sees and frozen for later calls, matching the protocol of
-    selecting lambda once at the start of the alternation.  The Gram
-    matrix of the last dataset and its factored ridge system at the frozen
-    lambda are kept, so an alternation builds and factors each once.
+    selecting lambda once at the start of the alternation.  The fitter
+    keeps one state: the last dataset object, its Gram matrix and the
+    ridge system factored at the current lambda.  A new dataset object
+    rebuilds the Gram matrix; a changed ``lam`` re-factors the system on
+    the kept Gram matrix.  So an alternation builds and factors each once.
     """
 
     def __init__(self, kernel: KernelLike, lam: Optional[float] = None):
         self.kernel = kernel
         self.lam = lam
         self.gcv_curve: Optional[list[GcvPoint]] = None
-        self._gram_cache: tuple[Optional[Dataset], Optional[np.ndarray]] = (None, None)
-        self._system_cache: tuple[Optional[Dataset], Optional[RidgeSystem]] = (None, None)
-
-    def _gram_for(self, data: Dataset) -> np.ndarray:
-        cached_data, cached_K = self._gram_cache
-        if cached_data is data:
-            return cached_K
-        K = kernel_block(self.kernel, data.unit_X)
-        self._gram_cache = (data, K)
-        return K
-
-    def _system_for(self, data: Dataset) -> RidgeSystem:
-        cached_data, system = self._system_cache
-        if cached_data is data and system.lam == self.lam:
-            return system
-        system = RidgeSystem.factor(self._gram_for(data), self.lam)
-        self._system_cache = (data, system)
-        return system
+        self._state: tuple[Optional[Dataset], Optional[np.ndarray], Optional[RidgeSystem]] = (
+            None, None, None)
 
     def fit(self, data: Dataset, residual: np.ndarray) -> FunctionClassMember:
+        cached, gram, system = self._state
+        if cached is not data:
+            gram, system = kernel_block(self.kernel, data.unit_X), None
         if self.lam is None:
-            self.lam, self.gcv_curve = gcv_select_lambda(
-                self.kernel, data, residual, gram=self._gram_for(data))
-        return kernel_ridge_fit(self.kernel, data, residual, self.lam,
-                                system=self._system_for(data))
+            self.lam, self.gcv_curve = gcv_select_lambda(gram, residual)
+        if system is None or system.lam != self.lam:
+            system = RidgeSystem.factor(gram, self.lam)
+        self._state = (data, gram, system)
+        return kernel_ridge_fit(self.kernel, data, residual, system)

@@ -1,6 +1,6 @@
 from .bessel import K_SATURATION, bessel_k
 from .design import maximin_lhs
-from .linalg import CholeskySolveResult, cholesky_solve, sym_eig_small
+from .linalg import CholeskySolveResult, cholesky_solve
 from .quadrature import QuadratureRule, gauss_legendre_01, halton, tensor_or_qmc_rule
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "maximin_lhs",
     "CholeskySolveResult",
     "cholesky_solve",
-    "sym_eig_small",
     "QuadratureRule",
     "gauss_legendre_01",
     "halton",

@@ -6,9 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CholeskySolveResult", "cholesky_solve", "sym_eig_small"]
-
-MAX_EIG_DIM = 200
+__all__ = ["CholeskySolveResult", "cholesky_solve"]
 
 
 def _require_symmetric(A: np.ndarray, name: str) -> np.ndarray:
@@ -58,17 +56,3 @@ def cholesky_solve(A: np.ndarray, B: np.ndarray) -> CholeskySolveResult:
     raise np.linalg.LinAlgError(
         f"matrix ({n}x{n}) not positive definite after jitter escalation "
         f"to {attempts[-1]:g}: {last_error}")
-
-
-def sym_eig_small(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix of dimension <= 200.
-
-    Returns eigenvalues in descending order and the matching orthonormal
-    eigenvectors as columns.
-    """
-    A = _require_symmetric(A, "A")
-    if A.shape[0] > MAX_EIG_DIM:
-        raise ValueError(f"dimension {A.shape[0]} exceeds limit {MAX_EIG_DIM}")
-    values, vectors = np.linalg.eigh(A)
-    order = np.argsort(values)[::-1]
-    return values[order], vectors[:, order]

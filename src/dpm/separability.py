@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import QuadratureRule, sym_eig_small
+from .numerics import QuadratureRule
 
 GRAM_JITTER = 1e-12
 
@@ -54,25 +54,18 @@ def _canonical_correlation(gram_f: np.ndarray, gram_g: np.ndarray,
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"degenerate Gram matrix in {method}: {exc}") from exc
     # whitened cross-Gram B = Lf^{-1} C Lg^{-T}; its top singular value is
-    # the canonical correlation.  Realized through the symmetric
-    # (d1+d2)-dimensional eigenproblem [[0, B], [B^T, 0]].
+    # the canonical correlation, and its singular vectors give the pair
     b = np.linalg.solve(lf, np.linalg.solve(lg, cross.T).T)
-    joint = np.zeros((d1 + d2, d1 + d2))
-    joint[:d1, d1:] = b
-    joint[d1:, :d1] = b.T
-    values, vectors = sym_eig_small(joint)
-    top = float(values[0])
-    u = vectors[:d1, 0]
-    v = vectors[d1:, 0]
-    coef_f = np.linalg.solve(lf.T, u)
-    coef_g = np.linalg.solve(lg.T, v)
+    left, values, right = np.linalg.svd(b)
+    coef_f = np.linalg.solve(lf.T, left[:, 0])
+    coef_g = np.linalg.solve(lg.T, right[0])
     nf = float(np.sqrt(coef_f @ gram_f @ coef_f))
     ng = float(np.sqrt(coef_g @ gram_g @ coef_g))
     if nf > 0.0:
         coef_f = coef_f / nf
     if ng > 0.0:
         coef_g = coef_g / ng
-    return SeparabilityReport(min(top, 1.0 + 1e-10), method, (coef_f, coef_g))
+    return SeparabilityReport(min(float(values[0]), 1.0 + 1e-10), method, (coef_f, coef_g))
 
 
 def theta_l2_quadrature(basis_f: Sequence[Callable], basis_g: Sequence[Callable],

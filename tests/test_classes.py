@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpm.classes.stumps as stumps_module
 from dpm.classes import (
     LassoFitter,
     LinearFitter,
@@ -247,23 +248,27 @@ class TestStumps:
             dens = _leaf_denominators(n, n_lambda)
             assert _best_stump(order, xs, valid, resid, *dens) == expected
 
-    def test_single_split_recovers_step(self):
+    @pytest.fixture
+    def one_full_round(self, monkeypatch):
+        monkeypatch.setattr(stumps_module, "MAX_ROUNDS", 1)
+        monkeypatch.setattr(stumps_module, "LEARNING_RATE", 1.0)
+
+    def test_single_split_recovers_step(self, one_full_round):
         x = np.linspace(0.0, 1.0, 50)
         y = np.where(x <= 0.42, -1.0, 2.0)
         data = Dataset(x, y)
-        m = fit_boosted_stumps(data, y, lambda_g=0.0, max_rounds=1, learning_rate=1.0)
+        m = fit_boosted_stumps(data, y, lambda_g=0.0)
         st = m.coefficients.rounds[0]
         assert 0.40 < st.threshold < 0.44
         assert st.left_value == pytest.approx(-1.0)
         assert st.right_value == pytest.approx(2.0)
         np.testing.assert_allclose(m(x), y)
 
-    def test_shrinkage_divides_by_count_plus_nlambda(self):
+    def test_shrinkage_divides_by_count_plus_nlambda(self, one_full_round):
         x = np.array([0.1, 0.2, 0.8, 0.9])
         y = np.array([1.0, 1.0, 5.0, 5.0])
         lam = 0.5
-        m = fit_boosted_stumps(Dataset(x, y), y, lambda_g=lam,
-                               max_rounds=1, learning_rate=1.0)
+        m = fit_boosted_stumps(Dataset(x, y), y, lambda_g=lam)
         st = m.coefficients.rounds[0]
         n_lam = 4 * lam
         assert st.left_value == pytest.approx(2.0 / (2.0 + n_lam))
@@ -271,24 +276,24 @@ class TestStumps:
         assert m.penalty_value == pytest.approx(
             lam * (st.left_value ** 2 + st.right_value ** 2))
 
-    def test_constant_features_fall_back_to_mean_leaf(self):
+    def test_constant_features_fall_back_to_mean_leaf(self, one_full_round):
         # a single row has no cut either: its gain matrix is empty
         for X, y in ((np.full((6, 2), 0.3), np.arange(6.0)),
                      (np.array([[0.2, 0.9]]), np.array([2.0]))):
-            m = fit_boosted_stumps(Dataset(X, y), y, lambda_g=0.0,
-                                   max_rounds=1, learning_rate=1.0)
+            m = fit_boosted_stumps(Dataset(X, y), y, lambda_g=0.0)
             st = m.coefficients.rounds[0]
             assert st.threshold == np.inf
             assert st.left_value == pytest.approx(y.mean())
 
-    def test_training_mse_nonincreasing_in_rounds(self):
+    def test_training_mse_nonincreasing_in_rounds(self, monkeypatch):
         rng = np.random.default_rng(9)
         X = rng.uniform(0, 1, (80, 3))
         y = np.sin(6 * X[:, 0]) + rng.normal(0, 0.1, 80)
         data = Dataset(X, y)
         prev = np.inf
         for rounds in (1, 3, 6, 10, 15):
-            m = fit_boosted_stumps(data, y, lambda_g=0.05, max_rounds=rounds)
+            monkeypatch.setattr(stumps_module, "MAX_ROUNDS", rounds)
+            m = fit_boosted_stumps(data, y, lambda_g=0.05)
             mse = float(np.mean((y - m(X)) ** 2))
             assert mse <= prev + 1e-12
             prev = mse
@@ -309,8 +314,6 @@ class TestStumps:
         assert member.descriptor == "stump-ensemble"
         with pytest.raises(ValueError):
             fit_boosted_stumps(data, data.y, lambda_g=-0.1)
-        with pytest.raises(ValueError):
-            fit_boosted_stumps(data, data.y, lambda_g=0.1, learning_rate=0.0)
 
 
 def test_linear_fitter_wrapper():

@@ -59,13 +59,6 @@ class TestLoadCsv:
         back = lo + loaded.data.unit_X * (hi - lo)
         np.testing.assert_allclose(back, X, rtol=1e-10)
 
-    def test_feature_subset(self, tmp_path):
-        header, rows, X, _ = _toy_frame()
-        path = _write_csv(tmp_path / "toy.csv", header, rows)
-        loaded = load_csv(path, "y", feature_columns=["x2"])
-        assert loaded.feature_names == ("x2",)
-        assert loaded.data.p == 1
-
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         header, rows, _, _ = _toy_frame(n=8)
         rows[5][2] = "oops"  # header is line 1, so data row 6 is line 7

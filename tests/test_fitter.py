@@ -112,6 +112,12 @@ class TestStoppingRule:
         with pytest.raises(ValueError):
             StoppingRule(max_iters=0, objective_tol=0.0, change_tol=0.0)
 
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_max_iters_below_one_rejected(self, max_iters):
+        # change_tol stays active, but a run with no iterations is no fit
+        with pytest.raises(ValueError, match="max_iters"):
+            StoppingRule(max_iters=max_iters)
+
 
 class TestFitLoop:
     def test_zero_g_class_reduces_to_single_fit(self):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpm.kernels.projection as projection_module
 import dpm.kernels.ridge as ridge_module
@@ -21,7 +23,8 @@ from dpm.kernels import (
     orthonormal_linear_basis,
 )
 from dpm.kernels.matern import matern_of_distance
-from dpm.numerics import QuadratureRule, gauss_legendre_01
+from dpm.kernels.ridge import RidgeSystem
+from dpm.numerics import QuadratureRule, cholesky_solve, gauss_legendre_01
 
 
 def _matern35_closed(z):
@@ -223,6 +226,16 @@ class TestKernelRidgeFitterCaches:
         assert (len(grams), len(solves)) == (2, 3)
         assert refit.g_hat.coefficients.lam == 0.02
 
+    def test_gcv_alternation_factors_once(self, monkeypatch):
+        # GCV scores its whole grid from one eigendecomposition, so the
+        # only factorization is the ridge system at the chosen lambda
+        solves = _counting(monkeypatch, ridge_module, "cholesky_solve")
+        data = self._data(seed=2)
+        fitter_g = KernelRidgeFitter(MaternSpec(nu=4.5, p=2, phi=1.0), lam=None)
+        fit = fit_double_penalty(data, LinearFitter(), fitter_g)
+        assert fit.iterations > 2
+        assert len(solves) == 1
+
     def test_gcv_reuses_the_fitter_gram(self, monkeypatch):
         grams = _counting(monkeypatch, ridge_module, "matern_gram")
         data = self._data(seed=2)
@@ -238,7 +251,7 @@ class TestKernelRidgeFitterCaches:
         fitter.fit(data, data.y)
         residual = data.y - 0.3 * data.X[:, 0]
         cached = fitter.fit(data, residual)
-        direct = kernel_ridge_fit(spec, data, residual, 0.01)
+        direct = KernelRidgeFitter(spec, lam=0.01).fit(data, residual)
         np.testing.assert_allclose(cached.coefficients.alpha, direct.coefficients.alpha,
                                    rtol=0, atol=1e-12)
         np.testing.assert_array_equal(cached.fitted, cached(data.X))
@@ -274,7 +287,7 @@ class TestKernelRidge:
         data = self._data()
         spec = MaternSpec(nu=2.5, p=1, phi=1.0)
         lam = 0.05
-        m = kernel_ridge_fit(spec, data, data.y, lam)
+        m = KernelRidgeFitter(spec, lam=lam).fit(data, data.y)
         K = matern_gram(spec, data.unit_X)
         alpha = m.coefficients.alpha
         np.testing.assert_allclose((K + data.n * lam * np.eye(data.n)) @ alpha,
@@ -282,9 +295,14 @@ class TestKernelRidge:
         np.testing.assert_allclose(m(data.X), K @ alpha, atol=1e-10)
         assert m.penalty_value == pytest.approx(lam * float(alpha @ K @ alpha))
 
+    def test_factor_rejects_nonpositive_lambda(self):
+        for lam in (0.0, -0.1):
+            with pytest.raises(ValueError, match="lambda"):
+                RidgeSystem.factor(np.eye(3), lam)
+
     def test_ordinary_fit_uses_no_jitter(self):
         data = self._data()
-        m = kernel_ridge_fit(MaternSpec(nu=2.5, p=1, phi=1.0), data, data.y, 0.05)
+        m = KernelRidgeFitter(MaternSpec(nu=2.5, p=1, phi=1.0), lam=0.05).fit(data, data.y)
         assert m.coefficients.jitter == 0.0
 
     def test_jitter_of_singular_system_is_kept(self):
@@ -293,9 +311,9 @@ class TestKernelRidge:
         data = Dataset(np.repeat(base.X, 2, axis=0), np.repeat(base.y, 2))
         spec = MaternSpec(nu=2.5, p=1, phi=1.0)
         lam = 1e-18
-        model = kernel_ridge_fit(spec, data, data.y, lam).coefficients
-        assert model.jitter > 0.0
         K = matern_gram(spec, data.unit_X)
+        model = kernel_ridge_fit(spec, data, data.y, RidgeSystem.factor(K, lam)).coefficients
+        assert model.jitter > 0.0
         system = K + (data.n * lam + model.jitter) * np.eye(data.n)
         np.testing.assert_allclose(system @ model.alpha, data.y, atol=1e-6)
 
@@ -319,7 +337,7 @@ class TestKernelRidge:
         data = self._data(seed=2)
         spec = MaternSpec(nu=2.5, p=1, phi=1.0)
         lam = 0.1
-        m = kernel_ridge_fit(spec, data, data.y, lam)
+        m = KernelRidgeFitter(spec, lam=lam).fit(data, data.y)
         K = matern_gram(spec, data.unit_X)
         alpha = m.coefficients.alpha
 
@@ -336,7 +354,7 @@ class TestKernelRidge:
         spec = MaternSpec(nu=2.5, p=1, phi=1.0)
         errs = []
         for lam in (1.0, 0.1, 0.01, 1e-6):
-            m = kernel_ridge_fit(spec, data, data.y, lam)
+            m = KernelRidgeFitter(spec, lam=lam).fit(data, data.y)
             errs.append(float(np.mean((data.y - m(data.X)) ** 2)))
         assert all(a > b for a, b in zip(errs, errs[1:]))
         # near-interpolation is limited by the Gram spectrum, not exact
@@ -345,10 +363,8 @@ class TestKernelRidge:
     def test_gcv_picks_grid_minimizer(self):
         data = self._data(seed=4)
         spec = MaternSpec(nu=2.5, p=1, phi=1.0)
-        lam, curve = gcv_select_lambda(spec, data, data.y)
-        valid = [pt for pt in curve if pt.valid]
-        assert valid, "no valid GCV points"
-        best = min(valid, key=lambda pt: pt.score)
+        lam, curve = gcv_select_lambda(matern_gram(spec, data.unit_X), data.y)
+        best = min(curve, key=lambda pt: pt.score)
         assert lam == best.lam
         assert any(pt.lam == lam for pt in curve)
 
@@ -361,3 +377,75 @@ class TestKernelRidge:
         assert chosen is not None
         fitter.fit(data, np.zeros(data.n) + 0.1)  # very different residual
         assert fitter.lam == chosen
+
+
+def _gcv_by_cholesky(K, residual):
+    # the per-point oracle: I - A = n*lambda (K + n*lambda*I)^{-1}, one
+    # factorization and explicit inverse per grid point
+    n = K.shape[0]
+    grid = np.logspace(-6.0, 2.0, 20) / n
+    eye = np.eye(n)
+    scores = []
+    for lam in grid:
+        n_lam = n * lam
+        inv = cholesky_solve(K + n_lam * eye, eye).solution
+        resid_vec = n_lam * (inv @ residual)
+        tr = n_lam * float(np.trace(inv))
+        scores.append(float(np.mean(resid_vec ** 2)) / ((tr / n) ** 2))
+    return float(grid[int(np.argmin(scores))]), scores
+
+
+class TestGcv:
+    @given(n=st.integers(5, 60), p=st.sampled_from([1, 2]), mu=st.sampled_from([1.5, 2.5, 3.0]),
+           phi=st.floats(0.3, 3.0), projected=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_point_cholesky(self, n, p, mu, phi, projected, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0.0, 1.0, (n, p))
+        residual = rng.normal(size=n)
+        spec = MaternSpec(nu=mu + p / 2.0, p=p, phi=phi)
+        if projected:
+            kernel = ProjectedKernel(spec, QuadratureRule(X.copy(), np.full(n, 1.0 / n)))
+            # at small phi the projected Gram is symmetric only to ~1e-11
+            # relative, which the oracle's Cholesky rejects; both scorers
+            # get the same symmetric matrix
+            K = kernel.gram(X)
+            K = (K + K.T) / 2.0
+        else:
+            K = matern_gram(spec, X)
+        lam, curve = gcv_select_lambda(K, residual)
+        expected_lam, expected_scores = _gcv_by_cholesky(K, residual)
+        assert lam == expected_lam
+        # eigh's eigenvalues are exact to about eps*||K|| (1e-14 at n = 60),
+        # which at the grid floor n*lambda = 1e-6 moves a weight by ~1e-8;
+        # the largest score difference seen, at n = 60 and phi = 0.3, was 2.9e-8
+        np.testing.assert_allclose([pt.score for pt in curve], expected_scores, rtol=1e-7)
+        assert [pt.lam for pt in curve] == list(np.logspace(-6.0, 2.0, 20) / n)
+
+    def test_singular_gram_of_duplicated_centers(self):
+        rng = np.random.default_rng(6)
+        X = np.repeat(rng.uniform(0.0, 1.0, (10, 1)), 2, axis=0)
+        K = matern_gram(MaternSpec(nu=2.5, p=1, phi=1.0), X)
+        lam, curve = gcv_select_lambda(K, rng.normal(size=20))
+        assert all(np.isfinite(pt.score) and pt.score > 0.0 for pt in curve)
+        assert lam in [pt.lam for pt in curve]
+
+    def test_ties_go_to_the_smaller_lambda(self):
+        # a zero residual scores 0 at every grid point
+        K = matern_gram(MaternSpec(nu=2.5, p=1, phi=1.0), np.linspace(0.0, 1.0, 8)[:, None])
+        lam, curve = gcv_select_lambda(K, np.zeros(8))
+        assert {pt.score for pt in curve} == {0.0}
+        assert lam == curve[0].lam == 1e-6 / 8
+
+    def test_negative_eigenvalues_count_as_zero(self):
+        # below 0 an eigenvalue of a Gram matrix can only be rounding error
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+        spectrum = np.linspace(0.0, 3.0, 12)
+        residual = rng.normal(size=12)
+        lam, curve = gcv_select_lambda(q @ np.diag(spectrum) @ q.T, residual)
+        spectrum[0] = -1e-4
+        noisy_lam, noisy_curve = gcv_select_lambda(q @ np.diag(spectrum) @ q.T, residual)
+        assert noisy_lam == lam
+        np.testing.assert_allclose([pt.score for pt in noisy_curve],
+                                   [pt.score for pt in curve], rtol=1e-8)

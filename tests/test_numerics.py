@@ -23,7 +23,6 @@ from dpm.numerics import (
     gauss_legendre_01,
     halton,
     maximin_lhs,
-    sym_eig_small,
     tensor_or_qmc_rule,
 )
 
@@ -488,18 +487,3 @@ class TestCholeskySolve:
         system = a + res.jitter_used * np.eye(200)
         scale = np.max(np.abs(system)) * np.max(np.abs(res.solution))
         assert np.max(np.abs(system @ res.solution - b)) <= 1e-12 * scale
-
-
-class TestSymEig:
-    def test_descending_and_reconstructs(self):
-        rng = np.random.default_rng(4)
-        m = rng.normal(size=(25, 25))
-        a = (m + m.T) / 2
-        vals, vecs = sym_eig_small(a)
-        assert np.all(np.diff(vals) <= 1e-12)
-        np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, a, atol=1e-10)
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            sym_eig_small(np.eye(201))
-
