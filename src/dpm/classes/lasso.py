@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -13,8 +15,24 @@ MAX_SWEEPS = 1000
 TOL = 1e-8
 
 
-def _standardize(X: np.ndarray):
-    # zero mean, unit empirical norm per column; constant columns flagged out
+@dataclass(frozen=True)
+class LassoDesign:
+    """X standardized once for every lasso fit on it.
+
+    ``Z`` has zero-mean columns of unit empirical norm, from column means
+    ``mean`` and scales ``scale``; constant columns stay zero in ``Z`` and
+    are left out of ``active``, the indices of the columns coordinate
+    descent updates.
+    """
+
+    Z: np.ndarray
+    mean: np.ndarray
+    scale: np.ndarray
+    active: np.ndarray
+
+
+def lasso_design(X: np.ndarray) -> LassoDesign:
+    """Standardize X once for every lasso fit on it."""
     n = X.shape[0]
     mean = X.mean(axis=0)
     centered = X - mean
@@ -22,23 +40,25 @@ def _standardize(X: np.ndarray):
     active = scale > 0.0
     Z = np.zeros_like(centered)
     Z[:, active] = centered[:, active] / scale[active]
-    return Z, mean, scale, active
+    return LassoDesign(Z, mean, scale, np.flatnonzero(active))
 
 
 def lasso_lambda_max(data: Dataset, residual: np.ndarray) -> float:
     """Smallest lambda_f with all-zero slopes: max_j |(2/n)<z_j, r_centered>|."""
     residual = np.asarray(residual, dtype=float).ravel()
-    Z, _, _, active = _standardize(data.X)
+    design = lasso_design(data.X)
     rc = residual - residual.mean()
-    if not np.any(active):
+    if design.active.size == 0:
         return 0.0
-    return float(np.max(np.abs(2.0 * (Z[:, active].T @ rc) / data.n)))
+    return float(np.max(np.abs(2.0 * (design.Z[:, design.active].T @ rc) / data.n)))
 
 
-def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float) -> FunctionClassMember:
+def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float,
+              design: LassoDesign) -> FunctionClassMember:
     """Minimize (1/n)||r - a - Xb||^2 + lambda_f * ||b||_1 (standardized scale).
 
-    Features are standardized internally; the intercept is unpenalized.
+    ``design`` is ``lasso_design(data.X)``, the standardized features; the
+    intercept is unpenalized.
     Coordinate updates are the soft threshold b_j <- S(<z_j, rho>/n, lambda_f/2)
     since columns have unit empirical norm.  Stops when the largest
     coefficient change in a sweep drops below ``TOL``; a run that exhausts
@@ -47,10 +67,10 @@ def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float) -> FunctionC
     if lambda_f < 0.0:
         raise ValueError("lambda_f must be non-negative")
     residual = np.asarray(residual, dtype=float).ravel()
-    if residual.size != data.n:
-        raise ValueError("residual length must match dataset")
+    if residual.size != data.n or design.Z.shape != data.X.shape:
+        raise ValueError("residual and lasso design must match the dataset")
     n = data.n
-    Z, mean, scale, active_cols = _standardize(data.X)
+    Z, scale, idx = design.Z, design.scale, design.active
     r_mean = residual.mean()
     rc = residual - r_mean
 
@@ -58,7 +78,6 @@ def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float) -> FunctionC
     work = rc.copy()  # current partial residual rc - Z @ beta
     half = lambda_f / 2.0
     converged = False
-    idx = np.flatnonzero(active_cols)
     for _ in range(MAX_SWEEPS):
         biggest = 0.0
         for j in idx:
@@ -75,8 +94,8 @@ def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float) -> FunctionC
 
     # back to the original feature scale
     beta_orig = np.zeros(data.p)
-    beta_orig[active_cols] = beta[active_cols] / scale[active_cols]
-    intercept = float(r_mean - mean @ beta_orig)
+    beta_orig[idx] = beta[idx] / scale[idx]
+    intercept = float(r_mean - design.mean @ beta_orig)
     penalty = lambda_f * float(np.abs(beta).sum())
 
     def evaluator(points, _b=beta_orig.copy(), _a=intercept):
@@ -91,8 +110,20 @@ def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float) -> FunctionC
 
 
 class LassoFitter(FunctionClassFitter):
+    """Lasso at a fixed ``lambda_f``.
+
+    The fitter keeps the standardized design of the last dataset object
+    it saw, so an alternation, which passes the same object on every
+    call, standardizes X once.  A new dataset object rebuilds it.
+    """
+
     def __init__(self, lambda_f: float):
         self.lambda_f = lambda_f
+        self._state: tuple[Optional[Dataset], Optional[LassoDesign]] = (None, None)
 
     def fit(self, data: Dataset, residual: np.ndarray) -> FunctionClassMember:
-        return fit_lasso(data, residual, self.lambda_f)
+        cached, design = self._state
+        if cached is not data:
+            design = lasso_design(data.X)
+            self._state = (data, design)
+        return fit_lasso(data, residual, self.lambda_f, design)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -37,61 +38,89 @@ class StumpEnsemble:
         return out
 
 
-def _presort(X: np.ndarray):
-    # sort once per fit; every boosting round reuses the same order
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    return order, xs, xs[:-1] < xs[1:]  # a cut lies between distinct values
+@dataclass(frozen=True)
+class SplitTable:
+    """What every boosting round on one design matrix shares.
+
+    ``order`` and ``xs`` are each feature's stable sort order and sorted
+    values, one contiguous row per feature; ``invalid`` marks the cuts
+    between equal sorted values (``None`` when there are none), and
+    ``has_cut`` says whether any cut is valid.  ``den_l`` and ``den_r`` are
+    n_L + n*lambda_g and n_R + n*lambda_g for the cut after each sorted
+    row, and ``XT`` is a contiguous copy of X transposed.
+    """
+
+    order: np.ndarray
+    xs: np.ndarray
+    invalid: Optional[np.ndarray]
+    has_cut: bool
+    den_l: np.ndarray
+    den_r: np.ndarray
+    XT: np.ndarray
+    lambda_g: float
 
 
-def _leaf_denominators(n: int, n_lambda: float):
-    # n_L + n*lambda and n_R + n*lambda for the cut after each sorted row
-    n_left = np.arange(1.0, n)[:, None]
-    return n_left + n_lambda, (n - n_left) + n_lambda
+def split_table(X: np.ndarray, lambda_g: float) -> SplitTable:
+    """Sort the columns of X once for every boosting fit at ``lambda_g``."""
+    if lambda_g < 0.0:
+        raise ValueError("lambda_g must be non-negative")
+    XT = np.ascontiguousarray(X.T)
+    n = XT.shape[1]
+    order = np.argsort(XT, axis=1, kind="stable")
+    xs = np.take_along_axis(XT, order, axis=1)
+    valid = xs[:, :-1] < xs[:, 1:]  # a cut lies between distinct values
+    n_left = np.arange(1.0, n)
+    n_lambda = n * lambda_g
+    return SplitTable(order, xs, None if valid.all() else ~valid, bool(valid.any()),
+                      n_left + n_lambda, (n - n_left) + n_lambda, XT, lambda_g)
 
 
-def _best_stump(order, xs, valid, resid: np.ndarray, den_l, den_r):
+def _best_stump(table: SplitTable, resid: np.ndarray):
     # maximize sum_L^2/(n_L + n*lambda) + sum_R^2/(n_R + n*lambda) over every
-    # valid (cut, feature); the first maximum in (feature, cut) order wins
-    csum = np.cumsum(resid[order], axis=0)
-    sl = csum[:-1]
-    sr = csum[-1] - sl
-    gain = np.where(valid, sl ** 2 / den_l + sr ** 2 / den_r, -np.inf)
-    j, i = divmod(int(np.argmax(gain.T)), gain.shape[0])
-    return (j, float(0.5 * (xs[i, j] + xs[i + 1, j])),
-            float(sl[i, j] / den_l[i, 0]), float(sr[i, j] / den_r[i, 0]))
+    # valid (feature, cut); the first maximum in (feature, cut) order wins
+    csum = resid.take(table.order)
+    np.add.accumulate(csum, axis=1, out=csum)  # cumsum without its call overhead
+    sl = csum[:, :-1]
+    sr = csum[:, -1:] - sl
+    gain = np.square(sl)
+    gain /= table.den_l
+    np.square(sr, out=sr)
+    sr /= table.den_r
+    gain += sr
+    if table.invalid is not None:
+        gain[table.invalid] = -np.inf
+    j, i = divmod(int(gain.argmax()), gain.shape[1])
+    left = csum[j, i]
+    return (j, float(0.5 * (table.xs[j, i] + table.xs[j, i + 1])),
+            float(left / table.den_l[i]), float((csum[j, -1] - left) / table.den_r[i]))
 
 
-def fit_boosted_stumps(data: Dataset, residual: np.ndarray, lambda_g: float) -> FunctionClassMember:
+def fit_boosted_stumps(data: Dataset, residual: np.ndarray, table: SplitTable) -> FunctionClassMember:
     """Greedy boosted stumps on a residual vector.
 
-    Each of ``MAX_ROUNDS`` rounds fits the least-squares stump with shrunk
-    leaves ``sum(resid in leaf) / (count + n*lambda_g)``, scaled by
+    ``table`` is ``split_table(data.X, lambda_g)``; lambda_g is read from
+    it.  Each of ``MAX_ROUNDS`` rounds fits the least-squares stump with
+    shrunk leaves ``sum(resid in leaf) / (count + n*lambda_g)``, scaled by
     ``LEARNING_RATE``, and updates the residual.  Penalty value is lambda_g
     times the sum of squared (stored, rate-scaled) leaf values.  If no
     feature has a cut (every feature constant, or a single row) the
     ensemble falls back to shrunk-mean single leaves.
     """
-    if lambda_g < 0.0:
-        raise ValueError("lambda_g must be non-negative")
     resid = np.asarray(residual, dtype=float).ravel().copy()
-    if resid.size != data.n:
-        raise ValueError("residual length must match dataset")
-    X = data.X
+    if resid.size != data.n or table.XT.shape != (data.p, data.n):
+        raise ValueError("residual and split table must match the dataset")
+    lambda_g = table.lambda_g
     n_lambda = data.n * lambda_g
-    order, xs, valid = _presort(X)
-    has_cut = valid.any()
-    den_l, den_r = _leaf_denominators(data.n, n_lambda)
     stumps = []
     fitted = np.zeros(data.n)  # summed in round order, as StumpEnsemble.predict does
     for _ in range(MAX_ROUNDS):
-        if has_cut:
-            j, thr, left, right = _best_stump(order, xs, valid, resid, den_l, den_r)
+        if table.has_cut:
+            j, thr, left, right = _best_stump(table, resid)
             st = Stump(j, thr, LEARNING_RATE * left, LEARNING_RATE * right)
         else:
             value = LEARNING_RATE * float(resid.sum() / (data.n + n_lambda))
             st = Stump(0, np.inf, value, value)
-        pred = np.where(X[:, st.feature] <= st.threshold, st.left_value, st.right_value)
+        pred = np.where(table.XT[st.feature] <= st.threshold, st.left_value, st.right_value)
         resid -= pred
         fitted += pred
         stumps.append(st)
@@ -102,8 +131,21 @@ def fit_boosted_stumps(data: Dataset, residual: np.ndarray, lambda_g: float) -> 
 
 
 class StumpFitter(FunctionClassFitter):
+    """Boosted stumps at a fixed ``lambda_g``.
+
+    The fitter keeps the split table of the last dataset object it saw,
+    so an alternation, which passes the same object on every call, sorts
+    its columns once.  A new dataset object or a changed ``lambda_g``
+    rebuilds the table.
+    """
+
     def __init__(self, lambda_g: float):
         self.lambda_g = lambda_g
+        self._state: tuple[Optional[Dataset], Optional[SplitTable]] = (None, None)
 
     def fit(self, data: Dataset, residual: np.ndarray) -> FunctionClassMember:
-        return fit_boosted_stumps(data, residual, self.lambda_g)
+        cached, table = self._state
+        if cached is not data or table.lambda_g != self.lambda_g:
+            table = split_table(data.X, self.lambda_g)
+            self._state = (data, table)
+        return fit_boosted_stumps(data, residual, table)

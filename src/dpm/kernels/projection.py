@@ -32,7 +32,8 @@ class ProjectedKernel:
     Heavy quadrature-grid quantities (kernel values on the rule's points,
     weighted basis, moment matrix M) are computed once at construction and
     cached; per-call work is one base Gram block plus rank-(p+1) updates.
-    The moments at the rule's own points are among the cached quantities.
+    The base Gram block and the moments at the rule's own points are among
+    the cached quantities.
     """
 
     def __init__(self, base: MaternSpec, quadrature: QuadratureRule,
@@ -53,6 +54,7 @@ class ProjectedKernel:
         self._rule_points = sq
         self._weighted_basis = wq[:, None] * (raw @ self._transform)   # (m, d)
         psi_qq = matern_gram(base, sq, sq)
+        self._rule_gram = psi_qq
         self._rule_moments = psi_qq @ self._weighted_basis                  # (m, d)
         self._moment_matrix = self._weighted_basis.T @ psi_qq @ self._weighted_basis
 
@@ -66,20 +68,31 @@ class ProjectedKernel:
         return matern_gram(self.base, points, self._rule_points) @ self._weighted_basis
 
     def gram(self, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
-        """Projected-kernel block between two point sets on [0,1]^p."""
+        """Projected-kernel block between two point sets on [0,1]^p.
+
+        A block of a point set with itself (``B`` omitted or equal to ``A``)
+        is returned exactly symmetric: the rank-(p+1) updates cancel most of
+        a nearly flat kernel, and their rounding would otherwise leave an
+        asymmetry that a Cholesky factorization rejects.
+        """
         A = np.asarray(A, dtype=float)
         if A.ndim == 1:
             A = A[:, None]
-        B_was_none = B is None
-        B = A if B_was_none else np.asarray(B, dtype=float)
+        square = B is None
+        B = A if square else np.asarray(B, dtype=float)
         if B.ndim == 1:
             B = B[:, None]
-        psi = matern_gram(self.base, A, B)
+        square = square or np.array_equal(A, B)
+        if square and np.array_equal(A, self._rule_points):
+            psi = self._rule_gram
+        else:
+            psi = matern_gram(self.base, A, B)
         ea = self._basis_at(A)
-        eb = ea if B_was_none else self._basis_at(B)
+        eb = ea if square else self._basis_at(B)
         ma = self._moments_at(A)
-        mb = ma if B_was_none else self._moments_at(B)
-        return psi - ea @ mb.T - ma @ eb.T + ea @ self._moment_matrix @ eb.T
+        mb = ma if square else self._moments_at(B)
+        K = psi - ea @ mb.T - ma @ eb.T + ea @ self._moment_matrix @ eb.T
+        return 0.5 * (K + K.T) if square else K
 
     def orthogonality_residual(self, y: np.ndarray) -> float:
         """max_k |int Psi_F(., y) e_k| under the attached rule."""

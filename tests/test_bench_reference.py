@@ -1,0 +1,44 @@
+"""Each benchmark workload's small check problem reproduces its stored reference.
+
+The benchmark compares these outputs on every run; checking them here too
+makes output drift fail the test suite, not only the benchmark.  Files
+under bench/ are read, never written.
+"""
+
+import importlib.util
+import json
+import os
+import sys
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+# run.py pins the BLAS thread count in os.environ on import; keep that
+# setting out of the rest of the test session
+with mock.patch.dict(os.environ):
+    run = _load("run")
+workloads = _load("workloads")
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_check_problem_matches_reference(name, tmp_path):
+    wl = workloads.WORKLOADS[name]
+    reference = json.loads(run.reference_path(name).read_text())["check"]
+    units = wl.make_inputs(workloads.DEFAULT_SEED, tmp_path, True)
+    out = workloads.combine([wl.run_unit(unit) for unit in units])
+    assert out.ops == reference["ops"]
+    assert out.skipped == 0
+    # the benchmark's own comparison, at its RTOL and ATOL
+    assert run.differing(out.values, reference["values"]) == 0

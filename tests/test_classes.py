@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpm.classes.lasso as lasso_module
 import dpm.classes.stumps as stumps_module
 from dpm.classes import (
     LassoFitter,
@@ -16,10 +17,13 @@ from dpm.classes import (
     fit_finite_basis,
     fit_lasso,
     fit_linear_ols,
+    lasso_design,
     lasso_lambda_max,
+    split_table,
 )
-from dpm.classes.stumps import _best_stump, _leaf_denominators, _presort
+from dpm.classes.stumps import _best_stump
 from dpm.core import Dataset
+from dpm.fitter import StoppingRule, fit_double_penalty
 
 
 def _soft(v, t):
@@ -132,7 +136,7 @@ class TestLasso:
     @pytest.mark.parametrize("seed,lam", [(0, 0.05), (1, 0.2), (2, 0.6)])
     def test_kkt_conditions(self, seed, lam):
         data, y = self._random_problem(seed)
-        m = fit_lasso(data, y, lam)
+        m = fit_lasso(data, y, lam, lasso_design(data.X))
         assert m.coefficients.converged
         # check stationarity on the standardized scale
         n = data.n
@@ -155,12 +159,12 @@ class TestLasso:
         data, y = self._random_problem(3)
         lam_max = lasso_lambda_max(data, y)
         # exactly at the boundary rounding can leave an O(eps) coefficient
-        at_max = fit_lasso(data, y, lam_max)
+        at_max = LassoFitter(lam_max).fit(data, y)
         assert np.max(np.abs(at_max.coefficients.beta)) < 1e-12
         assert at_max.coefficients.intercept == pytest.approx(y.mean())
-        above = fit_lasso(data, y, lam_max * 1.0001)
+        above = LassoFitter(lam_max * 1.0001).fit(data, y)
         np.testing.assert_array_equal(above.coefficients.beta, np.zeros(data.p))
-        below = fit_lasso(data, y, 0.95 * lam_max)
+        below = LassoFitter(0.95 * lam_max).fit(data, y)
         assert np.any(below.coefficients.beta != 0.0)
 
     def test_single_feature_soft_threshold_oracle(self):
@@ -169,7 +173,7 @@ class TestLasso:
         y = np.array([0.1, -0.3, 1.2, 0.8])
         data = Dataset((z + 1.0) / 2.0, y)  # affine shift into [0,1]
         lam = 0.25
-        m = fit_lasso(data, y, lam)
+        m = LassoFitter(lam).fit(data, y)
         rho = float(z @ (y - y.mean())) / 4.0
         want_std = _soft(rho, lam / 2.0)
         scale = 0.5  # empirical sd of the rescaled column
@@ -179,7 +183,7 @@ class TestLasso:
     def test_constant_column_ignored(self):
         X = np.column_stack([np.full(20, 0.5), np.linspace(0, 1, 20)])
         y = 2.0 * X[:, 1] + 1.0
-        m = fit_lasso(Dataset(X, y), y, 0.01)
+        m = LassoFitter(0.01).fit(Dataset(X, y), y)
         assert m.coefficients.beta[0] == 0.0
         assert m.coefficients.beta[1] != 0.0
 
@@ -187,6 +191,8 @@ class TestLasso:
         data, y = self._random_problem(4)
         member = LassoFitter(0.1).fit(data, y)
         assert member.descriptor == "linear"
+        with pytest.raises(ValueError):
+            fit_lasso(data, y, 0.1, lasso_design(data.X[:10]))
 
 
 def _presort_by_column(X):
@@ -239,14 +245,13 @@ class TestStumps:
             X[:] = 0.5
         resid = {"normal": rng.normal(size=n), "integer": rng.integers(-2, 3, n) * 1.0,
                  "zero": np.zeros(n)}[resid_kind]
-        n_lambda = 0.0 if zero_lambda else n * float(rng.uniform(0.0, 1.0))
-        expected = _best_stump_by_column(_presort_by_column(X), resid, n_lambda)
-        order, xs, valid = _presort(X)
+        lambda_g = 0.0 if zero_lambda else float(rng.uniform(0.0, 1.0))
+        expected = _best_stump_by_column(_presort_by_column(X), resid, n * lambda_g)
+        table = split_table(X, lambda_g)
         if expected is None:
-            assert not valid.any()
+            assert not table.has_cut
         else:
-            dens = _leaf_denominators(n, n_lambda)
-            assert _best_stump(order, xs, valid, resid, *dens) == expected
+            assert _best_stump(table, resid) == expected
 
     @pytest.fixture
     def one_full_round(self, monkeypatch):
@@ -257,7 +262,7 @@ class TestStumps:
         x = np.linspace(0.0, 1.0, 50)
         y = np.where(x <= 0.42, -1.0, 2.0)
         data = Dataset(x, y)
-        m = fit_boosted_stumps(data, y, lambda_g=0.0)
+        m = fit_boosted_stumps(data, y, split_table(data.X, 0.0))
         st = m.coefficients.rounds[0]
         assert 0.40 < st.threshold < 0.44
         assert st.left_value == pytest.approx(-1.0)
@@ -268,7 +273,7 @@ class TestStumps:
         x = np.array([0.1, 0.2, 0.8, 0.9])
         y = np.array([1.0, 1.0, 5.0, 5.0])
         lam = 0.5
-        m = fit_boosted_stumps(Dataset(x, y), y, lambda_g=lam)
+        m = StumpFitter(lam).fit(Dataset(x, y), y)
         st = m.coefficients.rounds[0]
         n_lam = 4 * lam
         assert st.left_value == pytest.approx(2.0 / (2.0 + n_lam))
@@ -280,7 +285,7 @@ class TestStumps:
         # a single row has no cut either: its gain matrix is empty
         for X, y in ((np.full((6, 2), 0.3), np.arange(6.0)),
                      (np.array([[0.2, 0.9]]), np.array([2.0]))):
-            m = fit_boosted_stumps(Dataset(X, y), y, lambda_g=0.0)
+            m = StumpFitter(0.0).fit(Dataset(X, y), y)
             st = m.coefficients.rounds[0]
             assert st.threshold == np.inf
             assert st.left_value == pytest.approx(y.mean())
@@ -293,7 +298,7 @@ class TestStumps:
         prev = np.inf
         for rounds in (1, 3, 6, 10, 15):
             monkeypatch.setattr(stumps_module, "MAX_ROUNDS", rounds)
-            m = fit_boosted_stumps(data, y, lambda_g=0.05)
+            m = StumpFitter(0.05).fit(data, y)
             mse = float(np.mean((y - m(X)) ** 2))
             assert mse <= prev + 1e-12
             prev = mse
@@ -304,7 +309,7 @@ class TestStumps:
             X = rng.uniform(0, 1, (30, 2))
             r = rng.normal(size=30)
             lam = float(rng.uniform(0, 1))
-            m = fit_boosted_stumps(Dataset(X, r), r, lambda_g=lam)
+            m = StumpFitter(lam).fit(Dataset(X, r), r)
             obj = np.mean((r - m(X)) ** 2) + m.penalty_value
             assert obj <= np.mean(r ** 2) + 1e-12
 
@@ -313,7 +318,57 @@ class TestStumps:
         member = StumpFitter(0.1).fit(data, data.y)
         assert member.descriptor == "stump-ensemble"
         with pytest.raises(ValueError):
-            fit_boosted_stumps(data, data.y, lambda_g=-0.1)
+            StumpFitter(-0.1).fit(data, data.y)
+        other = Dataset(np.linspace(0, 1, 9), np.zeros(9))
+        with pytest.raises(ValueError):
+            fit_boosted_stumps(data, data.y, split_table(other.X, 0.1))
+
+
+class TestFitterState:
+    """Stump and lasso fitters keep one table per dataset object."""
+
+    @given(kind=st.sampled_from(["stumps", "lasso"]), sizes=st.tuples(st.integers(1, 30),
+                                                                       st.integers(1, 30)),
+           p=st.integers(1, 3), ties=st.booleans(), lam=st.sampled_from([0.0, 0.01, 0.3]),
+           calls=st.lists(st.integers(0, 1), min_size=2, max_size=6),
+           seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_reused_fitter_matches_a_fresh_fitter(self, kind, sizes, p, ties, lam, calls, seed):
+        rng = np.random.default_rng(seed)
+        datasets = []
+        for n in sizes:
+            X = rng.integers(0, 3, (n, p)) / 2.0 if ties else rng.uniform(0.0, 1.0, (n, p))
+            datasets.append(Dataset(X, rng.normal(size=n)))
+        make = StumpFitter if kind == "stumps" else LassoFitter
+        reused = make(lam)
+        for which in calls:
+            data = datasets[which]
+            residual = rng.normal(size=data.n)
+            got = reused.fit(data, residual)
+            want = make(lam).fit(data, residual)
+            assert got.penalty_value == want.penalty_value
+            np.testing.assert_array_equal(got.fitted, want.fitted)
+            np.testing.assert_array_equal(got(data.X), want(data.X))
+            if kind == "stumps":
+                assert got.coefficients == want.coefficients
+            else:
+                np.testing.assert_array_equal(got.coefficients.beta, want.coefficients.beta)
+                assert got.coefficients.intercept == want.coefficients.intercept
+
+    def test_one_alternation_builds_each_table_once(self, monkeypatch):
+        built = []
+        for module, name in ((stumps_module, "split_table"), (lasso_module, "lasso_design")):
+            def counted(*args, _name=name, _original=getattr(module, name)):
+                built.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(module, name, counted)
+        rng = np.random.default_rng(11)
+        X = rng.uniform(0, 1, (40, 2))
+        data = Dataset(X, 2.0 * X[:, 0] + np.sin(6.0 * X[:, 1]) + rng.normal(0, 0.1, 40))
+        fit = fit_double_penalty(data, LassoFitter(0.01), StumpFitter(0.01),
+                                 StoppingRule(max_iters=20))
+        assert fit.iterations > 2
+        assert sorted(built) == ["lasso_design", "split_table"]
 
 
 def test_linear_fitter_wrapper():

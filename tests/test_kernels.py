@@ -167,6 +167,21 @@ class TestProjectedKernel:
             assert np.max(np.abs(discrete)) < 1e-10
         assert np.max(np.abs(basis.T @ K @ basis)) < 1e-8
 
+    def test_nearly_flat_gram_at_rule_points_is_symmetric(self):
+        # the rank-(p+1) updates cancel almost all of this kernel, and
+        # unsymmetrized their rounding left max|K - K^T| / max|K| = 3.7e-11,
+        # so cholesky_solve rejected the ridge system
+        rng = np.random.default_rng(2175719495)
+        X = rng.uniform(0, 1, (7, 1))
+        kernel = ProjectedKernel(MaternSpec(nu=3.0, p=1, phi=0.3),
+                                 QuadratureRule(X.copy(), np.full(7, 1.0 / 7)))
+        K = kernel.gram(X)
+        np.testing.assert_array_equal(K, K.T)
+        data = Dataset(X, rng.normal(size=7))
+        for lam in (1e-7 / 7, 1e-6 / 7):
+            member = KernelRidgeFitter(kernel, lam=lam).fit(data, data.y)
+            np.testing.assert_array_equal(member.fitted, member(data.X))
+
     def test_custom_basis_span_invariance(self):
         # any basis with the same span yields the same projected kernel
         rule = gauss_legendre_01(48)
@@ -265,12 +280,14 @@ class TestProjectedKernelRuleMoments:
                              QuadratureRule(u.copy(), np.full(15, 1.0 / 15)))
         grams = _counting(monkeypatch, projection_module, "matern_gram")
         K = pk.gram(u)
-        assert len(grams) == 1                       # psi only; moments are cached
+        assert len(grams) == 0                       # psi and the moments are cached
+        assert pk.gram(u, u.copy()).tobytes() == K.tobytes()
+        assert len(grams) == 0
         other = rng.uniform(0, 1, (4, 1))
         cross = pk.gram(other, u)
-        assert len(grams) == 3                       # psi and the moments of `other`
+        assert len(grams) == 2                       # psi and the moments of `other`
         pk.gram(other)
-        assert len(grams) == 5                       # psi and the moments of `other`
+        assert len(grams) == 4                       # psi and the moments of `other`
         full = pk.gram(np.vstack([u, other]))        # no rule-point shortcut here
         np.testing.assert_allclose(full[:15, :15], K, rtol=0, atol=1e-13)
         np.testing.assert_allclose(full[15:, :15], cross, rtol=0, atol=1e-13)
@@ -405,12 +422,7 @@ class TestGcv:
         residual = rng.normal(size=n)
         spec = MaternSpec(nu=mu + p / 2.0, p=p, phi=phi)
         if projected:
-            kernel = ProjectedKernel(spec, QuadratureRule(X.copy(), np.full(n, 1.0 / n)))
-            # at small phi the projected Gram is symmetric only to ~1e-11
-            # relative, which the oracle's Cholesky rejects; both scorers
-            # get the same symmetric matrix
-            K = kernel.gram(X)
-            K = (K + K.T) / 2.0
+            K = ProjectedKernel(spec, QuadratureRule(X.copy(), np.full(n, 1.0 / n))).gram(X)
         else:
             K = matern_gram(spec, X)
         lam, curve = gcv_select_lambda(K, residual)
