@@ -6,8 +6,8 @@ from .linear import (
     fit_finite_basis,
     fit_linear_ols,
 )
-from .lasso import LassoFitter, fit_lasso, lasso_design, lasso_lambda_max
-from .stumps import StumpEnsemble, StumpFitter, fit_boosted_stumps, split_table
+from .lasso import LassoFitter, fit_lasso, lasso_lambda_max
+from .stumps import StumpEnsemble, StumpFitter, fit_boosted_stumps
 
 __all__ = [
     "FiniteBasisFitter",
@@ -18,10 +18,8 @@ __all__ = [
     "fit_linear_ols",
     "LassoFitter",
     "fit_lasso",
-    "lasso_design",
     "lasso_lambda_max",
     "StumpEnsemble",
     "StumpFitter",
     "fit_boosted_stumps",
-    "split_table",
 ]

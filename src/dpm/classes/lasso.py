@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -43,23 +42,26 @@ def lasso_design(X: np.ndarray) -> LassoDesign:
     return LassoDesign(Z, mean, scale, np.flatnonzero(active))
 
 
+def _design_of(data: Dataset) -> LassoDesign:
+    return data.derived("lasso_design", lambda: lasso_design(data.X))
+
+
 def lasso_lambda_max(data: Dataset, residual: np.ndarray) -> float:
     """Smallest lambda_f with all-zero slopes: max_j |(2/n)<z_j, r_centered>|."""
     residual = np.asarray(residual, dtype=float).ravel()
-    design = lasso_design(data.X)
+    design = _design_of(data)
     rc = residual - residual.mean()
     if design.active.size == 0:
         return 0.0
     return float(np.max(np.abs(2.0 * (design.Z[:, design.active].T @ rc) / data.n)))
 
 
-def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float,
-              design: LassoDesign) -> FunctionClassMember:
+def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float) -> FunctionClassMember:
     """Minimize (1/n)||r - a - Xb||^2 + lambda_f * ||b||_1 (standardized scale).
 
-    ``design`` is ``lasso_design(data.X)``, the standardized features; the
-    intercept is unpenalized.
-    Coordinate updates are the soft threshold b_j <- S(<z_j, rho>/n, lambda_f/2)
+    The standardized features are built once per dataset object (see
+    ``Dataset.derived``); the intercept is unpenalized.  Coordinate
+    updates are the soft threshold b_j <- S(<z_j, rho>/n, lambda_f/2)
     since columns have unit empirical norm.  Stops when the largest
     coefficient change in a sweep drops below ``TOL``; a run that exhausts
     ``MAX_SWEEPS`` is returned with ``converged=False``.
@@ -67,8 +69,9 @@ def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float,
     if lambda_f < 0.0:
         raise ValueError("lambda_f must be non-negative")
     residual = np.asarray(residual, dtype=float).ravel()
-    if residual.size != data.n or design.Z.shape != data.X.shape:
-        raise ValueError("residual and lasso design must match the dataset")
+    if residual.size != data.n:
+        raise ValueError("residual length must match dataset")
+    design = _design_of(data)
     n = data.n
     Z, scale, idx = design.Z, design.scale, design.active
     r_mean = residual.mean()
@@ -110,20 +113,10 @@ def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float,
 
 
 class LassoFitter(FunctionClassFitter):
-    """Lasso at a fixed ``lambda_f``.
-
-    The fitter keeps the standardized design of the last dataset object
-    it saw, so an alternation, which passes the same object on every
-    call, standardizes X once.  A new dataset object rebuilds it.
-    """
+    """Lasso at a fixed ``lambda_f``."""
 
     def __init__(self, lambda_f: float):
         self.lambda_f = lambda_f
-        self._state: tuple[Optional[Dataset], Optional[LassoDesign]] = (None, None)
 
     def fit(self, data: Dataset, residual: np.ndarray) -> FunctionClassMember:
-        cached, design = self._state
-        if cached is not data:
-            design = lasso_design(data.X)
-            self._state = (data, design)
-        return fit_lasso(data, residual, self.lambda_f, design)
+        return fit_lasso(data, residual, self.lambda_f)

@@ -57,7 +57,6 @@ class SplitTable:
     den_l: np.ndarray
     den_r: np.ndarray
     XT: np.ndarray
-    lambda_g: float
 
 
 def split_table(X: np.ndarray, lambda_g: float) -> SplitTable:
@@ -72,7 +71,7 @@ def split_table(X: np.ndarray, lambda_g: float) -> SplitTable:
     n_left = np.arange(1.0, n)
     n_lambda = n * lambda_g
     return SplitTable(order, xs, None if valid.all() else ~valid, bool(valid.any()),
-                      n_left + n_lambda, (n - n_left) + n_lambda, XT, lambda_g)
+                      n_left + n_lambda, (n - n_left) + n_lambda, XT)
 
 
 def _best_stump(table: SplitTable, resid: np.ndarray):
@@ -95,21 +94,22 @@ def _best_stump(table: SplitTable, resid: np.ndarray):
             float(left / table.den_l[i]), float((csum[j, -1] - left) / table.den_r[i]))
 
 
-def fit_boosted_stumps(data: Dataset, residual: np.ndarray, table: SplitTable) -> FunctionClassMember:
+def fit_boosted_stumps(data: Dataset, residual: np.ndarray,
+                       lambda_g: float) -> FunctionClassMember:
     """Greedy boosted stumps on a residual vector.
 
-    ``table`` is ``split_table(data.X, lambda_g)``; lambda_g is read from
-    it.  Each of ``MAX_ROUNDS`` rounds fits the least-squares stump with
-    shrunk leaves ``sum(resid in leaf) / (count + n*lambda_g)``, scaled by
-    ``LEARNING_RATE``, and updates the residual.  Penalty value is lambda_g
-    times the sum of squared (stored, rate-scaled) leaf values.  If no
-    feature has a cut (every feature constant, or a single row) the
-    ensemble falls back to shrunk-mean single leaves.
+    The split table is built once per dataset object and ``lambda_g`` (see
+    ``Dataset.derived``).  Each of ``MAX_ROUNDS`` rounds fits the
+    least-squares stump with shrunk leaves ``sum(resid in leaf) / (count +
+    n*lambda_g)``, scaled by ``LEARNING_RATE``, and updates the residual.
+    Penalty value is lambda_g times the sum of squared (stored, rate-scaled)
+    leaf values.  If no feature has a cut (every feature constant, or a
+    single row) the ensemble falls back to shrunk-mean single leaves.
     """
     resid = np.asarray(residual, dtype=float).ravel().copy()
-    if resid.size != data.n or table.XT.shape != (data.p, data.n):
-        raise ValueError("residual and split table must match the dataset")
-    lambda_g = table.lambda_g
+    if resid.size != data.n:
+        raise ValueError("residual length must match dataset")
+    table = data.derived(("split_table", lambda_g), lambda: split_table(data.X, lambda_g))
     n_lambda = data.n * lambda_g
     stumps = []
     fitted = np.zeros(data.n)  # summed in round order, as StumpEnsemble.predict does
@@ -131,21 +131,10 @@ def fit_boosted_stumps(data: Dataset, residual: np.ndarray, table: SplitTable) -
 
 
 class StumpFitter(FunctionClassFitter):
-    """Boosted stumps at a fixed ``lambda_g``.
-
-    The fitter keeps the split table of the last dataset object it saw,
-    so an alternation, which passes the same object on every call, sorts
-    its columns once.  A new dataset object or a changed ``lambda_g``
-    rebuilds the table.
-    """
+    """Boosted stumps at a fixed ``lambda_g``."""
 
     def __init__(self, lambda_g: float):
         self.lambda_g = lambda_g
-        self._state: tuple[Optional[Dataset], Optional[SplitTable]] = (None, None)
 
     def fit(self, data: Dataset, residual: np.ndarray) -> FunctionClassMember:
-        cached, table = self._state
-        if cached is not data or table.lambda_g != self.lambda_g:
-            table = split_table(data.X, self.lambda_g)
-            self._state = (data, table)
-        return fit_boosted_stumps(data, residual, table)
+        return fit_boosted_stumps(data, residual, self.lambda_g)

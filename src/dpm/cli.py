@@ -29,7 +29,6 @@ from .experiments import (
     write_result_files,
 )
 from .fitter import FitterError, fit_double_penalty, training_values
-from .kernels import KernelRidgeFitter
 from .separability import empirical_theta, psi
 from .transect import (
     DiagnosticRow,
@@ -79,11 +78,7 @@ def _cmd_fit(args) -> int:
         raise ValueError("--gcv requires --flex kernel")
     if not args.gcv and args.lambda_g is None:
         raise ValueError("--lambda-g is required unless --gcv is given")
-    if args.gcv:
-        fitter_f, fixed_g = pair.fitters(data, args.lambda_f, 1.0)
-        fitter_g = KernelRidgeFitter(fixed_g.kernel, lam=None)
-    else:
-        fitter_f, fitter_g = pair.fitters(data, args.lambda_f, args.lambda_g)
+    fitter_f, fitter_g = pair.fitters(data, args.lambda_f, None if args.gcv else args.lambda_g)
     fit = fit_double_penalty(data, fitter_f, fitter_g)
     f_vals = training_values(fit.f_hat, data)
     g_vals = training_values(fit.g_hat, data)

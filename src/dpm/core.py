@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
 
 DESCRIPTORS = ("linear", "finite-basis", "kernel-expansion", "stump-ensemble")
 
@@ -69,6 +71,7 @@ class Dataset:
         self.y = y
         self.omega_bounds = tuple(bounds)
         self._lo, self._hi = lo, hi
+        self._derived: dict = {}
 
     @property
     def n(self) -> int:
@@ -90,6 +93,19 @@ class Dataset:
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.X[idx], self.y[idx], self.omega_bounds)
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """``build()``, computed once for this object and ``key``.
+
+        What depends only on the data (a split table, a Gram matrix, the
+        CV folds) is built once and shared by every fit on this object; a
+        new object, even with equal values, builds its own.  Nothing is
+        rebuilt, so X and y must not be changed in place.  A ``build``
+        that raises stores nothing.
+        """
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ repeats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -39,7 +40,8 @@ class LearnerPair:
 
     ``lambda_f`` maps to the lasso penalty for "lasso" and to the ridge
     curvature for "linear"; ``lambda_g`` is the ridge penalty for
-    "kernel" and the leaf shrinkage for "stumps".
+    "kernel" and the leaf shrinkage for "stumps".  For "kernel",
+    ``lambda_g=None`` picks the ridge penalty by GCV.
     """
 
     interp: str = "lasso"
@@ -52,8 +54,10 @@ class LearnerPair:
             raise ValueError(f"flex must be one of {FLEX_CHOICES}")
 
     def fitters(self, data: Dataset, lambda_f: float,
-                lambda_g: float) -> tuple[FunctionClassFitter, FunctionClassFitter]:
-        if lambda_f < 0 or lambda_g <= 0:
+                lambda_g: Optional[float]) -> tuple[FunctionClassFitter, FunctionClassFitter]:
+        if lambda_g is None and self.flex != "kernel":
+            raise ValueError("lambda_g=None (GCV) needs the kernel class")
+        if lambda_f < 0 or (lambda_g is not None and lambda_g <= 0):
             raise ValueError("lambda_f must be >= 0 and lambda_g > 0")
         if self.interp == "linear":
             fitter_f = LinearFitter(ridge_gamma=lambda_f)
@@ -81,19 +85,29 @@ def fold_indices(n: int, cv: CvConfig) -> list[list[np.ndarray]]:
     return out
 
 
+def _training_folds(data: Dataset, cv: CvConfig) -> list[list[tuple[Dataset, np.ndarray]]]:
+    """Per repeat, each fold's (training subset, test indices)."""
+    everything = np.arange(data.n)
+    return [[(data.subset(np.setdiff1d(everything, test_idx)), test_idx) for test_idx in folds]
+            for folds in fold_indices(data.n, cv)]
+
+
 def cross_validated_predictions(data: Dataset, pair: LearnerPair,
                                 lambda_f: float, lambda_g: float,
                                 cv: CvConfig,
                                 stop: StoppingRule = StoppingRule()) -> tuple[np.ndarray, np.ndarray]:
-    """Out-of-fold f and g predictions, averaged across repeats."""
+    """Out-of-fold f and g predictions, averaged across repeats.
+
+    Every call on the same dataset object and ``cv`` fits on the same
+    training subsets, so sweep cells share what fitters derive from them.
+    """
     if data.n < cv.folds:
         raise ValueError(f"n={data.n} is smaller than folds={cv.folds}")
     f_sum = np.zeros(data.n)
     g_sum = np.zeros(data.n)
-    for repeat, folds in enumerate(fold_indices(data.n, cv)):
-        for fold, test_idx in enumerate(folds):
-            train_idx = np.setdiff1d(np.arange(data.n), test_idx)
-            train = data.subset(train_idx)
+    splits = data.derived(("folds", cv), lambda: _training_folds(data, cv))
+    for repeat, folds in enumerate(splits):
+        for fold, (train, test_idx) in enumerate(folds):
             fitter_f, fitter_g = pair.fitters(train, lambda_f, lambda_g)
             try:
                 fit = fit_double_penalty(train, fitter_f, fitter_g, stop=stop)

@@ -34,8 +34,8 @@ def _cell_slope(distances: np.ndarray) -> float | None:
     return None
 
 
-def sine_linear_cell(theta: float, n: int, reps: int, noise_var: float,
-                     seed: int, tol: float = 1e-4) -> dict:
+def _sine_linear_cell(theta: float, n: int, reps: int, noise_var: float,
+                      seed: int, tol: float = 1e-4) -> dict:
     """Run one (theta, n) cell; returns slope/iteration summaries.
 
     Iteration counts are sub-fits after the initial linear fit, which is
@@ -97,7 +97,7 @@ def run_table1(thetas=(2.0, 3.0, 3.5, 4.0), n: int = 50, reps: int = 100,
                "mean_iterations", "abs_diff", "reps_with_slope")
     rows = []
     for theta in thetas:
-        cell = sine_linear_cell(theta, n, reps, noise_var, seed, tol=tol)
+        cell = _sine_linear_cell(theta, n, reps, noise_var, seed, tol=tol)
         target = 2.0 * float(np.log(psi(theta)))
         rows.append((
             float(theta),
@@ -130,7 +130,7 @@ def run_table2(sizes=(20, 50, 100, 150, 200), theta: float = 3.0,
                "reps_with_slope")
     rows = []
     for n in sizes:
-        cell = sine_linear_cell(theta, n, reps, noise_var, seed, tol=tol)
+        cell = _sine_linear_cell(theta, n, reps, noise_var, seed, tol=tol)
         rows.append((
             int(n),
             cell["mean_slope"],

@@ -5,7 +5,6 @@ from .ridge import (
     KernelRidgeModel,
     gcv_select_lambda,
     kernel_ridge_fit,
-    rkhs_norm_sq,
 )
 
 __all__ = [
@@ -18,5 +17,4 @@ __all__ = [
     "KernelRidgeModel",
     "gcv_select_lambda",
     "kernel_ridge_fit",
-    "rkhs_norm_sq",
 ]

@@ -13,7 +13,7 @@ from .matern import MaternSpec, matern_gram
 from .projection import ProjectedKernel
 
 __all__ = ["KernelRidgeModel", "KernelRidgeFitter", "RidgeSystem", "kernel_ridge_fit",
-           "gcv_select_lambda", "rkhs_norm_sq"]
+           "gcv_select_lambda"]
 
 KernelLike = Union[MaternSpec, ProjectedKernel]
 
@@ -34,16 +34,10 @@ class KernelRidgeModel:
     alpha: np.ndarray
     lam: float
     kernel: KernelLike
-    gram_matrix: np.ndarray
     jitter: float                # diagonal jitter the Cholesky solve needed; 0.0 if none
 
     def predict_unit(self, unit_points: np.ndarray) -> np.ndarray:
         return kernel_block(self.kernel, unit_points, self.centers) @ self.alpha
-
-
-def rkhs_norm_sq(model: KernelRidgeModel) -> float:
-    """Squared RKHS norm of the fitted function: alpha^T K alpha."""
-    return float(model.alpha @ model.gram_matrix @ model.alpha)
 
 
 @dataclass(frozen=True)
@@ -88,16 +82,16 @@ def kernel_ridge_fit(kernel: KernelLike, data: Dataset, residual: np.ndarray,
     residual = np.asarray(residual, dtype=float).ravel()
     if residual.size != data.n:
         raise ValueError("residual length must match dataset")
-    K = system.gram
-    model = KernelRidgeModel(data.unit_X, system.solve(residual), system.lam, kernel, K,
+    model = KernelRidgeModel(data.unit_X, system.solve(residual), system.lam, kernel,
                              system.jitter)
 
     def evaluator(points, _model=model, _to_unit=data.to_unit):
         return _model.predict_unit(_to_unit(points))
 
-    penalty = system.lam * rkhs_norm_sq(model)
+    fitted = system.gram @ model.alpha
+    penalty = system.lam * float(model.alpha @ fitted)
     return FunctionClassMember("kernel-expansion", evaluator, penalty, coefficients=model,
-                               fitted=K @ model.alpha)
+                               fitted=fitted)
 
 
 @dataclass(frozen=True)
@@ -135,27 +129,25 @@ class KernelRidgeFitter(FunctionClassFitter):
 
     With ``lam=None`` the penalty is chosen by GCV on the first residual
     this fitter sees and frozen for later calls, matching the protocol of
-    selecting lambda once at the start of the alternation.  The fitter
-    keeps one state: the last dataset object, its Gram matrix and the
-    ridge system factored at the current lambda.  A new dataset object
-    rebuilds the Gram matrix; a changed ``lam`` re-factors the system on
-    the kept Gram matrix.  So an alternation builds and factors each once.
+    selecting lambda once at the start of the alternation.  The Gram
+    matrix is built once per dataset object and kernel (see
+    ``Dataset.derived``); the fitter keeps the ridge system it last
+    factored and re-factors it when the Gram matrix or ``lam`` changes.
+    So an alternation builds and factors each once.
     """
 
     def __init__(self, kernel: KernelLike, lam: Optional[float] = None):
         self.kernel = kernel
         self.lam = lam
         self.gcv_curve: Optional[list[GcvPoint]] = None
-        self._state: tuple[Optional[Dataset], Optional[np.ndarray], Optional[RidgeSystem]] = (
-            None, None, None)
+        self._system: Optional[RidgeSystem] = None
 
     def fit(self, data: Dataset, residual: np.ndarray) -> FunctionClassMember:
-        cached, gram, system = self._state
-        if cached is not data:
-            gram, system = kernel_block(self.kernel, data.unit_X), None
+        kernel = self.kernel
+        gram = data.derived(("gram", kernel), lambda: kernel_block(kernel, data.unit_X))
         if self.lam is None:
             self.lam, self.gcv_curve = gcv_select_lambda(gram, residual)
-        if system is None or system.lam != self.lam:
-            system = RidgeSystem.factor(gram, self.lam)
-        self._state = (data, gram, system)
-        return kernel_ridge_fit(self.kernel, data, residual, system)
+        system = self._system
+        if system is None or system.gram is not gram or system.lam != self.lam:
+            system = self._system = RidgeSystem.factor(gram, self.lam)
+        return kernel_ridge_fit(kernel, data, residual, system)

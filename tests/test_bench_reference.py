@@ -1,8 +1,10 @@
-"""Each benchmark workload's small check problem reproduces its stored reference.
+"""Each benchmark workload's small check problem reproduces its stored reference
+and calls every layer the workload names.
 
-The benchmark compares these outputs on every run; checking them here too
-makes output drift fail the test suite, not only the benchmark.  Files
-under bench/ are read, never written.
+The benchmark compares these outputs on every run, and checks the layers
+only in traced runs; checking both here too makes output drift, or a
+refactor that moves work out of a traced function, fail the test suite.
+Files under bench/ are read, never written.
 """
 
 import importlib.util
@@ -30,6 +32,7 @@ def _load(name):
 with mock.patch.dict(os.environ):
     run = _load("run")
 workloads = _load("workloads")
+tracing = _load("tracing")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -42,3 +45,18 @@ def test_check_problem_matches_reference(name, tmp_path):
     assert out.skipped == 0
     # the benchmark's own comparison, at its RTOL and ATOL
     assert run.differing(out.values, reference["values"]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_check_problem_calls_every_expected_layer(name, tmp_path):
+    wl = workloads.WORKLOADS[name]
+    units = wl.make_inputs(workloads.DEFAULT_SEED, tmp_path, True)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for unit in units:
+            wl.run_unit(unit)
+    finally:
+        tracer.remove()
+    calls = tracer.calls()
+    assert [call for call in wl.expected_calls if not calls.get(call)] == []

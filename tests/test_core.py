@@ -59,6 +59,33 @@ class TestDataset:
         assert s.omega_bounds == d.omega_bounds
         np.testing.assert_array_equal(s.y, [1.0, 3.0])
 
+    def test_derived_builds_once_per_object_and_key(self):
+        builds = []
+
+        def build():
+            builds.append(1)
+            return object()
+
+        d = Dataset(np.array([0.1, 0.4, 0.8]), np.array([1.0, 2.0, 3.0]))
+        first = d.derived(("table", 0.1), build)
+        assert d.derived(("table", 0.1), build) is first
+        assert len(builds) == 1
+        assert d.derived(("table", 0.2), build) is not first
+        assert len(builds) == 2
+        same_values = Dataset(d.X.copy(), d.y.copy())
+        assert same_values.derived(("table", 0.1), build) is not first
+        assert len(builds) == 3
+
+    def test_derived_stores_nothing_when_build_raises(self):
+        d = Dataset(np.array([0.1, 0.4]), np.array([1.0, 2.0]))
+
+        def fail():
+            raise ValueError("bad design")
+
+        with pytest.raises(ValueError, match="bad design"):
+            d.derived("table", fail)
+        assert d.derived("table", lambda: 7) == 7
+
 
 class TestFunctionClassMember:
     def test_callable_and_validation(self):

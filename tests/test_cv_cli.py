@@ -7,7 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
+import dpm.classes.lasso as lasso_module
+import dpm.classes.stumps as stumps_module
+import dpm.kernels.ridge as ridge_module
 import dpm.transect as transect_module
+from dpm.classes import LinearFitter
 from dpm.cli import _parse_log_grid, main
 from dpm.core import Dataset
 from dpm.cv import (
@@ -18,6 +22,7 @@ from dpm.cv import (
 )
 from dpm.data_io import CsvFormatError, load_csv
 from dpm.fitter import StoppingRule
+from dpm.kernels import MaternSpec, gcv_select_lambda, matern_gram
 from dpm.transect import (
     DiagnosticRow,
     TransectConfig,
@@ -187,6 +192,44 @@ class TestCrossValidation:
         assert np.max(np.abs((f_p + g_p)[others] - (f_clean + g_clean)[others])) > 1.0
 
 
+class TestFoldsSharedAcrossCells:
+    """Every cell of a sweep fits on the same fold objects."""
+
+    def test_kernel_transect_builds_one_gram_per_fold(self, monkeypatch):
+        fit_grams = []
+        original = ridge_module.matern_gram
+
+        def counted(spec, A, B=None):
+            if B is None:
+                fit_grams.append(A.shape)
+            return original(spec, A, B)
+
+        monkeypatch.setattr(ridge_module, "matern_gram", counted)
+        config = TransectConfig(c=-2.0, lambda_f_grid=(1e-3, 1e-2, 1e-1, 1.0),
+                                pair=LearnerPair("linear", "kernel"))
+        rows = transect_sweep(_cv_dataset(), config, CvConfig(folds=3, repeats=1, seed=1))
+        assert len(rows) == 4
+        assert fit_grams == [(24, 2)] * 3      # 3 folds, not 4 cells x 3 folds
+
+    def test_grid_builds_each_table_once_per_fold(self, monkeypatch):
+        built = []
+        for module, name in ((stumps_module, "split_table"), (lasso_module, "lasso_design")):
+            def counted(X, *args, _name=name, _original=getattr(module, name)):
+                built.append((_name, id(X)) + args)
+                return _original(X, *args)
+            monkeypatch.setattr(module, name, counted)
+        lg_grid = (0.01, 0.1)
+        result = grid_sweep(_cv_dataset(seed=4), (0.1, 1.0), lg_grid,
+                            CvConfig(folds=3, repeats=1, seed=2), transect_c=-2.0)
+        assert len(result.rows) == 4 and len(result.transect_rows) == 2
+        assert len(built) == len(set(built)) == 3 + 3 * len(lg_grid)
+        designs = [b for b in built if b[0] == "lasso_design"]
+        tables = [b for b in built if b[0] == "split_table"]
+        assert len(designs) == 3
+        assert sorted(tables) == sorted(("split_table", x, lg)
+                                        for _, x in designs for lg in lg_grid)
+
+
 class TestTransect:
     def test_default_grid(self):
         grid = default_lambda_f_grid()
@@ -299,6 +342,22 @@ class TestCli:
                      "--flex", "stumps", "--lambda-f", "0.5", "--gcv",
                      "--out", str(tmp_path / "x.json")])
         assert code == 2
+
+    def test_fit_gcv_picks_lambda_g_on_the_first_residual(self, tmp_path):
+        path = self._data_file(tmp_path)
+        out = tmp_path / "gcv.json"
+        code = main(["fit", "--data", str(path), "--response", "y",
+                     "--interp", "linear", "--flex", "kernel",
+                     "--lambda-f", "0.5", "--gcv", "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        data = load_csv(path, "y").data
+        f_0 = LinearFitter(ridge_gamma=0.5).fit(data, data.y).fitted
+        K = matern_gram(MaternSpec(nu=3.5 + data.p / 2.0, p=data.p, phi=1.0), data.unit_X)
+        assert report["gcv"] is True
+        assert report["lambda_g"] == gcv_select_lambda(K, data.y - f_0)[0]
+        with pytest.raises(ValueError, match="kernel"):
+            LearnerPair("linear", "stumps").fitters(data, 0.5, None)
 
     def test_fit_missing_lambda_g(self, tmp_path):
         path = self._data_file(tmp_path)
