@@ -6,7 +6,7 @@ from .linear import (
     fit_finite_basis,
     fit_linear_ols,
 )
-from .lasso import LassoFitter, fit_lasso, lasso_lambda_max
+from .lasso import LassoFitter, fit_lasso
 from .stumps import StumpEnsemble, StumpFitter, fit_boosted_stumps
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "fit_linear_ols",
     "LassoFitter",
     "fit_lasso",
-    "lasso_lambda_max",
     "StumpEnsemble",
     "StumpFitter",
     "fit_boosted_stumps",

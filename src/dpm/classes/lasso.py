@@ -42,20 +42,6 @@ def lasso_design(X: np.ndarray) -> LassoDesign:
     return LassoDesign(Z, mean, scale, np.flatnonzero(active))
 
 
-def _design_of(data: Dataset) -> LassoDesign:
-    return data.derived("lasso_design", lambda: lasso_design(data.X))
-
-
-def lasso_lambda_max(data: Dataset, residual: np.ndarray) -> float:
-    """Smallest lambda_f with all-zero slopes: max_j |(2/n)<z_j, r_centered>|."""
-    residual = np.asarray(residual, dtype=float).ravel()
-    design = _design_of(data)
-    rc = residual - residual.mean()
-    if design.active.size == 0:
-        return 0.0
-    return float(np.max(np.abs(2.0 * (design.Z[:, design.active].T @ rc) / data.n)))
-
-
 def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float) -> FunctionClassMember:
     """Minimize (1/n)||r - a - Xb||^2 + lambda_f * ||b||_1 (standardized scale).
 
@@ -71,7 +57,7 @@ def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float) -> FunctionC
     residual = np.asarray(residual, dtype=float).ravel()
     if residual.size != data.n:
         raise ValueError("residual length must match dataset")
-    design = _design_of(data)
+    design = data.derived("lasso_design", lambda: lasso_design(data.X))
     n = data.n
     Z, scale, idx = design.Z, design.scale, design.active
     r_mean = residual.mean()

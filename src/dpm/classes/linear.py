@@ -27,25 +27,37 @@ class FiniteBasisModel:
     l2_bound: float
 
 
-def _solve_ls(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    sol, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
-    if rank < design.shape[1]:
-        # fall back to jittered normal equations before giving up
-        gram = design.T @ design
-        jitter = 1e-10 * max(1.0, float(np.max(np.abs(gram))))
-        try:
-            sol = np.linalg.solve(gram + jitter * np.eye(gram.shape[0]), design.T @ rhs)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"design rank {rank} < {design.shape[1]} and jitter failed") from exc
-    return sol
+def least_squares_matrix(design: np.ndarray) -> np.ndarray:
+    """The (cols x n) matrix S with ``S @ rhs`` the least-squares solution.
+
+    One thin SVD of the design; its rank uses the cutoff of
+    ``np.linalg.lstsq(rcond=None)``, singular values at most
+    eps * max(n, cols) * s_max count as zero.  A full-rank design gives
+    the pseudo-inverse V diag(1/s) U^T.  A rank-deficient one falls back
+    to the jittered normal equations (G + jitter*I)^{-1} design^T.  Both
+    are O(n * cols) in memory.
+    """
+    U, s, Vt = np.linalg.svd(design, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(design.shape) * (s[0] if s.size else 0.0)
+    rank = int(np.count_nonzero(s > cutoff))
+    if rank == design.shape[1]:
+        return (Vt.T / s) @ U.T
+    gram = design.T @ design
+    jitter = 1e-10 * max(1.0, float(np.max(np.abs(gram))))
+    try:
+        return np.linalg.solve(gram + jitter * np.eye(gram.shape[0]), design.T)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"design rank {rank} < {design.shape[1]} and jitter failed") from exc
 
 
 def fit_linear_ols(data: Dataset, residual: np.ndarray, include_intercept: bool = True,
                    norm_bound: float = math.inf, ridge_gamma: float = 0.0) -> FunctionClassMember:
     """Least-squares linear fit of a residual vector.
 
-    Solves ``argmin ||r - Xb - a||_n^2`` (intercept optional).  When
+    Solves ``argmin ||r - Xb - a||_n^2`` (intercept optional) as S r, with
+    S from ``least_squares_matrix`` built once per dataset object and
+    intercept choice (see ``Dataset.derived``).  When
     ``ridge_gamma`` > 0 the objective gains ``(gamma/2)||f||_n^2``, which
     shrinks the OLS solution by 2/(2+gamma).  If the joint coefficient
     norm exceeds ``norm_bound`` the vector is rescaled onto the ball.
@@ -54,11 +66,12 @@ def fit_linear_ols(data: Dataset, residual: np.ndarray, include_intercept: bool 
     residual = np.asarray(residual, dtype=float).ravel()
     if residual.size != data.n:
         raise ValueError("residual length must match dataset")
-    cols = [data.X]
-    if include_intercept:
-        cols.append(np.ones((data.n, 1)))
-    design = np.hstack(cols)
-    coef = _solve_ls(design, residual)
+
+    def build():
+        cols = [data.X, np.ones((data.n, 1))] if include_intercept else [data.X]
+        return least_squares_matrix(np.hstack(cols))
+
+    coef = data.derived(("ls_solve", include_intercept), build) @ residual
     if ridge_gamma > 0.0:
         coef = coef * (2.0 / (2.0 + ridge_gamma))
     norm = float(np.sqrt(coef @ coef))
@@ -91,7 +104,7 @@ def fit_finite_basis(basis: Sequence[Callable], data: Dataset, residual: np.ndar
     residual = np.asarray(residual, dtype=float).ravel()
     design = np.column_stack([np.asarray(phi(data.X if data.p > 1 else data.X[:, 0]),
                                          dtype=float) for phi in basis])
-    alpha = _solve_ls(design, residual)
+    alpha = least_squares_matrix(design) @ residual
     if math.isfinite(l2_bound):
         rule = tensor_or_qmc_rule(data.p, 64 if data.p == 1 else 1024)
         lo = np.array([b[0] for b in data.omega_bounds])

@@ -43,7 +43,7 @@ class Dataset:
 
     Internally everything operates on the affine rescaling of the domain
     to the unit cube; `unit_X` exposes it.  `omega_bounds` defaults to
-    [0,1]^p, in which case `unit_X` is `X` itself.
+    [0,1]^p, in which case `unit_X` equals `X`.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray,
@@ -83,7 +83,12 @@ class Dataset:
 
     @property
     def unit_X(self) -> np.ndarray:
-        return (self.X - self._lo) / (self._hi - self._lo)
+        """X on the unit cube, computed once and read-only."""
+        def build():
+            unit = (self.X - self._lo) / (self._hi - self._lo)
+            unit.flags.writeable = False
+            return unit
+        return self.derived("unit_X", build)
 
     def to_unit(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)

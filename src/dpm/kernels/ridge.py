@@ -45,11 +45,9 @@ class RidgeSystem:
     """The ridge system K + n*lambda*I of one Gram matrix, factored once.
 
     ``inverse_factor`` is L^{-1} for the Cholesky factor L of
-    K + (n*lambda + jitter)*I, from one ``cholesky_solve`` against the
-    identity; ``jitter`` is the diagonal jitter that solve needed.  Each
-    solve is then two matrix-vector products, L^{-T} (L^{-1} r).  The
-    explicit inverse that call also returns is not kept: products with it
-    lose accuracy on near-singular systems.
+    K + (n*lambda + jitter)*I, from one ``cholesky_solve`` with no
+    right-hand side; ``jitter`` is the diagonal jitter that solve needed.
+    Each solve is then two matrix-vector products, L^{-T} (L^{-1} r).
     """
 
     gram: np.ndarray
@@ -62,7 +60,7 @@ class RidgeSystem:
         if not lam > 0.0:
             raise ValueError("lambda must be positive")
         n = gram.shape[0]
-        solved = cholesky_solve(gram + n * lam * np.eye(n), np.eye(n))
+        solved = cholesky_solve(gram + n * lam * np.eye(n), np.empty((n, 0)))
         return cls(gram, lam, solved.jitter_used, solved.inverse_factor)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

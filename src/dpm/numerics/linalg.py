@@ -34,6 +34,8 @@ def cholesky_solve(A: np.ndarray, B: np.ndarray) -> CholeskySolveResult:
     used (0.0 if none) is reported alongside the solution.  Numpy has no
     triangular solve, so the factor L is inverted once and the solution is
     L^{-T} (L^{-1} B); the result keeps L^{-1} for further right-hand sides.
+    B may have zero columns, (n, 0): the call then only factors A, and
+    returns L^{-1} and the jitter with an empty solution.
     """
     A = _require_symmetric(A, "A")
     B = np.asarray(B, dtype=float)

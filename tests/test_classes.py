@@ -1,6 +1,7 @@
 """Interpretable and flexible class fitters: linear, lasso, boosted stumps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from dpm.classes import (
     fit_finite_basis,
     fit_lasso,
     fit_linear_ols,
-    lasso_lambda_max,
 )
+from dpm.classes.linear import least_squares_matrix
 from dpm.classes.stumps import _best_stump, split_table
 from dpm.core import Dataset
 from dpm.fitter import StoppingRule, fit_double_penalty
@@ -26,6 +27,22 @@ from dpm.fitter import StoppingRule, fit_double_penalty
 
 def _soft(v, t):
     return math.copysign(max(abs(v) - t, 0.0), v)
+
+
+def _ols_oracle(X, residual, include_intercept, ridge_gamma, norm_bound):
+    """One np.linalg.lstsq per call, with the jittered normal equations when rank-deficient."""
+    design = np.column_stack([X, np.ones(len(residual))]) if include_intercept else X
+    coef, _, rank, _ = np.linalg.lstsq(design, residual, rcond=None)
+    if rank < design.shape[1]:
+        gram = design.T @ design
+        jitter = 1e-10 * max(1.0, float(np.max(np.abs(gram))))
+        coef = np.linalg.solve(gram + jitter * np.eye(gram.shape[0]), design.T @ residual)
+    if ridge_gamma > 0.0:
+        coef = coef * (2.0 / (2.0 + ridge_gamma))
+    norm = math.sqrt(coef @ coef)
+    if norm > norm_bound:
+        coef = coef * (norm_bound / norm)
+    return coef, design @ coef, rank == design.shape[1]
 
 
 class TestLinearOls:
@@ -47,6 +64,56 @@ class TestLinearOls:
         ref, *_ = np.linalg.lstsq(np.column_stack([X, np.ones(25)]), y, rcond=None)
         np.testing.assert_allclose(np.append(m.coefficients.beta,
                                              m.coefficients.intercept), ref)
+
+    @given(kind=st.sampled_from(["full", "duplicated", "constant", "wide"]),
+           p=st.integers(1, 4), ridge_gamma=st.sampled_from([0.0, 0.7]),
+           norm_bound=st.sampled_from([math.inf, 0.5]), seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_call_lstsq_oracle(self, kind, p, ridge_gamma, norm_bound, seed):
+        # Tolerances relative to 1 + max|reference|: fitted values 1e-9, and
+        # coefficients 1e-9 on full-rank designs.  On rank-deficient ones the
+        # jittered normal equations scale rounding along the design's null
+        # space by about 1/jitter = 1e10, so coefficients get 1e-4 (worst
+        # seen over 15,000 draws: 9e-15 full rank, 2.3e-6 rank-deficient).
+        rng = np.random.default_rng(seed)
+        if kind == "duplicated":
+            p = max(p, 2)
+        n = int(rng.integers(1, p + 1)) if kind == "wide" else int(rng.integers(p + 2, 30))
+        X = rng.uniform(0.0, 1.0, (n, p))
+        if kind == "duplicated":
+            X[:, 1] = X[:, 0]
+        elif kind == "constant":
+            X[:, 0] = rng.uniform(0.0, 1.0)
+        data = Dataset(X, rng.normal(size=n))
+        # several residuals and both intercept choices on one dataset object
+        for include_intercept in (True, False, True, False):
+            residual = rng.normal(scale=3.0, size=n)
+            m = fit_linear_ols(data, residual, include_intercept, norm_bound, ridge_gamma)
+            ref, ref_fitted, full_rank = _ols_oracle(X, residual, include_intercept,
+                                                     ridge_gamma, norm_bound)
+            coef = m.coefficients.beta
+            if include_intercept:
+                coef = np.append(coef, m.coefficients.intercept)
+            else:
+                assert m.coefficients.intercept is None
+            coef_tol = 1e-9 if full_rank else 1e-4
+            assert np.max(np.abs(coef - ref)) <= coef_tol * (1.0 + np.max(np.abs(ref)))
+            assert (np.max(np.abs(m.fitted - ref_fitted))
+                    <= 1e-9 * (1.0 + np.max(np.abs(ref_fitted))))
+            np.testing.assert_array_equal(m.fitted, m(data.X))
+
+    def test_solve_matrix_memory_is_linear_in_n(self):
+        # S is (cols x n); an n x n identity or projector here would be 128 MB
+        n = 4000
+        design = np.column_stack([np.random.default_rng(3).uniform(0, 1, (n, 2)), np.ones(n)])
+        tracemalloc.start()
+        try:
+            S = least_squares_matrix(design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert S.shape == (3, n)
+        assert peak <= 16 * design.nbytes
 
     def test_without_intercept(self):
         x = np.array([0.2, 0.4, 0.8])
@@ -155,7 +222,10 @@ class TestLasso:
 
     def test_lambda_max_boundary(self):
         data, y = self._random_problem(3)
-        lam_max = lasso_lambda_max(data, y)
+        # smallest lambda_f with all-zero slopes: max_j |(2/n)<z_j, y - mean(y)>|
+        centered = data.X - data.X.mean(axis=0)
+        Z = centered / np.sqrt((centered ** 2).sum(axis=0) / data.n)
+        lam_max = float(np.max(np.abs(2.0 * (Z.T @ (y - y.mean())) / data.n)))
         # exactly at the boundary rounding can leave an O(eps) coefficient
         at_max = LassoFitter(lam_max).fit(data, y)
         assert np.max(np.abs(at_max.coefficients.beta)) < 1e-12

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dpm
 from dpm.core import (
     AdditiveFit,
     Dataset,
@@ -42,6 +48,16 @@ class TestDataset:
                     omega_bounds=[(0.5, 2.5)])
         np.testing.assert_allclose(d.unit_X[:, 0], [0.0, 1.0])
         np.testing.assert_allclose(d.to_unit(np.array([1.5]))[:, 0], [0.5])
+
+    def test_unit_x_is_computed_once_and_read_only(self):
+        d = Dataset(np.array([[0.5], [2.5]]), np.array([0.0, 1.0]),
+                    omega_bounds=[(0.5, 2.5)])
+        unit = d.unit_X
+        assert d.unit_X is unit
+        with pytest.raises(ValueError, match="read-only"):
+            unit[0, 0] = 0.5
+        np.testing.assert_array_equal(d.unit_X[:, 0], [0.0, 1.0])
+        assert d.X.flags.writeable
 
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -123,3 +139,21 @@ class TestAdditiveFit:
     def test_stop_reason_validated(self):
         with pytest.raises(ValueError):
             AdditiveFit(zero_member(), zero_member(), (), "diverged")
+
+
+def test_runtime_imports_only_numpy_and_the_standard_library():
+    # a fresh interpreter, so modules the test runner loaded do not count;
+    # whatever the interpreter loads at startup (site hooks) is not dpm's
+    script = "\n".join([
+        "import importlib, pkgutil, sys",
+        "before = set(sys.modules)",
+        "import dpm",
+        "for info in pkgutil.walk_packages(dpm.__path__, 'dpm.'):",
+        "    importlib.import_module(info.name)",
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}",
+        "print(' '.join(sorted(loaded - set(sys.stdlib_module_names) - {'numpy', 'dpm'})))",
+    ])
+    src = str(Path(dpm.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == []

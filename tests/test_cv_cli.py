@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dpm.classes.lasso as lasso_module
+import dpm.classes.linear as linear_module
 import dpm.classes.stumps as stumps_module
 import dpm.kernels.ridge as ridge_module
 import dpm.transect as transect_module
@@ -197,19 +198,28 @@ class TestFoldsSharedAcrossCells:
 
     def test_kernel_transect_builds_one_gram_per_fold(self, monkeypatch):
         fit_grams = []
+        solve_matrices = []
         original = ridge_module.matern_gram
+        original_solve = linear_module.least_squares_matrix
 
         def counted(spec, A, B=None):
             if B is None:
                 fit_grams.append(A.shape)
             return original(spec, A, B)
 
+        def counted_solve(design):
+            solve_matrices.append(design.shape)
+            return original_solve(design)
+
         monkeypatch.setattr(ridge_module, "matern_gram", counted)
+        monkeypatch.setattr(linear_module, "least_squares_matrix", counted_solve)
         config = TransectConfig(c=-2.0, lambda_f_grid=(1e-3, 1e-2, 1e-1, 1.0),
                                 pair=LearnerPair("linear", "kernel"))
         rows = transect_sweep(_cv_dataset(), config, CvConfig(folds=3, repeats=1, seed=1))
         assert len(rows) == 4
-        assert fit_grams == [(24, 2)] * 3      # 3 folds, not 4 cells x 3 folds
+        # 3 folds, not 4 cells x 3 folds, nor once per linear fit
+        assert fit_grams == [(24, 2)] * 3
+        assert solve_matrices == [(24, 3)] * 3
 
     def test_grid_builds_each_table_once_per_fold(self, monkeypatch):
         built = []

@@ -317,6 +317,30 @@ class TestKernelRidge:
             with pytest.raises(ValueError, match="lambda"):
                 RidgeSystem.factor(np.eye(3), lam)
 
+    def test_factor_takes_l_inverse_and_jitter_without_a_solve(self, monkeypatch):
+        # the factor-only call gives what a solve against the identity gives,
+        # also on the duplicated-centers Gram that needs jitter
+        spec = MaternSpec(nu=2.5, p=1, phi=1.0)
+        base = self._data(n=10, seed=6)
+        duplicated = Dataset(np.repeat(base.X, 2, axis=0), np.repeat(base.y, 2))
+        rhs_shapes = []
+
+        def recorded(A, B):
+            rhs_shapes.append(np.shape(B))
+            return cholesky_solve(A, B)
+
+        monkeypatch.setattr(ridge_module, "cholesky_solve", recorded)
+        jitters = []
+        for data, lam in ((self._data(), 0.05), (duplicated, 1e-18)):
+            K = matern_gram(spec, data.unit_X)
+            system = RidgeSystem.factor(K, lam)
+            full = cholesky_solve(K + data.n * lam * np.eye(data.n), np.eye(data.n))
+            assert system.jitter == full.jitter_used
+            np.testing.assert_array_equal(system.inverse_factor, full.inverse_factor)
+            jitters.append(system.jitter)
+        assert jitters[0] == 0.0 and jitters[1] > 0.0
+        assert rhs_shapes == [(25, 0), (20, 0)]
+
     def test_ordinary_fit_uses_no_jitter(self):
         data = self._data()
         m = KernelRidgeFitter(MaternSpec(nu=2.5, p=1, phi=1.0), lam=0.05).fit(data, data.y)

@@ -474,6 +474,11 @@ class TestCholeskySolve:
         assert np.allclose(np.tril(L_inv), L_inv)
         b = rng.normal(size=30)
         np.testing.assert_array_equal(L_inv.T @ (L_inv @ b), cholesky_solve(a, b).solution)
+        # with no right-hand side the call only factors
+        factored = cholesky_solve(a, np.empty((30, 0)))
+        assert factored.solution.shape == (30, 0)
+        assert factored.jitter_used == res.jitter_used
+        np.testing.assert_array_equal(factored.inverse_factor, L_inv)
 
     def test_near_singular_residual_stays_small(self):
         # duplicated points with a tiny ridge: the jittered system's condition
