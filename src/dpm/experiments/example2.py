@@ -27,10 +27,6 @@ _P = 5
 _BESSEL_ORDER = 3.5
 
 
-def _halton_block(count: int, dims: int) -> np.ndarray:
-    return np.array([halton(i, dims) for i in range(1, count + 1)])
-
-
 class _KeepMembers(FunctionClassFitter):
     """Pass-through fitter that keeps every member its inner fitter returns."""
 
@@ -52,7 +48,7 @@ def run_example2(nlambdas=(1.0, 0.1, 0.001, 1e-9), noise_sds=(0.1, 0.01),
     # nu - p/2 = 3.5 and phi makes the kernel argument equal the distance
     spec = MaternSpec(nu=_BESSEL_ORDER + _P / 2.0, p=_P,
                       phi=1.0 / (2.0 * np.sqrt(_BESSEL_ORDER)))
-    x_test = _halton_block(1000, _P)
+    x_test = halton(np.arange(1, 1001), _P)
     h_test = sun5d(x_test)
     bounds = tuple((0.0, 1.0) for _ in range(_P))
     stop = StoppingRule(max_iters=iters, change_tol=0.0)

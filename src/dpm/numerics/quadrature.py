@@ -78,37 +78,40 @@ def gauss_legendre_01(n: int) -> QuadratureRule:
     return QuadratureRule(((x + 1.0) / 2.0)[:, None], w / 2.0)
 
 
-def halton(index: int, dims: int) -> np.ndarray:
-    """Point of the Halton sequence (radical inverse per coordinate).
+def halton(index: int | np.ndarray, dims: int) -> np.ndarray:
+    """Points of the Halton sequence (radical inverse per coordinate).
 
     Coordinate j uses the j-th prime as base.  Output depends only on
     (index, dims); there is no internal state.
 
     Parameters
     ----------
-    index : int
-        Position in the sequence, starting at 1.
+    index : int or array of int
+        Position in the sequence, starting at 1.  An array of positions
+        gives one point per entry, each equal to the scalar call's point.
     dims : int
         Number of coordinates, at most 20.
 
     Returns
     -------
-    ndarray, shape (dims,)
+    ndarray, shape index.shape + (dims,)
     """
-    if index < 1:
+    idx = np.asarray(index, dtype=np.int64)
+    if np.any(idx < 1):
         raise ValueError(f"index starts at 1, got {index}")
     if not 1 <= dims <= len(_PRIMES):
         raise ValueError(f"dims must be in [1, {len(_PRIMES)}], got {dims}")
-    out = np.empty(dims)
-    for j in range(dims):
-        base = _PRIMES[j]
-        frac, value, i = 1.0, 0.0, int(index)
-        while i > 0:
-            frac /= base
-            value += frac * (i % base)
-            i //= base
-        out[j] = value
-    return out
+    # one digit of every coordinate per step; a coordinate whose digits ran
+    # out adds exact zeros, so each entry is the sum its own digit loop makes
+    bases = np.array(_PRIMES[:dims])
+    frac = np.ones(dims)
+    value = np.zeros(idx.shape + (dims,))
+    i = np.broadcast_to(idx[..., None], value.shape)
+    while i.any():
+        frac /= bases
+        i, digit = np.divmod(i, bases)
+        value += frac * digit
+    return value
 
 
 def tensor_or_qmc_rule(p: int, budget: int) -> QuadratureRule:
@@ -143,5 +146,5 @@ def tensor_or_qmc_rule(p: int, budget: int) -> QuadratureRule:
         pts = np.column_stack([np.repeat(x, side), np.tile(x, side)])
         wts = np.repeat(w, side) * np.tile(w, side)
         return QuadratureRule(pts, wts)
-    pts = np.vstack([halton(i, p) for i in range(1, budget + 1)])
+    pts = halton(np.arange(1, budget + 1), p)
     return QuadratureRule(pts, np.full(budget, 1.0 / budget))

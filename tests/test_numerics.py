@@ -8,12 +8,14 @@ Gauss-Legendre quadrature below.
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dpm.numerics.design as design_module
 from dpm.numerics import (
     K_SATURATION,
     CholeskySolveResult,
@@ -265,6 +267,13 @@ class TestHalton:
         with pytest.raises(ValueError):
             halton(0, 2)
 
+    def test_index_array_matches_scalar_calls(self):
+        block = halton(np.arange(1, 5001), 20)
+        assert block.shape == (5000, 20)
+        assert np.array_equal(block, np.array([halton(i, 20) for i in range(1, 5001)]))
+        with pytest.raises(ValueError):
+            halton(np.array([3, 0]), 2)
+
     @given(st.integers(1, 5000), st.integers(1, 6))
     @settings(max_examples=100, deadline=None)
     def test_in_open_unit_cube(self, index, dims):
@@ -329,16 +338,28 @@ def maximin_lhs_full_rescore(n, p, rng, restarts=2, swaps=150):
 
 
 class ScriptedRng:
-    """Replays fixed draws where maximin_lhs asks its generator for them."""
+    """Replays fixed draws where maximin_lhs asks its generator for them.
+
+    `random` returns the next entry whole.  Integer draws come from the
+    next entry, a (swaps, 3) array of (column, row, row) proposals, taken
+    as many at a time as a call asks for, so one batched call per restart
+    and the oracle's per-swap calls read the same values.
+    """
 
     def __init__(self, draws):
         self.draws = list(draws)
+        self.pending = np.empty(0, dtype=np.int64)
 
     def random(self, shape):
         return self.draws.pop(0)
 
-    def integers(self, high, size=None):
-        return self.draws.pop(0)
+    def integers(self, low, high=None, size=None):
+        shape = np.shape(low if high is None else high) if size is None else (size,)
+        count = math.prod(shape)
+        if count and not self.pending.size:
+            self.pending = np.ravel(self.draws.pop(0))
+        taken, self.pending = self.pending[:count], self.pending[count:]
+        return taken.reshape(shape)
 
 
 class TestMaximinLhs:
@@ -346,11 +367,59 @@ class TestMaximinLhs:
            st.integers(0, 2 ** 32 - 1))
     @example(2, 1, 1, 200, 0)  # half the draws swap a row with itself
     @example(2, 4, 3, 200, 1)
+    # every scored swap ties: with one column or two points a swap permutes
+    # the same coordinates, so each distance it recomputes is unchanged
+    @example(3, 1, 3, 200, 2)
+    @example(5, 1, 2, 200, 3)
+    @example(2, 6, 2, 57, 4)
     @settings(max_examples=150, deadline=None)
     def test_matches_full_rescoring_oracle(self, n, p, restarts, swaps, seed):
-        fast = maximin_lhs(n, p, np.random.default_rng(seed), restarts, swaps)
-        full = maximin_lhs_full_rescore(n, p, np.random.default_rng(seed), restarts, swaps)
+        fast_rng, full_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        fast = maximin_lhs(n, p, fast_rng, restarts, swaps)
+        full = maximin_lhs_full_rescore(n, p, full_rng, restarts, swaps)
         assert np.array_equal(fast, full)
+        # run_example2 draws its noise from the same generator
+        assert fast_rng.bit_generator.state == full_rng.bit_generator.state
+
+    @pytest.mark.parametrize("p, n, k", [(1, 2, 5), (1, 7, 40), (5, 50, 150), (3, 9, 0),
+                                         (2, 3, 33), (11, 24, 200)])
+    def test_batched_swap_draws_equal_per_swap_draws(self, p, n, k):
+        # maximin_lhs draws a restart's swaps in one call; this pins numpy's
+        # bounded-integer stream to the per-swap calls the oracle makes
+        batched, per_swap = np.random.default_rng(n * k + p), np.random.default_rng(n * k + p)
+        got = batched.integers(0, np.tile((p, n, n), k)).reshape(k, 3)
+        want = [(per_swap.integers(p), *per_swap.integers(n, size=2)) for _ in range(k)]
+        assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(k, 3))
+        assert batched.bit_generator.state == per_swap.bit_generator.state
+
+    def test_only_swaps_touching_every_closest_pair_are_scored(self, monkeypatch):
+        # rows sit on the diagonal bins; (0, 1) and (2, 3) tie exactly as
+        # the closest pairs, at squared distance 2/16
+        ranks = np.array([[0.1, 0.2, 0.3, 0.4]] * 2)
+        jitter = np.array([[0.25, 0.25], [0.25, 0.25], [0.5, 0.5], [0.5, 0.5]])
+        proposals = np.array([
+            [0, 0, 1],  # touches only the first closest pair
+            [1, 3, 2],  # touches only the second
+            [0, 1, 2],  # touches both: the closest pair becomes (1, 2)
+            [1, 2, 2],  # swaps a row of the new pair with itself
+            [0, 0, 3],  # touched both old pairs, but not the new one
+        ])
+        draws = [ranks, jitter, proposals]
+        scored = []
+
+        def sqrt(x):
+            scored.append(x)
+            return math.sqrt(x)
+
+        want = maximin_lhs_full_rescore(4, 2, ScriptedRng(draws), restarts=1, swaps=5)
+        monkeypatch.setattr(design_module, "math", SimpleNamespace(sqrt=sqrt))
+        got = maximin_lhs(4, 2, ScriptedRng(draws), restarts=1, swaps=5)
+        assert np.array_equal(got, want)
+        start = (np.argsort(ranks, axis=1).T + jitter) / 4
+        start[[1, 2], 0] = start[[2, 1], 0]
+        assert np.array_equal(got, start)
+        # the restart's own score, then the one swap that touches both pairs
+        assert scored == [0.125, 0.1953125]
 
     def test_swap_that_ties_in_rounded_distance_is_rejected(self):
         def min_sq(design):
@@ -374,7 +443,7 @@ class TestMaximinLhs:
             u = np.nextafter(u, 1.0)
         else:
             pytest.fail("no tie found")
-        draws = [ranks, jitter, 0, np.array([0, 1])]
+        draws = [ranks, jitter, np.array([[0, 0, 1]])]
         for fit in (maximin_lhs, maximin_lhs_full_rescore):
             kept = fit(3, 2, ScriptedRng(draws), restarts=1, swaps=1)
             assert np.array_equal(kept, design)
@@ -424,6 +493,18 @@ class TestMaximinLhs:
             maximin_lhs(1, 2, np.random.default_rng(0))
         with pytest.raises(ValueError):
             maximin_lhs(5, 0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="restarts"):
+            maximin_lhs(5, 2, np.random.default_rng(0), restarts=0)
+        with pytest.raises(ValueError, match="swaps must be non-negative"):
+            maximin_lhs(5, 2, np.random.default_rng(0), swaps=-1)
+
+    def test_zero_swaps_draw_only_the_starting_designs(self):
+        rng, expected = np.random.default_rng(3), np.random.default_rng(3)
+        maximin_lhs(5, 2, rng, restarts=2, swaps=0)
+        for _ in range(2):
+            expected.random((2, 5))
+            expected.random((5, 2))
+        assert rng.bit_generator.state == expected.bit_generator.state
 
 
 class TestCholeskySolve:
