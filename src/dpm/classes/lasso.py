@@ -86,16 +86,8 @@ def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float) -> FunctionC
     beta_orig[idx] = beta[idx] / scale[idx]
     intercept = float(r_mean - design.mean @ beta_orig)
     penalty = lambda_f * float(np.abs(beta).sum())
-
-    def evaluator(points, _b=beta_orig.copy(), _a=intercept):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        return pts @ _b + _a
-
     model = LinearModel(beta_orig, intercept, math.inf, converged=converged)
-    return FunctionClassMember("linear", evaluator, penalty, coefficients=model,
-                               fitted=data.X @ beta_orig + intercept)
+    return FunctionClassMember(model, penalty, model.predict(data.X))
 
 
 class LassoFitter(FunctionClassFitter):

@@ -19,12 +19,33 @@ class LinearModel:
     norm_bound: float
     converged: bool = True
 
+    def predict(self, points: np.ndarray) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 1:
+            pts = pts[:, None]
+        out = pts @ self.beta
+        return out + self.intercept if self.intercept is not None else out
+
+
+def _basis_columns(basis: Sequence[Callable], points: np.ndarray) -> np.ndarray:
+    """Each basis function at ``points``, one column each.
+
+    A basis function sees an (m, p) array, or a 1-D array when p = 1:
+    an (m, 1) array is passed as its only column.
+    """
+    pts = np.asarray(points, dtype=float)
+    arg = pts[:, 0] if pts.ndim == 2 and pts.shape[1] == 1 else pts
+    return np.column_stack([np.asarray(phi(arg), dtype=float) for phi in basis])
+
 
 @dataclass(frozen=True)
 class FiniteBasisModel:
     basis: tuple
     alpha: np.ndarray
     l2_bound: float
+
+    def predict(self, points: np.ndarray) -> np.ndarray:
+        return _basis_columns(self.basis, points) @ self.alpha
 
 
 def least_squares_matrix(design: np.ndarray) -> np.ndarray:
@@ -61,7 +82,7 @@ def fit_linear_ols(data: Dataset, residual: np.ndarray, include_intercept: bool 
     ``ridge_gamma`` > 0 the objective gains ``(gamma/2)||f||_n^2``, which
     shrinks the OLS solution by 2/(2+gamma).  If the joint coefficient
     norm exceeds ``norm_bound`` the vector is rescaled onto the ball.
-    Returns a linear FunctionClassMember carrying a LinearModel.
+    Returns a FunctionClassMember carrying a LinearModel.
     """
     residual = np.asarray(residual, dtype=float).ravel()
     if residual.size != data.n:
@@ -77,20 +98,11 @@ def fit_linear_ols(data: Dataset, residual: np.ndarray, include_intercept: bool 
     norm = float(np.sqrt(coef @ coef))
     if norm > norm_bound:
         coef = coef * (norm_bound / norm)
-    beta = coef[:data.p]
     intercept = float(coef[data.p]) if include_intercept else None
-
-    def evaluator(points, _b=beta.copy(), _a=intercept):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        out = pts @ _b
-        return out + _a if _a is not None else out
-
-    fitted = evaluator(data.X)
+    model = LinearModel(coef[:data.p], intercept, norm_bound)
+    fitted = model.predict(data.X)
     penalty = (ridge_gamma / 2.0) * float(fitted @ fitted) / data.n if ridge_gamma > 0.0 else 0.0
-    model = LinearModel(beta, intercept, norm_bound)
-    return FunctionClassMember("linear", evaluator, penalty, coefficients=model, fitted=fitted)
+    return FunctionClassMember(model, penalty, fitted)
 
 
 def fit_finite_basis(basis: Sequence[Callable], data: Dataset, residual: np.ndarray,
@@ -102,29 +114,15 @@ def fit_finite_basis(basis: Sequence[Callable], data: Dataset, residual: np.ndar
     rescaled onto the ball.
     """
     residual = np.asarray(residual, dtype=float).ravel()
-    design = np.column_stack([np.asarray(phi(data.X if data.p > 1 else data.X[:, 0]),
-                                         dtype=float) for phi in basis])
-    alpha = least_squares_matrix(design) @ residual
+    alpha = least_squares_matrix(_basis_columns(basis, data.X)) @ residual
     if math.isfinite(l2_bound):
         rule = tensor_or_qmc_rule(data.p, 64 if data.p == 1 else 1024)
-        lo = np.array([b[0] for b in data.omega_bounds])
-        hi = np.array([b[1] for b in data.omega_bounds])
-        pts = lo + rule.points * (hi - lo)
-        vals = np.column_stack([np.asarray(phi(pts if data.p > 1 else pts[:, 0]), dtype=float)
-                                for phi in basis]) @ alpha
+        vals = _basis_columns(basis, data.lo + rule.points * (data.hi - data.lo)) @ alpha
         norm = math.sqrt(max(rule.integrate(vals * vals), 0.0))
         if norm > l2_bound:
             alpha = alpha * (l2_bound / norm)
-
-    def evaluator(points, _basis=tuple(basis), _alpha=alpha.copy(), _p=data.p):
-        pts = np.asarray(points, dtype=float)
-        arg = pts if _p > 1 else (pts[:, 0] if pts.ndim > 1 else pts)
-        cols = np.column_stack([np.asarray(phi(arg), dtype=float) for phi in _basis])
-        return cols @ _alpha
-
     model = FiniteBasisModel(tuple(basis), alpha, l2_bound)
-    return FunctionClassMember("finite-basis", evaluator, 0.0, coefficients=model,
-                               fitted=evaluator(data.X))
+    return FunctionClassMember(model, 0.0, model.predict(data.X))
 
 
 class LinearFitter(FunctionClassFitter):

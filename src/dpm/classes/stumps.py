@@ -126,8 +126,7 @@ def fit_boosted_stumps(data: Dataset, residual: np.ndarray,
         stumps.append(st)
     ensemble = StumpEnsemble(tuple(stumps), LEARNING_RATE, lambda_g)
     penalty = lambda_g * float(sum(s.left_value ** 2 + s.right_value ** 2 for s in stumps))
-    return FunctionClassMember("stump-ensemble", ensemble.predict, penalty,
-                               coefficients=ensemble, fitted=fitted)
+    return FunctionClassMember(ensemble, penalty, fitted)
 
 
 class StumpFitter(FunctionClassFitter):

@@ -28,7 +28,7 @@ from .experiments import (
     run_table2,
     write_result_files,
 )
-from .fitter import FitterError, fit_double_penalty, training_values
+from .fitter import FitterError, fit_double_penalty
 from .separability import empirical_theta, psi
 from .transect import (
     DiagnosticRow,
@@ -50,8 +50,8 @@ def _parse_log_grid(text: str) -> tuple[float, ...]:
         raise ValueError(f"grid spec {text!r} is not lo:hi:k")
     lo, hi = float(parts[0]), float(parts[1])
     k = int(parts[2])
-    if lo <= 0 or hi <= 0 or k < 1 or (k > 1 and lo >= hi):
-        raise ValueError(f"grid spec {text!r} needs 0 < lo < hi and k >= 1")
+    if not (0 < lo < math.inf and 0 < hi < math.inf) or k < 1 or (k > 1 and lo >= hi):
+        raise ValueError(f"grid spec {text!r} needs finite 0 < lo < hi and k >= 1")
     if k == 1:
         return (lo,)
     return tuple(np.logspace(math.log10(lo), math.log10(hi), k))
@@ -80,8 +80,8 @@ def _cmd_fit(args) -> int:
         raise ValueError("--lambda-g is required unless --gcv is given")
     fitter_f, fitter_g = pair.fitters(data, args.lambda_f, None if args.gcv else args.lambda_g)
     fit = fit_double_penalty(data, fitter_f, fitter_g)
-    f_vals = training_values(fit.f_hat, data)
-    g_vals = training_values(fit.g_hat, data)
+    f_vals = fit.f_hat.fitted
+    g_vals = fit.g_hat.fitted
 
     report = {
         "version": __version__,
@@ -102,18 +102,15 @@ def _cmd_fit(args) -> int:
         "training_cor_g": pearson(data.y, g_vals) if np.ptp(g_vals) else 0.0,
         "training_cor_total": pearson(data.y, f_vals + g_vals),
     }
-    model = fit.f_hat.coefficients
-    if model is not None and hasattr(model, "beta"):
-        lo = np.array([r[0] for r in loaded.feature_ranges])
-        hi = np.array([r[1] for r in loaded.feature_ranges])
-        beta_unit = np.asarray(model.beta, dtype=float)
-        beta_orig = beta_unit / (hi - lo)
-        intercept = model.intercept if model.intercept is not None else 0.0
-        report["coefficients_unit"] = dict(zip(loaded.feature_names,
-                                               map(float, beta_unit)))
-        report["coefficients_original"] = dict(zip(loaded.feature_names,
-                                                   map(float, beta_orig)))
-        report["intercept_original"] = float(intercept - beta_orig @ lo)
+    model = fit.f_hat.coefficients  # a LinearModel for both interpretable classes
+    lo = np.array([r[0] for r in loaded.feature_ranges])
+    hi = np.array([r[1] for r in loaded.feature_ranges])
+    beta_unit = np.asarray(model.beta, dtype=float)
+    beta_orig = beta_unit / (hi - lo)
+    intercept = model.intercept if model.intercept is not None else 0.0
+    report["coefficients_unit"] = dict(zip(loaded.feature_names, map(float, beta_unit)))
+    report["coefficients_original"] = dict(zip(loaded.feature_names, map(float, beta_orig)))
+    report["intercept_original"] = float(intercept - beta_orig @ lo)
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out} ({fit.iterations} iterations, {fit.stop_reason})")
     return EXIT_OK

@@ -10,8 +10,6 @@ import numpy as np
 
 T = TypeVar("T")
 
-DESCRIPTORS = ("linear", "finite-basis", "kernel-expansion", "stump-ensemble")
-
 
 def empirical_inner(a: np.ndarray, b: np.ndarray) -> float:
     """(1/n) sum a_i b_i."""
@@ -38,12 +36,21 @@ def objective(data: "Dataset", f_vals: np.ndarray, g_vals: np.ndarray,
     return empirical_inner(resid, resid) + lf_val + lg_val
 
 
+def to_unit(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Points of the box [lo, hi] (rows, or a 1-D array when p = 1) on the unit cube."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    return (points - lo) / (hi - lo)
+
+
 class Dataset:
     """Design points in a rectangular domain plus responses.
 
     Internally everything operates on the affine rescaling of the domain
     to the unit cube; `unit_X` exposes it.  `omega_bounds` defaults to
-    [0,1]^p, in which case `unit_X` equals `X`.
+    [0,1]^p, in which case `unit_X` equals `X`; `lo` and `hi` hold its
+    lower and upper corners as arrays.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray,
@@ -70,7 +77,7 @@ class Dataset:
         self.X = X
         self.y = y
         self.omega_bounds = tuple(bounds)
-        self._lo, self._hi = lo, hi
+        self.lo, self.hi = lo, hi
         self._derived: dict = {}
 
     @property
@@ -85,16 +92,13 @@ class Dataset:
     def unit_X(self) -> np.ndarray:
         """X on the unit cube, computed once and read-only."""
         def build():
-            unit = (self.X - self._lo) / (self._hi - self._lo)
+            unit = self.to_unit(self.X)
             unit.flags.writeable = False
             return unit
         return self.derived("unit_X", build)
 
     def to_unit(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[:, None]
-        return (points - self._lo) / (self._hi - self._lo)
+        return to_unit(points, self.lo, self.hi)
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.X[idx], self.y[idx], self.omega_bounds)
@@ -115,40 +119,34 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FunctionClassMember:
-    """An evaluable fitted function with its penalty value.
+    """A fitted function of one class, with its penalty value.
 
-    `evaluator` maps points in the original domain (m x p array, or a
-    1-D array when p = 1) to fitted values; `coefficients` carries the
-    descriptor-specific parameterization.  `fitted`, when set, holds the
+    `coefficients` is the class's fitted model; its `predict` maps points
+    in the original domain (m x p array, or a 1-D array when p = 1) to
+    fitted values, and calling the member calls it.  `fitted` holds the
     member's values at the training points `data.X` of the fit that made
     it, and must equal `member(data.X)` exactly; the alternation reads it
     instead of re-evaluating the member.  It takes no part in comparisons.
     """
 
-    descriptor: str
-    evaluator: Callable[[np.ndarray], np.ndarray]
+    coefficients: object
     penalty_value: float
-    coefficients: object = None
-    fitted: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    fitted: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self):
-        if self.descriptor not in DESCRIPTORS:
-            raise ValueError(f"unknown descriptor {self.descriptor!r}")
         if not self.penalty_value >= 0.0:
             raise ValueError("penalty_value must be non-negative")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.evaluator(points)
+        return self.coefficients.predict(points)
 
 
 class FunctionClassFitter(ABC):
     """Solve argmin over the class of ||r - h||_n^2 + L(h) for residual r.
 
     Implementations must never return a member whose penalized objective
-    on the residual exceeds that of the zero function.  A fitter that
-    already holds the member's values at `data.X` should return them as
-    `fitted`, equal to `member(data.X)` exactly; a member without them is
-    evaluated at `data.X` by the caller.
+    on the residual exceeds that of the zero function, and return the
+    member's values at `data.X` as its `fitted`.
     """
 
     @abstractmethod
@@ -169,7 +167,7 @@ class TraceRecord:
     ref_distance: Optional[float] = None
 
 
-STOP_REASONS = ("max-iters", "objective-tol", "change-tol")
+STOP_REASONS = ("max-iters", "change-tol")
 
 
 @dataclass(frozen=True)
@@ -190,10 +188,3 @@ class AdditiveFit:
     def iterations(self) -> int:
         return len(self.trace)
 
-
-def zero_member(descriptor: str = "linear") -> FunctionClassMember:
-    def evaluator(points):
-        points = np.asarray(points, dtype=float)
-        m = points.shape[0] if points.ndim > 1 else points.size
-        return np.zeros(m)
-    return FunctionClassMember(descriptor, evaluator, 0.0, coefficients=None)

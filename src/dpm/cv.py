@@ -7,6 +7,7 @@ repeats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,8 +58,9 @@ class LearnerPair:
                 lambda_g: Optional[float]) -> tuple[FunctionClassFitter, FunctionClassFitter]:
         if lambda_g is None and self.flex != "kernel":
             raise ValueError("lambda_g=None (GCV) needs the kernel class")
-        if lambda_f < 0 or (lambda_g is not None and lambda_g <= 0):
-            raise ValueError("lambda_f must be >= 0 and lambda_g > 0")
+        lambda_g_ok = lambda_g is None or 0 < lambda_g < math.inf
+        if not (0 <= lambda_f < math.inf and lambda_g_ok):
+            raise ValueError("lambda_f must be finite and >= 0, lambda_g finite and > 0")
         if self.interp == "linear":
             fitter_f = LinearFitter(ridge_gamma=lambda_f)
         else:

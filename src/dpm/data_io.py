@@ -58,6 +58,9 @@ def load_csv(path, response_column: str) -> LoadedCsv:
         except StopIteration:
             raise CsvFormatError(f"{path} is empty") from None
         header = [h.strip() for h in header]
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise CsvFormatError(f"duplicated column names in header: {repeated}")
         if response_column not in header:
             raise CsvFormatError(
                 f"response column {response_column!r} not in header {header}")

@@ -12,26 +12,21 @@ from .core import (
     AdditiveFit,
     Dataset,
     FunctionClassFitter,
-    FunctionClassMember,
     TraceRecord,
     empirical_norm,
     objective,
-    zero_member,
 )
 
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Stop on iteration cap, objective stall, or small iterate change.
+    """Stop on iteration cap or small iterate change.
 
     ``max_iters`` (at least 1) always caps the run.  ``change_tol``
     applies to ||f_m - f_{m-1}||_n + ||g_m - g_{m-1}||_n.
-    ``objective_tol`` (when positive) fires once the per-iteration
-    objective improvement falls below it.
     """
 
     max_iters: int = 500
-    objective_tol: float = 0.0
     change_tol: float = 1e-6
 
     def __post_init__(self):
@@ -45,11 +40,6 @@ class FitterError(RuntimeError):
     def __init__(self, message: str, partial_trace: tuple[TraceRecord, ...]):
         super().__init__(message)
         self.partial_trace = partial_trace
-
-
-def training_values(member: FunctionClassMember, data: Dataset) -> np.ndarray:
-    """The member's values at ``data.X``: its ``fitted`` array if it has one."""
-    return member(data.X) if member.fitted is None else member.fitted
 
 
 def fit_double_penalty(data: Dataset, fitter_f: FunctionClassFitter,
@@ -76,22 +66,17 @@ def fit_double_penalty(data: Dataset, fitter_f: FunctionClassFitter,
                               tuple(trace)) from exc
 
     f_member = run_fit(fitter_f, y, "f")
-    f_vals = training_values(f_member, data)
-    g_member = zero_member(descriptor=f_member.descriptor)
-    g_vals = np.zeros(data.n)
+    f_vals = f_member.fitted
+    g_vals = np.zeros(data.n)  # g_0 = 0; the first iteration sets g_member
 
     stop_reason = "max-iters"
-    prev_objective = float("inf")
     for _ in range(stop.max_iters):
-        g_member_new = run_fit(fitter_g, y - f_vals, "g")
-        g_vals_new = training_values(g_member_new, data)
-        f_member_new = run_fit(fitter_f, y - g_vals_new, "f")
-        f_vals_new = training_values(f_member_new, data)
+        g_member = run_fit(fitter_g, y - f_vals, "g")
+        f_member = run_fit(fitter_f, y - g_member.fitted, "f")
 
-        delta_f = empirical_norm(f_vals_new - f_vals)
-        delta_g = empirical_norm(g_vals_new - g_vals)
-        f_member, f_vals = f_member_new, f_vals_new
-        g_member, g_vals = g_member_new, g_vals_new
+        delta_f = empirical_norm(f_member.fitted - f_vals)
+        delta_g = empirical_norm(g_member.fitted - g_vals)
+        f_vals, g_vals = f_member.fitted, g_member.fitted
 
         obj = objective(data, f_vals, g_vals, f_member.penalty_value, g_member.penalty_value)
         ref_dist = None
@@ -104,10 +89,6 @@ def fit_double_penalty(data: Dataset, fitter_f: FunctionClassFitter,
         if stop.change_tol > 0.0 and delta_f + delta_g < stop.change_tol:
             stop_reason = "change-tol"
             break
-        if stop.objective_tol > 0.0 and prev_objective - obj < stop.objective_tol:
-            stop_reason = "objective-tol"
-            break
-        prev_objective = obj
 
     return AdditiveFit(f_member, g_member, tuple(trace), stop_reason)
 

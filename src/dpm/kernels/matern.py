@@ -41,6 +41,10 @@ class MaternSpec:
     def mu(self) -> float:
         return self.nu - self.p / 2.0
 
+    def gram(self, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+        """Kernel matrix between two point sets; see ``matern_gram``."""
+        return matern_gram(self, A, B)
+
 
 def matern_of_distance(spec: MaternSpec, r: np.ndarray) -> np.ndarray:
     """Kernel value as a function of Euclidean distance (vectorized)."""

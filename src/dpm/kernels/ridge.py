@@ -7,23 +7,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..core import Dataset, FunctionClassFitter, FunctionClassMember
+from ..core import Dataset, FunctionClassFitter, FunctionClassMember, to_unit
 from ..numerics import cholesky_solve
-from .matern import MaternSpec, matern_gram
+from .matern import MaternSpec
 from .projection import ProjectedKernel
 
 __all__ = ["KernelRidgeModel", "KernelRidgeFitter", "RidgeSystem", "kernel_ridge_fit",
            "gcv_select_lambda"]
 
 KernelLike = Union[MaternSpec, ProjectedKernel]
-
-
-def kernel_block(kernel: KernelLike, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
-    if isinstance(kernel, ProjectedKernel):
-        return kernel.gram(A, B)
-    if isinstance(kernel, MaternSpec):
-        return matern_gram(kernel, A, B)
-    raise TypeError(f"unsupported kernel type {type(kernel).__name__}")
 
 
 @dataclass(frozen=True)
@@ -35,9 +27,14 @@ class KernelRidgeModel:
     lam: float
     kernel: KernelLike
     jitter: float                # diagonal jitter the Cholesky solve needed; 0.0 if none
+    lo: np.ndarray               # the training domain's box, which predict maps to the unit cube
+    hi: np.ndarray
+
+    def predict(self, points: np.ndarray) -> np.ndarray:
+        return self.predict_unit(to_unit(points, self.lo, self.hi))
 
     def predict_unit(self, unit_points: np.ndarray) -> np.ndarray:
-        return kernel_block(self.kernel, unit_points, self.centers) @ self.alpha
+        return self.kernel.gram(unit_points, self.centers) @ self.alpha
 
 
 @dataclass(frozen=True)
@@ -81,15 +78,10 @@ def kernel_ridge_fit(kernel: KernelLike, data: Dataset, residual: np.ndarray,
     if residual.size != data.n:
         raise ValueError("residual length must match dataset")
     model = KernelRidgeModel(data.unit_X, system.solve(residual), system.lam, kernel,
-                             system.jitter)
-
-    def evaluator(points, _model=model, _to_unit=data.to_unit):
-        return _model.predict_unit(_to_unit(points))
-
+                             system.jitter, data.lo, data.hi)
     fitted = system.gram @ model.alpha
     penalty = system.lam * float(model.alpha @ fitted)
-    return FunctionClassMember("kernel-expansion", evaluator, penalty, coefficients=model,
-                               fitted=fitted)
+    return FunctionClassMember(model, penalty, fitted)
 
 
 @dataclass(frozen=True)
@@ -142,7 +134,7 @@ class KernelRidgeFitter(FunctionClassFitter):
 
     def fit(self, data: Dataset, residual: np.ndarray) -> FunctionClassMember:
         kernel = self.kernel
-        gram = data.derived(("gram", kernel), lambda: kernel_block(kernel, data.unit_X))
+        gram = data.derived(("gram", kernel), lambda: kernel.gram(data.unit_X))
         if self.lam is None:
             self.lam, self.gcv_curve = gcv_select_lambda(gram, residual)
         system = self._system

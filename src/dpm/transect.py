@@ -42,9 +42,11 @@ class TransectConfig:
     pair: LearnerPair = field(default_factory=LearnerPair)
 
     def __post_init__(self):
+        if not math.isfinite(self.c):
+            raise ValueError("transect offset c must be finite")
         grid = np.asarray(self.lambda_f_grid, dtype=float)
-        if grid.size == 0 or np.any(grid <= 0.0):
-            raise ValueError("lambda_f grid must be positive")
+        if grid.size == 0 or not np.all((grid > 0.0) & np.isfinite(grid)):
+            raise ValueError("lambda_f grid must be positive and finite")
         if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
             raise ValueError("lambda_f grid must be strictly increasing")
 

@@ -13,6 +13,8 @@ import dpm.classes.stumps as stumps_module
 from dpm.classes import (
     LassoFitter,
     LinearFitter,
+    LinearModel,
+    StumpEnsemble,
     StumpFitter,
     fit_boosted_stumps,
     fit_finite_basis,
@@ -258,7 +260,7 @@ class TestLasso:
     def test_fitter_wrapper(self):
         data, y = self._random_problem(4)
         member = LassoFitter(0.1).fit(data, y)
-        assert member.descriptor == "linear"
+        assert isinstance(member.coefficients, LinearModel)
 
 
 def _presort_by_column(X):
@@ -382,7 +384,7 @@ class TestStumps:
     def test_fitter_wrapper_and_validation(self):
         data = Dataset(np.linspace(0, 1, 10), np.zeros(10))
         member = StumpFitter(0.1).fit(data, data.y)
-        assert member.descriptor == "stump-ensemble"
+        assert isinstance(member.coefficients, StumpEnsemble)
         with pytest.raises(ValueError):
             StumpFitter(-0.1).fit(data, data.y)
 
@@ -438,5 +440,5 @@ class TestFitterState:
 def test_linear_fitter_wrapper():
     data = Dataset(np.linspace(0, 1, 8), np.linspace(0, 2, 8))
     member = LinearFitter().fit(data, data.y)
-    assert member.descriptor == "linear"
+    assert isinstance(member.coefficients, LinearModel)
     assert member.coefficients.beta[0] == pytest.approx(2.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dpm
+from dpm.classes import LinearModel
 from dpm.core import (
     AdditiveFit,
     Dataset,
@@ -15,8 +16,13 @@ from dpm.core import (
     empirical_inner,
     empirical_norm,
     objective,
-    zero_member,
 )
+
+
+def _line(slope, penalty=0.0):
+    """The member x -> slope * x[:, 0], fitted at no training points."""
+    return FunctionClassMember(LinearModel(np.array([slope]), None, np.inf), penalty,
+                               np.zeros(0))
 
 
 def test_empirical_inner_and_norm():
@@ -105,27 +111,19 @@ class TestDataset:
 
 class TestFunctionClassMember:
     def test_callable_and_validation(self):
-        m = FunctionClassMember("linear", lambda pts: np.zeros(len(pts)), 0.5)
-        assert m(np.zeros((4, 2))).shape == (4,)
+        m = _line(3.0, penalty=0.5)
+        np.testing.assert_array_equal(m(np.array([[1.0], [2.0]])), [3.0, 6.0])
+        np.testing.assert_array_equal(m(np.array([1.0, 2.0])), [3.0, 6.0])
         with pytest.raises(ValueError):
-            FunctionClassMember("spline", lambda p: p, 0.0)
+            _line(3.0, penalty=-1.0)
         with pytest.raises(ValueError):
-            FunctionClassMember("linear", lambda p: p, -1.0)
-        with pytest.raises(ValueError):
-            FunctionClassMember("linear", lambda p: p, float("nan"))
-
-    def test_zero_member(self):
-        z = zero_member("stump-ensemble")
-        assert z.descriptor == "stump-ensemble"
-        np.testing.assert_array_equal(z(np.ones((3, 2))), np.zeros(3))
-        np.testing.assert_array_equal(z(np.ones(5)), np.zeros(5))
+            _line(3.0, penalty=float("nan"))
 
 
 class TestAdditiveFit:
     def _fit(self):
-        f = FunctionClassMember("linear", lambda pts: np.asarray(pts)[:, 0], 0.0)
-        g = FunctionClassMember("kernel-expansion",
-                                lambda pts: 2.0 * np.asarray(pts)[:, 0], 0.1)
+        f = _line(1.0)
+        g = _line(2.0, penalty=0.1)
         trace = (TraceRecord(1, 1.0, 0.5, 0.5, 0.0, 0.1),
                  TraceRecord(2, 0.5, 0.1, 0.1, 0.0, 0.1))
         return AdditiveFit(f, g, trace, "change-tol")
@@ -138,7 +136,7 @@ class TestAdditiveFit:
 
     def test_stop_reason_validated(self):
         with pytest.raises(ValueError):
-            AdditiveFit(zero_member(), zero_member(), (), "diverged")
+            AdditiveFit(_line(1.0), _line(2.0), (), "diverged")
 
 
 def test_runtime_imports_only_numpy_and_the_standard_library():

@@ -10,7 +10,7 @@ import pytest
 import dpm.classes.lasso as lasso_module
 import dpm.classes.linear as linear_module
 import dpm.classes.stumps as stumps_module
-import dpm.kernels.ridge as ridge_module
+import dpm.kernels.matern as matern_module
 import dpm.transect as transect_module
 from dpm.classes import LinearFitter
 from dpm.cli import _parse_log_grid, main
@@ -96,6 +96,17 @@ class TestLoadCsv:
         path = _write_csv(tmp_path / "toy.csv", header, rows)
         with pytest.raises(CsvFormatError, match="z"):
             load_csv(path, "z")
+
+    def test_duplicated_header_rejected(self, tmp_path):
+        # a repeated name would read the first such column twice
+        path = _write_csv(tmp_path / "dup.csv", ["a", "a", "b", "b", "y"],
+                          [[1.0, 5.0, 2.0, 3.0, 0.5], [2.0, 6.0, 1.0, 4.0, 1.5],
+                           [3.0, 4.0, 0.0, 5.0, 2.5]])
+        with pytest.raises(CsvFormatError, match=r"\['a', 'b'\]"):
+            load_csv(path, "y")
+        code = main(["fit", "--data", str(path), "--response", "y", "--lambda-f", "0.5",
+                     "--lambda-g", "0.1", "--out", str(tmp_path / "x.json")])
+        assert code == 2
 
     def test_too_few_rows(self, tmp_path):
         path = _write_csv(tmp_path / "tiny.csv", ["y", "x1"], [[1.0, 2.0]])
@@ -199,7 +210,7 @@ class TestFoldsSharedAcrossCells:
     def test_kernel_transect_builds_one_gram_per_fold(self, monkeypatch):
         fit_grams = []
         solve_matrices = []
-        original = ridge_module.matern_gram
+        original = matern_module.matern_gram
         original_solve = linear_module.least_squares_matrix
 
         def counted(spec, A, B=None):
@@ -211,7 +222,7 @@ class TestFoldsSharedAcrossCells:
             solve_matrices.append(design.shape)
             return original_solve(design)
 
-        monkeypatch.setattr(ridge_module, "matern_gram", counted)
+        monkeypatch.setattr(matern_module, "matern_gram", counted)
         monkeypatch.setattr(linear_module, "least_squares_matrix", counted_solve)
         config = TransectConfig(c=-2.0, lambda_f_grid=(1e-3, 1e-2, 1e-1, 1.0),
                                 pair=LearnerPair("linear", "kernel"))
@@ -450,6 +461,30 @@ class TestCli:
 
     def test_separability_without_args(self):
         assert main(["separability"]) == 2
+
+    def test_fit_non_finite_lambda_is_validation_error(self, tmp_path, capsys):
+        path = self._data_file(tmp_path)
+        code = main(["fit", "--data", str(path), "--response", "y",
+                     "--lambda-f", "nan", "--lambda-g", "0.1",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_transect_non_finite_grid_is_validation_error(self, tmp_path, capsys):
+        path = self._data_file(tmp_path)
+        out = tmp_path / "t.csv"
+        code = main(["transect", "--data", str(path), "--response", "y",
+                     "--lf-grid", "nan:1:3", "--out", str(out)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_transect_non_finite_c_is_validation_error(self, tmp_path, capsys):
+        path = self._data_file(tmp_path)
+        code = main(["transect", "--data", str(path), "--response", "y",
+                     "--c", "nan", "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_bad_grid_spec(self, tmp_path):
         path = self._data_file(tmp_path)

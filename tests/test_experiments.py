@@ -18,6 +18,7 @@ from dpm.classes import fit_linear_ols
 from dpm.core import Dataset
 from dpm.experiments.testfuncs import gramacy1d, sine_linear, sun5d
 from dpm.kernels import MaternSpec, matern_gram
+from dpm.kernels import matern as matern_module
 from dpm.kernels import ridge as ridge_module
 from dpm.numerics import cholesky_solve, halton, maximin_lhs
 from dpm.separability import psi
@@ -220,13 +221,13 @@ class TestExample2Alternation:
     def test_one_gram_per_rep(self, monkeypatch):
         # every n*lambda of a rep shares the training Gram
         calls = []
-        original = ridge_module.matern_gram
+        original = matern_module.matern_gram
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(ridge_module, "matern_gram", counted)
+        monkeypatch.setattr(matern_module, "matern_gram", counted)
         reps = 2
         run_example2(nlambdas=(1.0, 0.1, 1e-9), noise_sds=(0.1, 0.01), iters=2, reps=reps)
         assert len(calls) == 2 * reps

@@ -1,16 +1,19 @@
 """Matern kernels, the orthogonal projection construction, and ridge fits."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpm.kernels.matern as matern_module
 import dpm.kernels.projection as projection_module
 import dpm.kernels.ridge as ridge_module
-from dpm.classes import LinearFitter
-from dpm.core import Dataset, zero_member
+from dpm.classes import LinearFitter, fit_linear_ols
+from dpm.core import Dataset
 from dpm.fitter import StoppingRule, fit_double_penalty
 from dpm.kernels import (
     KernelRidgeFitter,
@@ -198,7 +201,7 @@ class TestProjectedKernel:
 
 class _ZeroFitter:
     def fit(self, data, residual):
-        return zero_member()
+        return fit_linear_ols(data, np.zeros(data.n))
 
 
 def _counting(monkeypatch, module, name):
@@ -220,7 +223,7 @@ class TestKernelRidgeFitterCaches:
         return Dataset(x, 2.0 * x[:, 0] + np.sin(5.0 * x[:, 1]) + rng.normal(0, 0.1, 30))
 
     def test_one_gram_and_one_factorization_per_alternation(self, monkeypatch):
-        grams = _counting(monkeypatch, ridge_module, "matern_gram")
+        grams = _counting(monkeypatch, matern_module, "matern_gram")
         solves = _counting(monkeypatch, ridge_module, "cholesky_solve")
         spec = MaternSpec(nu=4.5, p=2, phi=1.0)
         data = self._data(seed=1)
@@ -252,7 +255,7 @@ class TestKernelRidgeFitterCaches:
         assert len(solves) == 1
 
     def test_gcv_reuses_the_fitter_gram(self, monkeypatch):
-        grams = _counting(monkeypatch, ridge_module, "matern_gram")
+        grams = _counting(monkeypatch, matern_module, "matern_gram")
         data = self._data(seed=2)
         fitter_g = KernelRidgeFitter(MaternSpec(nu=4.5, p=2, phi=1.0), lam=None)
         fit_double_penalty(data, LinearFitter(), fitter_g)
@@ -270,6 +273,17 @@ class TestKernelRidgeFitterCaches:
         np.testing.assert_allclose(cached.coefficients.alpha, direct.coefficients.alpha,
                                    rtol=0, atol=1e-12)
         np.testing.assert_array_equal(cached.fitted, cached(data.X))
+
+    def test_member_does_not_keep_its_dataset_alive(self):
+        # the model keeps the domain's corners, not the Dataset and its caches
+        data = self._data(seed=4)
+        X = data.X
+        member = KernelRidgeFitter(MaternSpec(nu=4.5, p=2, phi=1.0), lam=0.01).fit(data, data.y)
+        alive = weakref.ref(data)
+        del data
+        gc.collect()
+        assert alive() is None
+        np.testing.assert_array_equal(member(X), member.fitted)
 
 
 class TestProjectedKernelRuleMoments:
