@@ -12,7 +12,7 @@ from ..core import Dataset, FunctionClassFitter, FunctionClassMember
 from ..numerics import tensor_or_qmc_rule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)    # compared by identity: beta is an array
 class LinearModel:
     beta: np.ndarray
     intercept: Optional[float]
@@ -38,7 +38,7 @@ def _basis_columns(basis: Sequence[Callable], points: np.ndarray) -> np.ndarray:
     return np.column_stack([np.asarray(phi(arg), dtype=float) for phi in basis])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)    # compared by identity: alpha is an array
 class FiniteBasisModel:
     basis: tuple
     alpha: np.ndarray

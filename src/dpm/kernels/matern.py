@@ -47,23 +47,68 @@ class MaternSpec:
 
 
 def matern_of_distance(spec: MaternSpec, r: np.ndarray) -> np.ndarray:
-    """Kernel value as a function of Euclidean distance (vectorized)."""
-    r = np.asarray(r, dtype=float)
+    """Kernel value as a function of Euclidean distance (vectorized).
+
+    Returns an array of r's shape (0-d for a scalar); r is not changed.
+    """
+    return _kernel_of_distance(spec, np.array(r, dtype=float))
+
+
+def _kernel_of_distance(spec: MaternSpec, z: np.ndarray) -> np.ndarray:
+    """``matern_of_distance`` on a float array of distances it overwrites.
+
+    Distances that are not positive (and NaN) give the limit value 1; the
+    gather and scatter they need are skipped when every distance is positive.
+    """
     mu = spec.mu
-    z = 2.0 * math.sqrt(mu) * spec.phi * r
+    z *= 2.0 * math.sqrt(mu) * spec.phi
+    if z.size and z.min() > 0.0:
+        return _scaled_kernel(mu, z)
     out = np.ones_like(z)
     pos = z > 0.0
     if np.any(pos):
-        zp = z[pos]
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = zp ** mu * bessel_k(mu, zp) / (math.gamma(mu) * 2.0 ** (mu - 1.0))
-        # saturated Bessel values at z -> 0 resolve to the limit 1
-        out[pos] = np.where(np.isfinite(vals), np.clip(vals, 0.0, 1.0), 1.0)
+        out[pos] = _scaled_kernel(mu, z[pos])
     return out
 
 
+def _scaled_kernel(mu: float, z: np.ndarray) -> np.ndarray:
+    """Overwrite positive z with z^mu K_mu(z) / (Gamma(mu) 2^(mu-1)) in [0, 1]."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = bessel_k(mu, z)
+        np.power(z, mu, out=z)
+        np.multiply(z, k, out=z)
+        np.divide(z, math.gamma(mu) * 2.0 ** (mu - 1.0), out=z)
+    # saturated Bessel values at z -> 0 resolve to the limit 1; the mask is
+    # taken before clipping, which would send -inf to 0
+    finite = np.isfinite(z)
+    np.clip(z, 0.0, 1.0, out=z)
+    if not finite.all():
+        z[~finite] = 1.0
+    return z
+
+
+def _distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of A and of B, one coordinate at a time."""
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"point sets differ in dimension: {A.shape[1]} and {B.shape[1]}")
+    sq = np.zeros((A.shape[0], B.shape[0]))
+    diff = np.empty_like(sq)
+    for a, b in zip(A.T, B.T):
+        np.subtract.outer(a, b, out=diff)
+        np.square(diff, out=diff)
+        sq += diff
+    return np.sqrt(sq, out=sq)
+
+
 def matern_gram(spec: MaternSpec, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
-    """Kernel matrix between two point sets (rows are points)."""
+    """Kernel matrix between two point sets (rows are points).
+
+    Squared distances are summed one coordinate at a time into the (m, k)
+    result, so no (m, k, p) difference array is built.  The coordinates are
+    added in order, which for p < 8 is bit for bit the order in which numpy
+    sums a short last axis; from p = 8 numpy sums pairwise, and the two
+    orders can differ in the last few bits of a distance.
+    """
     A = np.asarray(A, dtype=float)
     if A.ndim == 1:
         A = A[:, None]
@@ -73,8 +118,7 @@ def matern_gram(spec: MaternSpec, A: np.ndarray, B: np.ndarray | None = None) ->
         B = np.asarray(B, dtype=float)
         if B.ndim == 1:
             B = B[:, None]
-    d = np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(-1))
-    return matern_of_distance(spec, d)
+    return _kernel_of_distance(spec, _distances(A, B))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ __all__ = ["KernelRidgeModel", "KernelRidgeFitter", "RidgeSystem", "kernel_ridge
 KernelLike = Union[MaternSpec, ProjectedKernel]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)    # compared by identity: its fields include arrays
 class KernelRidgeModel:
     """Dual-form ridge fit: alpha = (K + n*lambda*I + jitter*I)^{-1} residual."""
 

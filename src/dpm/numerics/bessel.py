@@ -202,13 +202,20 @@ def _k_general(order: float, x: np.ndarray) -> np.ndarray:
 
 
 def _k_half_integer(n: int, x: np.ndarray) -> np.ndarray:
-    """K_{n+1/2}(x) closed form, n >= 0."""
+    """K_{n+1/2}(x) closed form, n >= 0, in three x-sized buffers."""
     with np.errstate(over="ignore"):
+        two_x = np.multiply(2.0, x)
+        term = np.empty_like(x)
         total = np.zeros_like(x)
         for k in range(n + 1):
             coeff = math.factorial(n + k) / (math.factorial(k) * math.factorial(n - k))
-            total += coeff / (2.0 * x) ** k
-        return np.sqrt(math.pi / (2.0 * x)) * np.exp(-x) * total
+            np.power(two_x, k, out=term)
+            np.divide(coeff, term, out=term)
+            total += term
+        prefactor = np.sqrt(np.divide(math.pi, two_x, out=two_x), out=two_x)
+        decay = np.exp(np.negative(x, out=term), out=term)
+        np.multiply(prefactor, decay, out=prefactor)
+        return np.multiply(prefactor, total, out=total)
 
 
 def _saturates(order: float, x: np.ndarray) -> np.ndarray:
@@ -223,6 +230,19 @@ def _saturates(order: float, x: np.ndarray) -> np.ndarray:
         return np.zeros(x.shape, dtype=bool)
     log_small = math.lgamma(order) - math.log(2.0) + order * (math.log(2.0) - np.log(x))
     return log_small > _LOG_SATURATION
+
+
+def _k_unsaturated(order: float, x: np.ndarray) -> np.ndarray:
+    """K_order(x) by the order's method; entries that overflow become K_SATURATION."""
+    two_order = 2.0 * order
+    if two_order == round(two_order) and round(two_order) % 2 == 1:
+        vals = _k_half_integer(int(round(order - 0.5)), x)
+    else:
+        vals = _k_general(order, x)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        vals[bad] = K_SATURATION
+    return vals
 
 
 def bessel_k(order: float, x: float | np.ndarray) -> float | np.ndarray:
@@ -245,6 +265,14 @@ def bessel_k(order: float, x: float | np.ndarray) -> float | np.ndarray:
     ------
     ValueError
         If ``order`` is negative or any argument is not strictly positive.
+
+    Notes
+    -----
+    Arguments are validated with two reductions, ``min(x) > 0`` (which NaN
+    fails) and ``max(x) < inf``.  The small-argument saturation estimate
+    falls as x grows, so it is tested on ``min(x)`` first; only when that
+    test fires is each entry masked, and the rest computed apart.  The
+    half-integer closed form works in three buffers the size of x.
     """
     if not math.isfinite(order) or order < 0.0:
         raise ValueError(f"order must be a finite non-negative real, got {order!r}")
@@ -252,22 +280,20 @@ def bessel_k(order: float, x: float | np.ndarray) -> float | np.ndarray:
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.size == 0:
         return arr.reshape(np.shape(x))
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    lo = arr.min()
+    if not (lo > 0.0 and arr.max() < math.inf):    # NaN fails the first test
         raise ValueError("x must be strictly positive and finite")
 
     flat = arr.ravel()
-    sat = _saturates(order, flat)
-    out = np.full(flat.shape, K_SATURATION)
-    live = ~sat
-    if np.any(live):
-        xs = flat[live]
-        two_order = 2.0 * order
-        if two_order == round(two_order) and round(two_order) % 2 == 1:
-            vals = _k_half_integer(int(round(order - 0.5)), xs)
-        else:
-            vals = _k_general(order, xs)
-        vals = np.where(np.isfinite(vals), vals, K_SATURATION)
-        out[live] = vals
+    # the saturation estimate falls as x grows: unless the smallest
+    # argument saturates none does, and no per-entry mask is needed
+    if _saturates(order, lo):
+        sat = _saturates(order, flat)
+        out = np.full(flat.shape, K_SATURATION)
+        if not sat.all():
+            out[~sat] = _k_unsaturated(order, flat[~sat])
+    else:
+        out = _k_unsaturated(order, flat)
     out = out.reshape(arr.shape)
     if scalar:
         return float(out[()] if out.ndim == 0 else out[0])

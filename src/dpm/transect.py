@@ -49,6 +49,14 @@ class TransectConfig:
             raise ValueError("lambda_f grid must be positive and finite")
         if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
             raise ValueError("lambda_f grid must be strictly increasing")
+        for lf in self.lambda_f_grid:
+            try:
+                lg = self.lambda_g_for(float(lf))
+            except OverflowError:
+                lg = math.inf
+            if not 0.0 < lg < math.inf:
+                raise ValueError(f"transect offset c={self.c:g} gives lambda_g={lg:g} "
+                                 f"at lambda_f={float(lf):g}; it must be positive and finite")
 
     def lambda_g_for(self, lambda_f: float) -> float:
         return 10.0 ** (self.c - math.log10(lambda_f))

@@ -437,6 +437,22 @@ class TestFitterState:
         assert sorted(built) == ["lasso_design", "split_table"]
 
 
+def test_fitted_members_and_models_compare_without_raising():
+    # models compare by identity, as value equality of their array fields
+    # is ambiguous; members compare their model and penalty
+    rng = np.random.default_rng(0)
+    X, y = rng.uniform(size=(20, 2)), rng.normal(size=20)
+    a = LinearFitter().fit(Dataset(X, y), y)
+    b = LinearFitter().fit(Dataset(X.copy(), y.copy()), y.copy())
+    np.testing.assert_array_equal(a.coefficients.beta, b.coefficients.beta)
+    for left, right in ((a, b), (a.coefficients, b.coefficients)):
+        assert (left == right) is False and (left != right) is True
+        assert (left == left) is True
+    member = fit_finite_basis([lambda x: x[:, 0], lambda x: x[:, 1]], Dataset(X, y), y)
+    assert (member.coefficients == member.coefficients) is True
+    assert len({a, b, a.coefficients, member.coefficients}) == 4
+
+
 def test_linear_fitter_wrapper():
     data = Dataset(np.linspace(0, 1, 8), np.linspace(0, 2, 8))
     member = LinearFitter().fit(data, data.y)

@@ -272,6 +272,18 @@ class TestTransect:
         with pytest.raises(ValueError):
             TransectConfig(lambda_f_grid=(-1.0, 1.0))
 
+    @pytest.mark.parametrize("c", [400.0, -400.0, 306.0, -330.0])
+    def test_offsets_whose_lambda_g_leaves_float_range_are_rejected(self, c):
+        # 10**(c - log10(lambda_f)) overflows (c > 0) or underflows to 0 (c < 0)
+        # at some point of the default grid, 1e-4 .. 1e2
+        with pytest.raises(ValueError, match="positive and finite"):
+            TransectConfig(c=c)
+
+    def test_extreme_offsets_inside_float_range_are_kept(self):
+        config = TransectConfig(c=300.0)
+        assert all(0.0 < config.lambda_g_for(lf) < math.inf for lf in config.lambda_f_grid)
+        TransectConfig(c=-300.0)
+
     def test_sweep_rows_live_on_the_transect(self):
         data = _cv_dataset(seed=6)
         config = TransectConfig(c=-1.0, lambda_f_grid=(0.01, 0.1, 1.0))
@@ -485,6 +497,16 @@ class TestCli:
                      "--c", "nan", "--out", str(tmp_path / "t.csv")])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c", ["400", "-400"])
+    def test_transect_out_of_range_c_is_validation_error(self, tmp_path, capsys, c):
+        path = self._data_file(tmp_path)
+        out = tmp_path / "t.csv"
+        code = main(["transect", "--data", str(path), "--response", "y",
+                     "--c", c, "--out", str(out)])
+        assert code == 2
+        assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_grid_spec(self, tmp_path):
         path = self._data_file(tmp_path)

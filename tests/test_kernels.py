@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -27,7 +28,7 @@ from dpm.kernels import (
 )
 from dpm.kernels.matern import matern_of_distance
 from dpm.kernels.ridge import RidgeSystem
-from dpm.numerics import QuadratureRule, cholesky_solve, gauss_legendre_01
+from dpm.numerics import QuadratureRule, bessel_k, cholesky_solve, gauss_legendre_01
 
 
 def _matern35_closed(z):
@@ -96,6 +97,103 @@ class TestMaternValues:
         assert np.min(np.linalg.eigvalsh(K)) > -1e-10
         cross = matern_gram(spec, A[:5], A)
         np.testing.assert_allclose(cross, K[:5], atol=1e-15)
+
+
+def _old_matern_of_distance(spec, r):
+    """The gather / clip / scatter evaluation the in-place path replaced."""
+    r = np.asarray(r, dtype=float)
+    mu = spec.mu
+    z = 2.0 * math.sqrt(mu) * spec.phi * r
+    out = np.ones_like(z)
+    pos = z > 0.0
+    if np.any(pos):
+        zp = z[pos]
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = zp ** mu * bessel_k(mu, zp) / (math.gamma(mu) * 2.0 ** (mu - 1.0))
+        out[pos] = np.where(np.isfinite(vals), np.clip(vals, 0.0, 1.0), 1.0)
+    return out
+
+
+def _old_matern_gram(spec, A, B):
+    """Distances from the broadcast (m, k, p) difference array, summed over p."""
+    return _old_matern_of_distance(spec, np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(-1)))
+
+
+# half-integer (closed form) and general (Temme / Steed) orders mu
+_BLOCK_ORDERS = (0.5, 1.5, 3.5, 1.0, 2.2)
+
+
+class TestMaternBlockPath:
+    """The per-coordinate, in-place block path against the expressions it replaced."""
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_gram_is_bit_identical_below_eight_coordinates(self, p):
+        rng = np.random.default_rng(p)
+        A = rng.uniform(0, 1, (40, p))
+        B = np.vstack([rng.uniform(0, 1, (15, p)), A[:3]])   # some zero distances
+        for mu in _BLOCK_ORDERS:
+            for phi in (0.3, 4.0):
+                spec = MaternSpec(nu=mu + p / 2.0, p=p, phi=phi)
+                for other in (A, B):
+                    np.testing.assert_array_equal(matern_gram(spec, A, other),
+                                                  _old_matern_gram(spec, A, other))
+                K = matern_gram(spec, A)
+                assert np.all(np.diag(K) == 1.0)
+                np.testing.assert_array_equal(K, _old_matern_gram(spec, A, A))
+
+    def test_gram_from_eight_coordinates_is_within_sixteen_eps(self):
+        # numpy sums a last axis of 8 or more pairwise, the block path in
+        # order: distances differ in their last few bits, and kernel values,
+        # which lie in [0, 1], by at most a few eps (7 seen over many specs)
+        p = 9
+        rng = np.random.default_rng(9)
+        A = rng.uniform(0, 1, (60, p))
+        B = rng.uniform(0, 1, (25, p))
+        for mu in _BLOCK_ORDERS:
+            for phi in (0.05, 1.0, 5.0):
+                spec = MaternSpec(nu=mu + p / 2.0, p=p, phi=phi)
+                np.testing.assert_allclose(matern_gram(spec, A, B), _old_matern_gram(spec, A, B),
+                                           rtol=0.0, atol=16 * np.finfo(float).eps)
+                assert np.all(np.diag(matern_gram(spec, A)) == 1.0)
+
+    def test_gram_rejects_point_sets_of_different_dimension(self):
+        spec = MaternSpec(nu=3.5, p=2, phi=1.0)
+        with pytest.raises(ValueError, match="dimension"):
+            matern_gram(spec, np.zeros((3, 2)), np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("r", [
+        0.0, 0.37, 1e-300, 40.0,                           # scalars
+        np.array(0.0), np.array(0.8),                      # 0-d arrays
+        np.array([0.0, 0.2, 0.0, 3.0, -1.0, np.nan]),      # zeros, a negative, a NaN
+        np.linspace(0.01, 6.0, 50).reshape(5, 10),         # all positive
+        np.array([1e-200, 1e-30, 0.5, 900.0]),             # saturated and underflowing K
+        np.zeros(0),
+    ], ids=["0", "scalar", "tiny", "far", "0d-zero", "0d", "zeros", "positive", "extremes",
+            "empty"])
+    def test_of_distance_matches_old_code(self, r):
+        before = np.array(r, copy=True)
+        for mu in _BLOCK_ORDERS:
+            spec = MaternSpec(nu=mu + 1.0, p=2, phi=1.3)
+            new, old = matern_of_distance(spec, r), _old_matern_of_distance(spec, r)
+            assert type(new) is type(old) and new.shape == old.shape
+            np.testing.assert_array_equal(new, old)
+        np.testing.assert_array_equal(r, before)      # the argument is not overwritten
+
+    def test_gram_block_allocates_no_large_temporary(self):
+        # the study's 1000 x 50 block at p = 5: four block-sized buffers are
+        # live at the peak (the scaled distances, kept for z^mu, and the
+        # closed form's sum, term and prefactor); the old (m, k, p)
+        # difference array alone was five
+        rng = np.random.default_rng(0)
+        A, B = rng.uniform(0, 1, (1000, 5)), rng.uniform(0, 1, (50, 5))
+        spec = MaternSpec(nu=6.0, p=5, phi=1.0 / (2.0 * math.sqrt(3.5)))
+        tracemalloc.start()
+        try:
+            K = matern_gram(spec, A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.25 * K.nbytes, peak / K.nbytes
 
 
 class TestOrthonormalBasis:
@@ -325,6 +423,14 @@ class TestKernelRidge:
                                    data.y, atol=1e-8)
         np.testing.assert_allclose(m(data.X), K @ alpha, atol=1e-10)
         assert m.penalty_value == pytest.approx(lam * float(alpha @ K @ alpha))
+
+    def test_members_and_models_compare_without_raising(self):
+        data = self._data()
+        fitter = KernelRidgeFitter(MaternSpec(nu=2.5, p=1, phi=1.0), lam=0.05)
+        a, b = fitter.fit(data, data.y), fitter.fit(data, data.y.copy())
+        for left, right in ((a, b), (a.coefficients, b.coefficients)):
+            assert (left == right) is False
+            assert (left == left) is True
 
     def test_factor_rejects_nonpositive_lambda(self):
         for lam in (0.0, -0.1):

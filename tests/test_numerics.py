@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dpm.numerics.bessel as bessel_module
 import dpm.numerics.design as design_module
 from dpm.numerics import (
     K_SATURATION,
@@ -150,6 +151,31 @@ def k_integral(order: float, x: float) -> float:
     return approx
 
 
+def _old_k_half_integer(n, x):
+    """The closed form K_{n+1/2} as written before its buffers were reused."""
+    with np.errstate(over="ignore"):
+        total = np.zeros_like(x)
+        for k in range(n + 1):
+            coeff = math.factorial(n + k) / (math.factorial(k) * math.factorial(n - k))
+            total += coeff / (2.0 * x) ** k
+        return np.sqrt(math.pi / (2.0 * x)) * np.exp(-x) * total
+
+
+def _old_bessel_k(order, x):
+    """bessel_k's former body for a 1-D array: a per-entry saturation mask always."""
+    sat = bessel_module._saturates(order, x)
+    out = np.full(x.shape, K_SATURATION)
+    live = ~sat
+    if np.any(live):
+        xs = x[live]
+        if (2.0 * order) % 2.0 == 1.0:
+            vals = _old_k_half_integer(int(round(order - 0.5)), xs)
+        else:
+            vals = bessel_module._k_general(order, xs)
+        out[live] = np.where(np.isfinite(vals), vals, K_SATURATION)
+    return out
+
+
 class TestBesselK:
     @pytest.mark.parametrize("order,x,expected", BESSEL_TABLE)
     def test_frozen_table(self, order, x, expected):
@@ -204,6 +230,37 @@ class TestBesselK:
             bessel_k(1.0, 0.0)
         with pytest.raises(ValueError):
             bessel_k(1.0, -2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -3.0])
+    @pytest.mark.parametrize("order", [0.0, 2.5, 3.0])
+    def test_invalid_arguments_anywhere_in_an_array(self, bad, order):
+        for x in (bad, np.array(bad), np.array([1.0, bad, 2.0]), np.array([[bad, 4.0]])):
+            with pytest.raises(ValueError, match="strictly positive and finite"):
+                bessel_k(order, x)
+
+    @pytest.mark.parametrize("order", [0.5, 3.5, 0.0, 2.7, 200.0])
+    def test_scalar_and_0d_inputs_return_floats(self, order):
+        for x in (0.8, 1e-300, np.float64(0.8), np.array(0.8), np.array(1e-300)):
+            value = bessel_k(order, x)
+            assert type(value) is float
+            assert value == _old_bessel_k(order, np.atleast_1d(np.asarray(x, dtype=float)))[0]
+
+    def test_large_order_saturates_exactly_the_flagged_entries(self):
+        x = np.array([1e-2, 5.0, 300.0])
+        flagged = bessel_module._saturates(200, x)
+        np.testing.assert_array_equal(flagged, [True, False, False])
+        values = bessel_k(200, x)
+        np.testing.assert_array_equal(values == K_SATURATION, flagged)
+        np.testing.assert_array_equal(values, _old_bessel_k(200, x))
+
+    @pytest.mark.parametrize("order", [0.5, 1.5, 3.5, 10.5, 0.0, 1.0, 3.0, 2.7, 40.0, 200.0])
+    def test_mixed_saturated_array_matches_old_code(self, order):
+        rng = np.random.default_rng(int(order * 10))
+        x = np.concatenate([np.geomspace(1e-300, 800.0, 300), rng.uniform(1e-3, 30.0, 200)])
+        rng.shuffle(x)
+        np.testing.assert_array_equal(bessel_k(order, x), _old_bessel_k(order, x))
+        block = x.reshape(20, 25)
+        np.testing.assert_array_equal(bessel_k(order, block), _old_bessel_k(order, x).reshape(20, 25))
 
     @given(st.floats(0.1, 20.0), st.integers(1, 3))
     @settings(max_examples=50, deadline=None)
