@@ -14,7 +14,7 @@ MAX_SWEEPS = 1000
 TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)    # compared by identity: its fields are arrays
 class LassoDesign:
     """X standardized once for every lasso fit on it.
 

@@ -38,7 +38,7 @@ class StumpEnsemble:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)    # compared by identity: its fields include arrays
 class SplitTable:
     """What every boosting round on one design matrix shares.
 

@@ -33,7 +33,8 @@ class ProjectedKernel:
     weighted basis, moment matrix M) are computed once at construction and
     cached; per-call work is one base Gram block plus rank-(p+1) updates.
     The base Gram block and the moments at the rule's own points are among
-    the cached quantities.
+    the cached quantities, and a cross block against the rule's points takes
+    its moments from its own base block.
     """
 
     def __init__(self, base: MaternSpec, quadrature: QuadratureRule,
@@ -89,7 +90,10 @@ class ProjectedKernel:
             psi = matern_gram(self.base, A, B)
         ea = self._basis_at(A)
         eb = ea if square else self._basis_at(B)
-        ma = self._moments_at(A)
+        if not square and np.array_equal(B, self._rule_points):
+            ma = psi @ self._weighted_basis        # psi is A's block against the rule
+        else:
+            ma = self._moments_at(A)
         mb = ma if square else self._moments_at(B)
         K = psi - ea @ mb.T - ma @ eb.T + ea @ self._moment_matrix @ eb.T
         return 0.5 * (K + K.T) if square else K

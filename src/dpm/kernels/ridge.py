@@ -37,7 +37,7 @@ class KernelRidgeModel:
         return self.kernel.gram(unit_points, self.centers) @ self.alpha
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)    # compared by identity: its fields include arrays
 class RidgeSystem:
     """The ridge system K + n*lambda*I of one Gram matrix, factored once.
 

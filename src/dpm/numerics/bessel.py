@@ -6,22 +6,45 @@ Evaluation strategy by order:
   ``K_{n+1/2}(x) = sqrt(pi/(2x)) e^{-x} sum_k (n+k)! / (k! (n-k)! (2x)^k)``,
 * every other order is split as ``order = mu + nl`` with ``nl`` the
   nearest integer and ``|mu| <= 1/2``.  ``K_mu`` and ``K_{mu+1}`` come from
-  Temme's series for ``x < 2`` and from Steed's evaluation of the
-  continued fraction CF2 for ``x >= 2`` (Temme 1975, J. Comput. Phys.
-  19:324; Numerical Recipes section 6.7), and the upward recurrence
-  ``K_{nu+1}(x) = K_{nu-1}(x) + (2 nu/x) K_nu(x)`` carries them to the
-  requested order.
+  the trapezoid rule on the integral (DLMF 10.32.9)
 
-Both iterations stop each argument on its own convergence test and never
-update it afterwards, so a value does not depend on which other
-arguments share its array.  No external special-function dependency.
-Values whose magnitude would overflow float64 saturate at
-:data:`K_SATURATION` instead of returning infinity; callers can compare
-against that constant to detect saturation.
+      K_nu(x) = e^{-x} int_0^inf exp(-x (cosh t - 1)) cosh(nu t) dt,
+
+  and the upward recurrence ``K_{nu+1}(x) = K_{nu-1}(x) + (2 nu/x) K_nu(x)``
+  carries them to the requested order.
+
+The integrand is analytic in the strip |Im t| < pi/2, so the trapezoid rule
+converges geometrically in its step h (Trefethen & Weideman 2014, SIAM
+Review 56:385, Theorem 5.1).  On the strip of half-width a its relative
+error is at most 2 e^kappa / (e^{2 pi a / h} - 1), where
+kappa = x (1 - cos a) + (3/2) log(1/cos a) bounds log(K_nu(x cos a) / K_nu(x))
+for nu <= 3/2.  The rule is truncated at T where the tail
+e^{-x (cosh T - 1) + 3T/2} falls below the same target relative to
+K_nu(x) e^x >= 1 / sqrt(max(x, 1)).  Both bounds are set to e^-39
+(about 1.2e-17), so the error left is rounding, a few units in the last
+place.
+
+Arguments are banded by their binary octave [2^(e-1), 2^e), e the
+``np.frexp`` exponent.  The kappa bound grows with x, so the octave's step
+is the largest h over a grid of strip widths a that meets it at the upper
+edge; the tail falls with x, so T is set at the lower edge.  Every argument
+of an octave then shares the nodes t_k = k h, and the octave costs one
+``exp`` over its (arguments x nodes) block and one weighted sum per row
+and order.
+The nodes keep 2^e (cosh t_k - 1), so that x (cosh t_k - 1) is the exact
+product of that and the mantissa x 2^-e: nothing overflows, down to
+x = 5e-324 where T is about 752.  Each row is summed on its own by a numpy
+reduction, so a value does not depend on which other arguments share its
+array.  Octaves where e^-x underflows are exactly 0 without quadrature.
+
+No external special-function dependency.  Values whose magnitude would
+overflow float64 saturate at :data:`K_SATURATION` instead of returning
+infinity; callers can compare against that constant to detect saturation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -33,168 +56,102 @@ K_SATURATION = 1e300
 
 _LOG_SATURATION = math.log(K_SATURATION)
 
-# Temme's series below this argument, Steed's CF2 at and above it.
-_SERIES_LIMIT = 2.0
-_EPS = 1e-16
-_MAX_ITERS = 10000
-
-# Chebyshev coefficients in 8 mu^2 - 1 of gamma_1(mu) and gamma_2(mu),
-# |mu| <= 1/2 (Numerical Recipes, beschb).
-_GAMMA1_CHEB = (-1.142022680371168e0, 6.5165112670737e-3, 3.087090173086e-4,
-                -3.4706269649e-6, 6.9437664e-9, 3.67795e-11, -1.356e-13)
-_GAMMA2_CHEB = (1.843740587300905e0, -7.68528408447867e-2, 1.2719271366546e-3,
-                -4.9717367042e-6, -3.31261198e-8, 2.423096e-10, -1.702e-13, -1.49e-15)
-
-
-def _chebyshev(coeffs: tuple[float, ...], y: float) -> float:
-    """Clenshaw sum of c_0/2 + sum_k c_k T_k(y) on [-1, 1]."""
-    d = dd = 0.0
-    for c in coeffs[:0:-1]:
-        d, dd = 2.0 * y * d - dd + c, d
-    return y * d - dd + 0.5 * coeffs[0]
+# The trapezoid rule's discretization and truncation bounds are each e^-39.
+_LOG_TOL = 39.0
+# Largest order the rule evaluates: mu + 1 with |mu| <= 1/2.
+_NU_MAX = 1.5
+# Strip half-widths a in (0, pi/2) searched for an octave's step.
+_STRIP_WIDTHS = np.linspace(0.005, 1.565, 313)
+# Entries of an octave's (arguments x nodes) block evaluated at once.
+_BLOCK_ENTRIES = 1 << 13
+# Octaves whose nodes are kept between calls.
+_OCTAVE_CACHE = 64
+# Below this argument pi/(2x) overflows float64.
+_PI_OVER_2_MAX = 0.5 * math.pi / np.finfo(float).max
 
 
-def _gamma_terms(mu: float) -> tuple[float, float, float, float]:
-    """gamma_1, gamma_2, 1/Gamma(1+mu), 1/Gamma(1-mu) for |mu| <= 1/2.
+@functools.lru_cache(maxsize=_OCTAVE_CACHE)
+def _octave_nodes(e: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Nodes t_k, exponents -2^e (cosh t_k - 1) and step h for x in [2^(e-1), 2^e)."""
+    hi = math.ldexp(1.0, e)
+    lo = 0.5 * hi
+    a = _STRIP_WIDTHS
+    kappa = hi * (1.0 - np.cos(a)) - _NU_MAX * np.log(np.cos(a))
+    h = float(np.max(2.0 * math.pi * a / (_LOG_TOL + math.log(2.0) + kappa)))
+    # lo (cosh T - 1) = tol + NU_MAX T, by fixed-point iteration; the map
+    # contracts since lo sinh T is far above NU_MAX there
+    tol = _LOG_TOL + 0.5 * math.log(max(lo, 1.0))
+    T = 1.0
+    for _ in range(8):
+        log_y = math.log(tol + _NU_MAX * T) - math.log(lo)
+        T = log_y + math.log(2.0) if log_y > 30.0 else math.acosh(1.0 + math.exp(log_y))
+    t = h * np.arange(math.ceil(T / h) + 1)
+    # 2^e (cosh t - 1) = 2^(1+r) (2^q sinh(t/2))^2 with e = 2q + r
+    q, r = divmod(e, 2)
+    exponent = -2.0 ** (1 + r) * np.square(np.ldexp(np.sinh(0.5 * t), q))
+    t.flags.writeable = False
+    exponent.flags.writeable = False
+    return t, exponent, h
 
-    gamma_1 = (1/Gamma(1-mu) - 1/Gamma(1+mu)) / (2 mu) and
-    gamma_2 = (1/Gamma(1-mu) + 1/Gamma(1+mu)) / 2, from expansions that
-    stay accurate as mu -> 0.
+
+def _trapezoid(orders: tuple[float, ...], x: np.ndarray) -> list[np.ndarray]:
+    """K_nu(x) for each nu in ``orders`` (|nu| <= 3/2) by the banded trapezoid rule.
+
+    The arguments are sorted by octave, so that each octave's rows are a
+    slice of the mantissas and of the sums; the sums go back to x's order
+    once, at the end.
     """
-    y = 8.0 * mu * mu - 1.0
-    gam1 = _chebyshev(_GAMMA1_CHEB, y)
-    gam2 = _chebyshev(_GAMMA2_CHEB, y)
-    return gam1, gam2, gam2 - mu * gam1, gam2 + mu * gam1
+    # arrays the size of x are freed as soon as they are spent
+    mantissa, octave = np.frexp(x)
+    by_octave = np.argsort(octave, kind="stable")
+    mantissa = mantissa[by_octave]
+    bands, counts = np.unique(octave, return_counts=True)
+    del octave
+    sums = [np.zeros_like(x) for _ in orders]
+    start = 0
+    for e, count in zip(bands.tolist(), counts.tolist()):
+        if math.exp(-math.ldexp(1.0, e - 1)) == 0.0:
+            break                        # e^-x underflows here and in every later octave
+        rows = slice(start, start + count)
+        _octave_sums(e, orders, mantissa[rows], [total[rows] for total in sums])
+        start += count
+    del mantissa
+    decay = x[by_octave]
+    np.exp(np.negative(decay, out=decay), out=decay)
+    for total in sums:
+        total *= decay
+    del decay
+    for i, total in enumerate(sums):
+        sums[i] = np.empty_like(x)
+        sums[i][by_octave] = total
+    return sums
 
 
-def _retire(done: np.ndarray, lane: np.ndarray, state: tuple[np.ndarray, ...],
-            results: tuple[tuple[np.ndarray, np.ndarray], ...]):
-    """Write out the converged lanes and return the lanes still iterating.
-
-    ``results`` pairs an output array, indexed by original lane, with the
-    state array it takes its final value from.  Lanes are ordered so that
-    they usually converge front first; the survivors are then a slice of
-    the state rather than a copy.
-    """
-    k = np.count_nonzero(done)
-    if np.count_nonzero(done[:k]) == k:
-        gone, keep = slice(None, k), slice(k, None)
-    else:
-        gone, keep = done, ~done
-    for out, value in results:
-        out[lane[gone]] = value[gone]
-    return lane[keep], tuple(v[keep] for v in state)
-
-
-def _temme_series(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K_mu(x) and K_{mu+1}(x) by Temme's series, |mu| <= 1/2, 0 < x < 2."""
-    gam1, gam2, gampl, gammi = _gamma_terms(mu)
-    pimu = math.pi * mu
-    fact = 1.0 if abs(pimu) < _EPS else pimu / math.sin(pimu)
-    lane = np.argsort(x, kind="stable")      # small arguments converge first
-    xs = x[lane]
-    d = math.log(2.0) - np.log(xs)
-    e = mu * d
-    sinhc = np.ones_like(e)
-    big = np.abs(e) >= _EPS
-    sinhc[big] = np.sinh(e[big]) / e[big]
-    ff = fact * (gam1 * np.cosh(e) + gam2 * sinhc * d)
-    ee = np.exp(e)
-    p = 0.5 * ee / gampl
-    q = 0.5 / (ee * gammi)
-    c = np.ones_like(xs)
-    quarter = 0.25 * xs * xs
-    total = ff.copy()
-    total1 = p.copy()
-    k_mu = np.empty_like(x)
-    k_mu1 = np.empty_like(x)
-    mu2 = mu * mu
-    for i in range(1, _MAX_ITERS):
-        ff = (i * ff + p + q) / (i * i - mu2)
-        c *= quarter / i
-        p /= i - mu
-        q /= i + mu
-        term = c * ff
-        total += term
-        total1 += c * (p - i * ff)
-        done = np.abs(term) < _EPS * np.abs(total)
-        if np.count_nonzero(done):
-            lane, (ff, c, p, q, quarter, total, total1) = _retire(
-                done, lane, (ff, c, p, q, quarter, total, total1),
-                ((k_mu, total), (k_mu1, total1)))
-            if lane.size == 0:
-                return k_mu, k_mu1 * (2.0 / x)
-    raise ArithmeticError("Temme series for K did not converge")
-
-
-def _steed_cf2(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K_mu(x) and K_{mu+1}(x) by Steed's CF2, |mu| <= 1/2, x >= 2.
-
-    The continued fraction h is summed in the form
-    ``delh_i = u_i / (b_i - u_i) delh_{i-1}`` with ``u_i = -a_i d_{i-1}``,
-    which equals Steed's ``(b_i d_i - 1) delh_{i-1}`` without its
-    cancellation.  Where exp(-x) underflows both values are exactly 0 and
-    the continued fraction is not run.
-    """
-    scale = np.sqrt(math.pi / (2.0 * x)) * np.exp(-x)
-    ok = scale > 0.0
-    k_mu = np.zeros_like(x)
-    k_mu1 = np.zeros_like(x)
-    if not ok.any():
-        return k_mu, k_mu1
-    lane = np.flatnonzero(ok)
-    lane = lane[np.argsort(-x[lane], kind="stable")]   # large arguments converge first
-    a1 = 0.25 - mu * mu
-    b = 2.0 * (1.0 + x[lane])
-    h = 1.0 / b
-    delh = h.copy()
-    u = (a1 + 2.0) * h       # u_2 = -a_2 d_1 with a_2 = -a1 - 2, d_1 = 1/b_1
-    q1 = np.zeros_like(b)
-    q2 = np.ones_like(b)
-    q = np.full_like(b, a1)
-    s = 1.0 + a1 * delh
-    a, c = -a1, a1           # the CF2 coefficients a_i and c_i do not depend on x
-    h_end = np.empty_like(x)
-    s_end = np.empty_like(x)
-    for i in range(2, _MAX_ITERS):
-        a -= 2 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) * (1.0 / a)
-        q1, q2 = q2, qnew
-        q += c * qnew
-        b += 2.0
-        den = b - u
-        delh *= u / den
-        h += delh
-        dels = q * delh
-        s += dels
-        u = (2 * i - a) / den           # u_{i+1} = -a_{i+1} d_i, a_{i+1} = a_i - 2i
-        done = np.abs(dels) < _EPS * s
-        if np.count_nonzero(done):
-            lane, (b, u, delh, h, q1, q2, q, s) = _retire(
-                done, lane, (b, u, delh, h, q1, q2, q, s), ((h_end, h), (s_end, s)))
-            if lane.size == 0:
-                break
-    else:
-        raise ArithmeticError("continued fraction CF2 for K did not converge")
-    k_mu[ok] = scale[ok] / s_end[ok]
-    k_mu1[ok] = k_mu[ok] * (mu + x[ok] + 0.5 - a1 * h_end[ok]) / x[ok]
-    return k_mu, k_mu1
+def _octave_sums(e: int, orders: tuple[float, ...], mantissa: np.ndarray,
+                 sums: list[np.ndarray]) -> None:
+    """Write sum_k w_k exp(-x (cosh t_k - 1)) for octave e into ``sums``, in row chunks."""
+    t, exponent, h = _octave_nodes(e)
+    weights = h * np.cosh(np.multiply.outer(orders, t))
+    weights[:, 0] *= 0.5
+    step = max(1, _BLOCK_ENTRIES // t.size)
+    for lo in range(0, mantissa.size, step):
+        rows = slice(lo, lo + step)
+        block = np.multiply.outer(mantissa[rows], exponent)
+        np.exp(block, out=block)
+        terms = np.empty_like(block)
+        for total, w in zip(sums, weights):
+            np.add.reduce(np.multiply(block, w, out=terms), axis=1, out=total[rows])
 
 
 def _k_general(order: float, x: np.ndarray) -> np.ndarray:
-    """K_order(x) for any order >= 0 by Temme / Steed plus upward recurrence."""
+    """K_order(x) for any order >= 0 by the trapezoid rule plus upward recurrence."""
     nl = round(order)
     mu = order - nl
-    k_mu = np.empty_like(x)
-    k_mu1 = np.empty_like(x)
-    series = x < _SERIES_LIMIT
-    with np.errstate(over="ignore"):
-        if series.any():
-            k_mu[series], k_mu1[series] = _temme_series(mu, x[series])
-        if not series.all():
-            cf = ~series
-            k_mu[cf], k_mu1[cf] = _steed_cf2(mu, x[cf])
+    # K_{mu+1} overflows (inf, or nan where a node's exp underflows) only
+    # where every order from mu + 1 up saturates, so only when nl = 0 or on
+    # arguments already set aside as saturated
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_mu, k_mu1 = _trapezoid((mu, mu + 1.0), x)
         two_over_x = 2.0 / x
         for j in range(1, nl + 1):
             k_mu, k_mu1 = k_mu1, (mu + j) * two_over_x * k_mu1 + k_mu
@@ -213,6 +170,9 @@ def _k_half_integer(n: int, x: np.ndarray) -> np.ndarray:
             np.divide(coeff, term, out=term)
             total += term
         prefactor = np.sqrt(np.divide(math.pi, two_x, out=two_x), out=two_x)
+        if x.min() < _PI_OVER_2_MAX:             # pi/(2x) overflowed; sqrt(pi/2)/sqrt(x) does not
+            far = np.isinf(prefactor)
+            prefactor[far] = math.sqrt(0.5 * math.pi) / np.sqrt(x[far])
         decay = np.exp(np.negative(x, out=term), out=term)
         np.multiply(prefactor, decay, out=prefactor)
         return np.multiply(prefactor, total, out=total)

@@ -19,7 +19,7 @@ def _require_symmetric(A: np.ndarray, name: str) -> np.ndarray:
     return A
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)    # compared by identity: its fields include arrays
 class CholeskySolveResult:
     solution: np.ndarray
     jitter_used: float

@@ -17,7 +17,7 @@ __all__ = ["QuadratureRule", "gauss_legendre_01", "halton", "tensor_or_qmc_rule"
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)    # compared by identity: its fields are arrays
 class QuadratureRule:
     """Points in [0,1]^p with positive weights summing to one.
 

@@ -32,7 +32,7 @@ def psi(theta: float) -> float:
     return num / den
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)    # compared by identity: its certificate holds arrays
 class SeparabilityReport:
     theta_estimate: float
     method: str

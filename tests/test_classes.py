@@ -453,6 +453,14 @@ def test_fitted_members_and_models_compare_without_raising():
     assert len({a, b, a.coefficients, member.coefficients}) == 4
 
 
+def test_shared_tables_compare_by_identity_without_raising():
+    X = np.random.default_rng(1).uniform(size=(10, 2))
+    for build in (lambda: split_table(X, 0.1), lambda: lasso_module.lasso_design(X)):
+        a, b = build(), build()
+        assert (a == b) is False
+        assert (a == a) is True
+
+
 def test_linear_fitter_wrapper():
     data = Dataset(np.linspace(0, 1, 8), np.linspace(0, 2, 8))
     member = LinearFitter().fit(data, data.y)

@@ -119,7 +119,7 @@ def _old_matern_gram(spec, A, B):
     return _old_matern_of_distance(spec, np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(-1)))
 
 
-# half-integer (closed form) and general (Temme / Steed) orders mu
+# half-integer (closed form) and general (trapezoid rule) orders mu
 _BLOCK_ORDERS = (0.5, 1.5, 3.5, 1.0, 2.2)
 
 
@@ -397,12 +397,27 @@ class TestProjectedKernelRuleMoments:
         assert len(grams) == 0
         other = rng.uniform(0, 1, (4, 1))
         cross = pk.gram(other, u)
-        assert len(grams) == 2                       # psi and the moments of `other`
+        assert len(grams) == 1                       # psi; the moments of `other` come from it
         pk.gram(other)
-        assert len(grams) == 4                       # psi and the moments of `other`
+        assert len(grams) == 3                       # psi and the moments of `other`
         full = pk.gram(np.vstack([u, other]))        # no rule-point shortcut here
         np.testing.assert_allclose(full[:15, :15], K, rtol=0, atol=1e-13)
         np.testing.assert_allclose(full[15:, :15], cross, rtol=0, atol=1e-13)
+
+    def test_cross_block_against_rule_points_is_bit_identical(self):
+        rng = np.random.default_rng(4)
+        u = rng.uniform(0, 1, (12, 1))
+        pk = ProjectedKernel(MaternSpec(nu=3.5, p=1, phi=1.0),
+                             QuadratureRule(u.copy(), np.full(12, 1.0 / 12)))
+        other = rng.uniform(0, 1, (30, 1))
+        cross = pk.gram(other, u.copy())
+        # the former path: A's moments from a second base block against the rule
+        ma = pk._moments_at(other)
+        eb = pk._basis_at(u)
+        ea = pk._basis_at(other)
+        psi = matern_gram(pk.base, other, u)
+        old = psi - ea @ pk._rule_moments.T - ma @ eb.T + ea @ pk._moment_matrix @ eb.T
+        assert cross.tobytes() == old.tobytes()
 
 
 class TestKernelRidge:
@@ -431,6 +446,11 @@ class TestKernelRidge:
         for left, right in ((a, b), (a.coefficients, b.coefficients)):
             assert (left == right) is False
             assert (left == left) is True
+
+    def test_systems_compare_by_identity_without_raising(self):
+        a, b = RidgeSystem.factor(np.eye(3), 0.1), RidgeSystem.factor(np.eye(3), 0.1)
+        assert (a == b) is False
+        assert (a == a) is True
 
     def test_factor_rejects_nonpositive_lambda(self):
         for lam in (0.0, -0.1):

@@ -7,12 +7,13 @@ Gauss-Legendre quadrature below.
 """
 
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dpm.numerics.bessel as bessel_module
@@ -129,13 +130,14 @@ def _integral_on_panels(order: float, x: float, n_panels: int, upper: float) -> 
     width = edges[1] - edges[0]
     nodes = (edges[:-1, None] + width * _GL_X[None, :]).ravel()
     weights = np.broadcast_to(width * _GL_W, (n_panels, _GL_X.size)).ravel()
+    # e^{-x} is taken out, so that the exponent stays small at large x
     with np.errstate(over="ignore"):
-        expo = -x * np.cosh(nodes) + _log_cosh(order * nodes)
-        return float(np.exp(expo) @ weights)
+        expo = -x * (2.0 * np.sinh(0.5 * nodes) ** 2) + _log_cosh(order * nodes)
+        return float(np.exp(expo) @ weights) * math.exp(-x)
 
 
 def k_integral(order: float, x: float) -> float:
-    """K_order(x) = int_0^inf exp(-x cosh t) cosh(order t) dt.
+    """K_order(x) = e^{-x} int_0^inf exp(-x (cosh t - 1)) cosh(order t) dt.
 
     Composite 24-point Gauss-Legendre panels on [0, T], doubled until two
     refinements agree to 1e-12 relative.
@@ -279,6 +281,58 @@ class TestBesselK:
             return
         assert bessel_k(order, lo) > bessel_k(order, hi)
 
+    def test_octave_edges_match_scalar_and_oracle(self):
+        # arguments in [2^(k-1), 2^k) share nodes: the step is set at the
+        # upper edge and the truncation at the lower one
+        edges = 2.0 ** np.arange(-30, 10)
+        xs = np.concatenate([edges, np.nextafter(edges, 0.0)])
+        for order in (0, 0.3, 1, 2.7, 3):
+            batch = bessel_k(order, xs)
+            for xi, bi in zip(xs, batch):
+                assert bi == bessel_k(order, float(xi)), (order, xi)
+                assert bi == pytest.approx(k_integral(order, xi), rel=1e-14), (order, xi)
+
+    # values of the Temme series that the trapezoid rule replaced; 30-digit
+    # mpmath puts them within 4e-16 (K_0) and 2.3e-14 (K_0.3) of K
+    @pytest.mark.parametrize("order,x,expected", [
+        (0, 5e-324, 744.5560034370394),
+        (0, 1e-310, 713.9173103438123),
+        (0, 1e-300, 690.8914594138719),
+        (0.3, 5e-324, 1.8073515188303058e+97),
+        (0.3, 1e-310, 1.841526723163687e+93),
+        (0.3, 1e-300, 1.841526723163687e+90),
+    ])
+    def test_tiny_and_subnormal_arguments(self, order, x, expected):
+        assert bessel_k(order, x) == pytest.approx(expected, rel=1e-13)
+        assert bessel_k(order, np.array([x, 2.0 * x, 1.0]))[0] == bessel_k(order, x)
+
+    @pytest.mark.parametrize("x", [1e-310, 5e-324])
+    def test_half_order_on_subnormal_arguments(self, x):
+        # pi/(2x) overflows below 8.7e-309; K_{1/2} = sqrt(pi/(2x)) e^-x does not
+        assert bessel_k(0.5, x) == pytest.approx(math.sqrt(math.pi / 2) / math.sqrt(x), rel=1e-13)
+        normal = np.array([8.8e-309, 1e-308, 2.5])
+        np.testing.assert_array_equal(bessel_k(0.5, np.append(normal, x))[:3],
+                                      _old_k_half_integer(0, normal))
+
+    @given(st.floats(0.0, 6.0), st.floats(math.log(1e-6), math.log(700.0)))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_integral_oracle_from_1e_6_to_700(self, order, log_x):
+        x = math.exp(log_x)
+        value = bessel_k(order, x)
+        assume(value != K_SATURATION and value != 0.0)
+        assert value == pytest.approx(k_integral(order, x), rel=1e-12)
+
+    def test_block_peak_memory(self):
+        # octaves are evaluated in row chunks of a bounded number of nodes
+        block = np.random.default_rng(3).uniform(0.01, 10.0, (1000, 50))
+        tracemalloc.start()
+        try:
+            bessel_k(3.0, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * block.nbytes, peak / block.nbytes
+
 
 class TestGaussLegendre:
     def test_weights_and_domain(self):
@@ -339,6 +393,12 @@ class TestHalton:
 
 
 class TestQuadratureRule:
+    def test_rules_compare_by_identity_without_raising(self):
+        a, b = gauss_legendre_01(4), gauss_legendre_01(4)
+        np.testing.assert_array_equal(a.points, b.points)
+        assert (a == b) is False and (a != b) is True
+        assert (a == a) is True
+
     def test_validation(self):
         pts = np.array([[0.25], [0.75]])
         with pytest.raises(ValueError):
@@ -565,6 +625,12 @@ class TestMaximinLhs:
 
 
 class TestCholeskySolve:
+    def test_results_compare_by_identity_without_raising(self):
+        a = cholesky_solve(np.eye(3) * 2.0, np.ones(3))
+        b = cholesky_solve(np.eye(3) * 2.0, np.ones(3))
+        assert (a == b) is False
+        assert (a == a) is True
+
     def test_residual_bound(self):
         rng = np.random.default_rng(2)
         m = rng.normal(size=(40, 40))

@@ -128,3 +128,11 @@ class TestEmpiricalTheta:
         with pytest.raises(ValueError):
             SeparabilityReport(1.5, "empirical-canonical",
                                (np.ones(1), np.ones(1)))
+
+
+def test_reports_compare_by_identity_without_raising():
+    x = np.linspace(0.0, 1.0, 50)
+    a, b = empirical_theta(x, np.sin(3 * x)), empirical_theta(x, np.sin(3 * x))
+    assert isinstance(a, SeparabilityReport)
+    assert (a == b) is False
+    assert (a == a) is True
