@@ -33,8 +33,8 @@ class ProjectedKernel:
     weighted basis, moment matrix M) are computed once at construction and
     cached; per-call work is one base Gram block plus rank-(p+1) updates.
     The base Gram block and the moments at the rule's own points are among
-    the cached quantities, and a cross block against the rule's points takes
-    its moments from its own base block.
+    the cached quantities, and a cross block against the rule's points, on
+    either side, takes the other side's moments from its own base block.
     """
 
     def __init__(self, base: MaternSpec, quadrature: QuadratureRule,
@@ -94,7 +94,12 @@ class ProjectedKernel:
             ma = psi @ self._weighted_basis        # psi is A's block against the rule
         else:
             ma = self._moments_at(A)
-        mb = ma if square else self._moments_at(B)
+        if square:
+            mb = ma
+        elif ma is self._rule_moments:             # A is the rule: psi is its block against B
+            mb = psi.T @ self._weighted_basis
+        else:
+            mb = self._moments_at(B)
         K = psi - ea @ mb.T - ma @ eb.T + ea @ self._moment_matrix @ eb.T
         return 0.5 * (K + K.T) if square else K
 

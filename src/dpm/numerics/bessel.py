@@ -28,9 +28,10 @@ Arguments are banded by their binary octave [2^(e-1), 2^e), e the
 ``np.frexp`` exponent.  The kappa bound grows with x, so the octave's step
 is the largest h over a grid of strip widths a that meets it at the upper
 edge; the tail falls with x, so T is set at the lower edge.  Every argument
-of an octave then shares the nodes t_k = k h, and the octave costs one
-``exp`` over its (arguments x nodes) block and one weighted sum per row
-and order.
+of an octave then shares the nodes t_k = k h, cached per octave and mu
+with the weights of K_mu and K_{mu+1}.  An octave's arguments, gathered by
+index, cost one ``exp`` over their (arguments x nodes) block and one
+weighted sum per row and order.
 The nodes keep 2^e (cosh t_k - 1), so that x (cosh t_k - 1) is the exact
 product of that and the mantissa x 2^-e: nothing overflows, down to
 x = 5e-324 where T is about 752.  Each row is summed on its own by a numpy
@@ -64,15 +65,15 @@ _NU_MAX = 1.5
 _STRIP_WIDTHS = np.linspace(0.005, 1.565, 313)
 # Entries of an octave's (arguments x nodes) block evaluated at once.
 _BLOCK_ENTRIES = 1 << 13
-# Octaves whose nodes are kept between calls.
+# (octave, mu) rules kept between calls.
 _OCTAVE_CACHE = 64
 # Below this argument pi/(2x) overflows float64.
 _PI_OVER_2_MAX = 0.5 * math.pi / np.finfo(float).max
 
 
 @functools.lru_cache(maxsize=_OCTAVE_CACHE)
-def _octave_nodes(e: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Nodes t_k, exponents -2^e (cosh t_k - 1) and step h for x in [2^(e-1), 2^e)."""
+def _octave_rule(e: int, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents -2^e (cosh t_k - 1) and the weights of K_mu, K_{mu+1} for x in [2^(e-1), 2^e)."""
     hi = math.ldexp(1.0, e)
     lo = 0.5 * hi
     a = _STRIP_WIDTHS
@@ -89,58 +90,36 @@ def _octave_nodes(e: int) -> tuple[np.ndarray, np.ndarray, float]:
     # 2^e (cosh t - 1) = 2^(1+r) (2^q sinh(t/2))^2 with e = 2q + r
     q, r = divmod(e, 2)
     exponent = -2.0 ** (1 + r) * np.square(np.ldexp(np.sinh(0.5 * t), q))
-    t.flags.writeable = False
+    weights = h * np.cosh(np.multiply.outer((mu, mu + 1.0), t))
+    weights[:, 0] *= 0.5
     exponent.flags.writeable = False
-    return t, exponent, h
+    weights.flags.writeable = False
+    return exponent, weights
 
 
-def _trapezoid(orders: tuple[float, ...], x: np.ndarray) -> list[np.ndarray]:
-    """K_nu(x) for each nu in ``orders`` (|nu| <= 3/2) by the banded trapezoid rule.
-
-    The arguments are sorted by octave, so that each octave's rows are a
-    slice of the mantissas and of the sums; the sums go back to x's order
-    once, at the end.
-    """
-    # arrays the size of x are freed as soon as they are spent
+def _trapezoid(mu: float, x: np.ndarray) -> np.ndarray:
+    """K_mu(x) and K_{mu+1}(x) (|mu| <= 1/2) as the rows of a (2, x.size) array."""
     mantissa, octave = np.frexp(x)
-    by_octave = np.argsort(octave, kind="stable")
-    mantissa = mantissa[by_octave]
-    bands, counts = np.unique(octave, return_counts=True)
-    del octave
-    sums = [np.zeros_like(x) for _ in orders]
-    start = 0
-    for e, count in zip(bands.tolist(), counts.tolist()):
+    # occupied octaves, ascending; np.unique would import numpy.ma (1 MB RSS)
+    first = int(octave.min())
+    bands = np.flatnonzero(np.bincount(octave - first)) + first
+    sums = np.zeros((2, x.size))
+    for e in bands.tolist():
         if math.exp(-math.ldexp(1.0, e - 1)) == 0.0:
             break                        # e^-x underflows here and in every later octave
-        rows = slice(start, start + count)
-        _octave_sums(e, orders, mantissa[rows], [total[rows] for total in sums])
-        start += count
-    del mantissa
-    decay = x[by_octave]
-    np.exp(np.negative(decay, out=decay), out=decay)
-    for total in sums:
-        total *= decay
-    del decay
-    for i, total in enumerate(sums):
-        sums[i] = np.empty_like(x)
-        sums[i][by_octave] = total
+        exponent, weights = _octave_rule(e, mu)
+        rows = np.flatnonzero(octave == e)
+        step = max(1, _BLOCK_ENTRIES // exponent.size)
+        for lo in range(0, rows.size, step):
+            chunk = rows[lo:lo + step]
+            block = np.multiply.outer(mantissa[chunk], exponent)
+            np.exp(block, out=block)
+            for total, w in zip(sums, weights):
+                total[chunk] = np.add.reduce(block * w, axis=1)
+            del block                        # before the next chunk's block is made
+    # e^-x, in the buffer of the spent mantissas
+    sums *= np.exp(np.negative(x, out=mantissa), out=mantissa)
     return sums
-
-
-def _octave_sums(e: int, orders: tuple[float, ...], mantissa: np.ndarray,
-                 sums: list[np.ndarray]) -> None:
-    """Write sum_k w_k exp(-x (cosh t_k - 1)) for octave e into ``sums``, in row chunks."""
-    t, exponent, h = _octave_nodes(e)
-    weights = h * np.cosh(np.multiply.outer(orders, t))
-    weights[:, 0] *= 0.5
-    step = max(1, _BLOCK_ENTRIES // t.size)
-    for lo in range(0, mantissa.size, step):
-        rows = slice(lo, lo + step)
-        block = np.multiply.outer(mantissa[rows], exponent)
-        np.exp(block, out=block)
-        terms = np.empty_like(block)
-        for total, w in zip(sums, weights):
-            np.add.reduce(np.multiply(block, w, out=terms), axis=1, out=total[rows])
 
 
 def _k_general(order: float, x: np.ndarray) -> np.ndarray:
@@ -151,11 +130,12 @@ def _k_general(order: float, x: np.ndarray) -> np.ndarray:
     # where every order from mu + 1 up saturates, so only when nl = 0 or on
     # arguments already set aside as saturated
     with np.errstate(over="ignore", invalid="ignore"):
-        k_mu, k_mu1 = _trapezoid((mu, mu + 1.0), x)
+        k_mu, k_mu1 = _trapezoid(mu, x)
         two_over_x = 2.0 / x
         for j in range(1, nl + 1):
-            k_mu, k_mu1 = k_mu1, (mu + j) * two_over_x * k_mu1 + k_mu
-    return k_mu
+            k_mu += (mu + j) * two_over_x * k_mu1     # K_{mu+j+1}, over K_{mu+j-1}
+            k_mu, k_mu1 = k_mu1, k_mu
+    return k_mu.copy()                       # not a view that keeps both rows alive
 
 
 def _k_half_integer(n: int, x: np.ndarray) -> np.ndarray:

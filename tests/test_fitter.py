@@ -14,7 +14,7 @@ from dpm.classes import (
     StumpFitter,
     fit_linear_ols,
 )
-from dpm.core import AdditiveFit, Dataset, TraceRecord, empirical_norm
+from dpm.core import AdditiveFit, Dataset, TraceRecord, empirical_inner, empirical_norm
 from dpm.fitter import (
     FitterError,
     StoppingRule,
@@ -23,7 +23,7 @@ from dpm.fitter import (
     verify_rate_bound,
 )
 from dpm.kernels import KernelRidgeFitter, MaternSpec, ProjectedKernel
-from dpm.numerics import QuadratureRule
+from dpm.numerics import QuadratureRule, tensor_or_qmc_rule
 
 
 def _sine_data(n=40, theta=3.0, seed=7):
@@ -94,6 +94,46 @@ class TestFittedValues:
         member = LinearFitter().fit(data, data.y)
         assert "fitted" not in repr(member)
         assert member == dataclasses.replace(member, fitted=None)
+
+
+def _contract_fitters(p):
+    """One fitter of every class and option the contract covers, at dimension p."""
+    def first(t):
+        return t if t.ndim == 1 else t[:, 0]
+    spec = MaternSpec(nu=3.0 + p / 2.0, p=p, phi=1.0)      # integer order 3
+    projected = ProjectedKernel(spec, tensor_or_qmc_rule(p, 64))
+    return {
+        "linear": LinearFitter(),
+        "linear-no-intercept": LinearFitter(include_intercept=False),
+        "linear-ridge": LinearFitter(ridge_gamma=0.7),
+        "linear-ball": LinearFitter(norm_bound=0.1),
+        "finite-basis-ball": FiniteBasisFitter([lambda t: np.ones(len(t)),
+                                                lambda t: np.sin(5.0 * first(t))], l2_bound=0.2),
+        "lasso": LassoFitter(0.05),
+        "stumps": StumpFitter(0.01),
+        "kernel": KernelRidgeFitter(spec, lam=1e-2),
+        "projected-kernel": KernelRidgeFitter(projected, lam=1e-2),
+    }
+
+
+class TestFitterContract:
+    """||r - h||_n^2 + L(h) never exceeds the zero function's ||r||_n^2."""
+
+    @given(st.integers(2, 40), st.integers(1, 3), st.floats(1e-3, 1e3),
+           st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_no_member_is_worse_than_the_zero_function(self, n, p, scale, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0.0, 1.0, (n, p))
+        residual = scale * (np.sin(6.0 * X[:, 0]) + rng.normal(size=n))
+        data = Dataset(X, residual)
+        zero = empirical_inner(residual, residual)
+        for name, fitter in _contract_fitters(p).items():
+            member = fitter.fit(data, residual)
+            left = residual - member.fitted
+            value = empirical_inner(left, left) + member.penalty_value
+            assert value <= zero * (1.0 + 1e-12) + 1e-15, (name, value, zero)
+            assert np.array_equal(member.fitted, member(data.X)), name
 
 
 class TestStoppingRule:

@@ -28,7 +28,13 @@ from dpm.kernels import (
 )
 from dpm.kernels.matern import matern_of_distance
 from dpm.kernels.ridge import RidgeSystem
-from dpm.numerics import QuadratureRule, bessel_k, cholesky_solve, gauss_legendre_01
+from dpm.numerics import (
+    QuadratureRule,
+    bessel_k,
+    cholesky_solve,
+    gauss_legendre_01,
+    tensor_or_qmc_rule,
+)
 
 
 def _matern35_closed(z):
@@ -403,6 +409,27 @@ class TestProjectedKernelRuleMoments:
         full = pk.gram(np.vstack([u, other]))        # no rule-point shortcut here
         np.testing.assert_allclose(full[:15, :15], K, rtol=0, atol=1e-13)
         np.testing.assert_allclose(full[15:, :15], cross, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_rule_points_against_other_points_match_the_two_block_path(self, p):
+        rng = np.random.default_rng(6 + p)
+        pk = ProjectedKernel(MaternSpec(nu=3.5 + p / 2.0, p=p, phi=1.0),
+                             tensor_or_qmc_rule(p, 64))
+        rule, other = pk.quadrature.points, rng.uniform(0, 1, (9, p))
+        cross = pk.gram(rule.copy(), other)
+        # the former path: the moments of `other` from a second base block,
+        # the transpose of psi; psi.T @ weights sums in another layout
+        psi = matern_gram(pk.base, rule, other)
+        mb = matern_gram(pk.base, other, rule) @ pk._weighted_basis
+        ea, eb = pk._basis_at(rule), pk._basis_at(other)
+        old = psi - ea @ mb.T - pk._rule_moments @ eb.T + ea @ pk._moment_matrix @ eb.T
+        np.testing.assert_allclose(cross, old, rtol=0, atol=1e-13)
+
+    def test_orthogonality_residual_makes_one_base_block(self, monkeypatch):
+        pk = ProjectedKernel(MaternSpec(nu=3.5, p=1, phi=1.0), gauss_legendre_01(48))
+        grams = _counting(monkeypatch, projection_module, "matern_gram")
+        assert pk.orthogonality_residual(np.array([[0.3], [0.71]])) < 1e-8
+        assert len(grams) == 1
 
     def test_cross_block_against_rule_points_is_bit_identical(self):
         rng = np.random.default_rng(4)

@@ -96,6 +96,37 @@ BESSEL_TABLE = [
     (4.2, 30.0, 2.8465803726034514e-14),
 ]
 
+# (order, x, bessel_k(order, x)) recorded to the last bit from the
+# implementation: the general path's bookkeeping (which arguments share a
+# chunk, in what order the octaves run) must not move a value by one ulp,
+# which the 17-digit table above, checked at rel 1e-13, would not see
+BESSEL_BITS = [
+    (0, 5e-324, 744.5560034370394),
+    (0, 1e-300, 690.8914594138721),
+    (0, 1e-10, 23.14178244559887),
+    (0, 0.5, 0.9244190712276658),
+    (0, 2.0, 0.11389387274953346),
+    (0, 30.0, 2.1324774964630566e-14),
+    (0, 700.0, 4.6697764316853765e-306),
+    (0.3, 5e-324, 1.807351518830342e+97),
+    (0.3, 1e-08, 462.5636031890663),
+    (0.3, 1.0, 0.43507602420880204),
+    (0.3, 7.3, 0.0003101538479348967),
+    (0.3, 100.0, 4.658713811548969e-45),
+    (2.7, 1e-100, 5.018699119639027e+270),
+    (2.7, 0.01, 1260621.683748959),
+    (2.7, 1.5, 1.2536787475216224),
+    (2.7, 20.0, 6.857603127612181e-10),
+    (2.7, 700.0, 4.694138581080098e-306),
+    (3, 1e-80, 8.000000000000031e+240),
+    (3, 0.2, 995.0245582978778),
+    (3, 3.0, 0.12217037575718356),
+    (3, 64.0, 2.68891929680868e-29),
+    (40, 10.0, 5.93822468064936e+17),
+    (40, 50.0, 1.299869709195081e-16),
+    (40, 700.0, 1.4626631188107987e-305),
+]
+
 # 24-point Gauss-Legendre nodes/weights on [0, 1], used per panel.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 _GL_X = (_GL_X + 1.0) / 2.0
@@ -182,6 +213,23 @@ class TestBesselK:
     @pytest.mark.parametrize("order,x,expected", BESSEL_TABLE)
     def test_frozen_table(self, order, x, expected):
         assert bessel_k(order, x) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("order,x,expected", BESSEL_BITS)
+    def test_values_are_bit_exact(self, order, x, expected):
+        assert bessel_k(order, x) == expected
+        assert bessel_k(order, np.array([x]))[0] == expected
+
+    @pytest.mark.parametrize("order", [0, 0.3, 2.7, 3])
+    def test_shuffled_batch_matches_scalar_calls(self, order):
+        # octaves -40..9 interleaved, so each octave's arguments are scattered
+        # through the batch; octave -40 (157 nodes, 52 rows a chunk) gets
+        # 120 more arguments and takes three chunks
+        rng = np.random.default_rng(23)
+        octaves = np.concatenate([rng.integers(-40, 10, 300), np.full(120, -40)])
+        x = np.ldexp(rng.uniform(0.5, 1.0, octaves.size), rng.permutation(octaves))
+        batch = bessel_k(order, x)
+        for xi, bi in zip(x, batch):
+            assert bi == bessel_k(order, float(xi)), (order, xi)
 
     def test_half_integer_elementary_form(self):
         # K_{1/2}(x) = sqrt(pi/(2x)) exp(-x)
