@@ -86,7 +86,7 @@ def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float) -> FunctionC
     beta_orig[idx] = beta[idx] / scale[idx]
     intercept = float(r_mean - design.mean @ beta_orig)
     penalty = lambda_f * float(np.abs(beta).sum())
-    model = LinearModel(beta_orig, intercept, math.inf, converged=converged)
+    model = LinearModel(beta_orig, intercept, converged=converged)
     return FunctionClassMember(model, penalty, model.predict(data.X))
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -15,16 +15,14 @@ from ..numerics import tensor_or_qmc_rule
 @dataclass(frozen=True, eq=False)    # compared by identity: beta is an array
 class LinearModel:
     beta: np.ndarray
-    intercept: Optional[float]
-    norm_bound: float
+    intercept: float
     converged: bool = True
 
     def predict(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        out = pts @ self.beta
-        return out + self.intercept if self.intercept is not None else out
+        return pts @ self.beta + self.intercept
 
 
 def _basis_columns(basis: Sequence[Callable], points: np.ndarray) -> np.ndarray:
@@ -42,43 +40,34 @@ def _basis_columns(basis: Sequence[Callable], points: np.ndarray) -> np.ndarray:
 class FiniteBasisModel:
     basis: tuple
     alpha: np.ndarray
-    l2_bound: float
 
     def predict(self, points: np.ndarray) -> np.ndarray:
         return _basis_columns(self.basis, points) @ self.alpha
 
 
 def least_squares_matrix(design: np.ndarray) -> np.ndarray:
-    """The (cols x n) matrix S with ``S @ rhs`` the least-squares solution.
+    """The (cols x n) matrix S with ``S @ rhs`` the minimum-norm least-squares solution.
 
-    One thin SVD of the design; its rank uses the cutoff of
-    ``np.linalg.lstsq(rcond=None)``, singular values at most
-    eps * max(n, cols) * s_max count as zero.  A full-rank design gives
-    the pseudo-inverse V diag(1/s) U^T.  A rank-deficient one falls back
-    to the jittered normal equations (G + jitter*I)^{-1} design^T.  Both
-    are O(n * cols) in memory.
+    One thin SVD of the design, truncated at the cutoff of
+    ``np.linalg.lstsq(rcond=None)``: singular values at most
+    eps * max(n, cols) * s_max count as zero.  S is the pseudo-inverse
+    V_r diag(1/s_r) U_r^T of the rank-r part, for full-rank and
+    rank-deficient designs alike (Golub & Van Loan, Matrix Computations,
+    4th ed., section 5.5); it is O(n * cols) in memory.
     """
     U, s, Vt = np.linalg.svd(design, full_matrices=False)
     cutoff = np.finfo(float).eps * max(design.shape) * (s[0] if s.size else 0.0)
     rank = int(np.count_nonzero(s > cutoff))
-    if rank == design.shape[1]:
-        return (Vt.T / s) @ U.T
-    gram = design.T @ design
-    jitter = 1e-10 * max(1.0, float(np.max(np.abs(gram))))
-    try:
-        return np.linalg.solve(gram + jitter * np.eye(gram.shape[0]), design.T)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"design rank {rank} < {design.shape[1]} and jitter failed") from exc
+    return (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
 
 
-def fit_linear_ols(data: Dataset, residual: np.ndarray, include_intercept: bool = True,
-                   norm_bound: float = math.inf, ridge_gamma: float = 0.0) -> FunctionClassMember:
+def fit_linear_ols(data: Dataset, residual: np.ndarray, norm_bound: float = math.inf,
+                   ridge_gamma: float = 0.0) -> FunctionClassMember:
     """Least-squares linear fit of a residual vector.
 
-    Solves ``argmin ||r - Xb - a||_n^2`` (intercept optional) as S r, with
-    S from ``least_squares_matrix`` built once per dataset object and
-    intercept choice (see ``Dataset.derived``).  When
+    Solves ``argmin ||r - Xb - a||_n^2`` as S r, the minimum-norm solution
+    when [X, 1] is rank-deficient, with S from ``least_squares_matrix``
+    built once per dataset object (see ``Dataset.derived``).  When
     ``ridge_gamma`` > 0 the objective gains ``(gamma/2)||f||_n^2``, which
     shrinks the OLS solution by 2/(2+gamma).  If the joint coefficient
     norm exceeds ``norm_bound`` the vector is rescaled onto the ball.
@@ -87,19 +76,14 @@ def fit_linear_ols(data: Dataset, residual: np.ndarray, include_intercept: bool 
     residual = np.asarray(residual, dtype=float).ravel()
     if residual.size != data.n:
         raise ValueError("residual length must match dataset")
-
-    def build():
-        cols = [data.X, np.ones((data.n, 1))] if include_intercept else [data.X]
-        return least_squares_matrix(np.hstack(cols))
-
-    coef = data.derived(("ls_solve", include_intercept), build) @ residual
+    coef = data.derived("ls_solve", lambda: least_squares_matrix(
+        np.hstack([data.X, np.ones((data.n, 1))]))) @ residual
     if ridge_gamma > 0.0:
         coef = coef * (2.0 / (2.0 + ridge_gamma))
     norm = float(np.sqrt(coef @ coef))
     if norm > norm_bound:
         coef = coef * (norm_bound / norm)
-    intercept = float(coef[data.p]) if include_intercept else None
-    model = LinearModel(coef[:data.p], intercept, norm_bound)
+    model = LinearModel(coef[:data.p], float(coef[data.p]))
     fitted = model.predict(data.X)
     penalty = (ridge_gamma / 2.0) * float(fitted @ fitted) / data.n if ridge_gamma > 0.0 else 0.0
     return FunctionClassMember(model, penalty, fitted)
@@ -121,22 +105,19 @@ def fit_finite_basis(basis: Sequence[Callable], data: Dataset, residual: np.ndar
         norm = math.sqrt(max(rule.integrate(vals * vals), 0.0))
         if norm > l2_bound:
             alpha = alpha * (l2_bound / norm)
-    model = FiniteBasisModel(tuple(basis), alpha, l2_bound)
+    model = FiniteBasisModel(tuple(basis), alpha)
     return FunctionClassMember(model, 0.0, model.predict(data.X))
 
 
 class LinearFitter(FunctionClassFitter):
     """Interpretable class: linear (optionally ridge-penalized) fits."""
 
-    def __init__(self, include_intercept: bool = True, norm_bound: float = math.inf,
-                 ridge_gamma: float = 0.0):
-        self.include_intercept = include_intercept
+    def __init__(self, norm_bound: float = math.inf, ridge_gamma: float = 0.0):
         self.norm_bound = norm_bound
         self.ridge_gamma = ridge_gamma
 
     def fit(self, data: Dataset, residual: np.ndarray) -> FunctionClassMember:
-        return fit_linear_ols(data, residual, self.include_intercept,
-                              self.norm_bound, self.ridge_gamma)
+        return fit_linear_ols(data, residual, self.norm_bound, self.ridge_gamma)
 
 
 class FiniteBasisFitter(FunctionClassFitter):

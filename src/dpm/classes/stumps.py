@@ -24,8 +24,6 @@ class Stump:
 @dataclass(frozen=True)
 class StumpEnsemble:
     rounds: tuple[Stump, ...]
-    learning_rate: float
-    lambda_g: float
 
     def predict(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -124,7 +122,7 @@ def fit_boosted_stumps(data: Dataset, residual: np.ndarray,
         resid -= pred
         fitted += pred
         stumps.append(st)
-    ensemble = StumpEnsemble(tuple(stumps), LEARNING_RATE, lambda_g)
+    ensemble = StumpEnsemble(tuple(stumps))
     penalty = lambda_g * float(sum(s.left_value ** 2 + s.right_value ** 2 for s in stumps))
     return FunctionClassMember(ensemble, penalty, fitted)
 

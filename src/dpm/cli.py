@@ -107,10 +107,9 @@ def _cmd_fit(args) -> int:
     hi = np.array([r[1] for r in loaded.feature_ranges])
     beta_unit = np.asarray(model.beta, dtype=float)
     beta_orig = beta_unit / (hi - lo)
-    intercept = model.intercept if model.intercept is not None else 0.0
     report["coefficients_unit"] = dict(zip(loaded.feature_names, map(float, beta_unit)))
     report["coefficients_original"] = dict(zip(loaded.feature_names, map(float, beta_orig)))
-    report["intercept_original"] = float(intercept - beta_orig @ lo)
+    report["intercept_original"] = float(model.intercept - beta_orig @ lo)
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out} ({fit.iterations} iterations, {fit.stop_reason})")
     return EXIT_OK

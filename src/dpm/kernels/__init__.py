@@ -1,4 +1,4 @@
-from .matern import MaternSpec, OrthonormalBasis, matern_gram, orthonormal_linear_basis
+from .matern import MaternSpec, matern_gram
 from .projection import ProjectedKernel
 from .ridge import (
     KernelRidgeFitter,
@@ -9,9 +9,7 @@ from .ridge import (
 
 __all__ = [
     "MaternSpec",
-    "OrthonormalBasis",
     "matern_gram",
-    "orthonormal_linear_basis",
     "ProjectedKernel",
     "KernelRidgeFitter",
     "KernelRidgeModel",

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from ..numerics import bessel_k
+from ..numerics import K_SATURATION, bessel_k
 
-__all__ = ["MaternSpec", "OrthonormalBasis", "matern_gram", "orthonormal_linear_basis"]
+__all__ = ["MaternSpec", "matern_gram"]
 
 
 @dataclass(frozen=True)
@@ -73,17 +72,18 @@ def _kernel_of_distance(spec: MaternSpec, z: np.ndarray) -> np.ndarray:
 
 def _scaled_kernel(mu: float, z: np.ndarray) -> np.ndarray:
     """Overwrite positive z with z^mu K_mu(z) / (Gamma(mu) 2^(mu-1)) in [0, 1]."""
+    k = bessel_k(mu, z)
+    # K_mu saturates only where z^mu is below 1e-300 or so, where the kernel
+    # is 1 to double precision; z^mu K_SATURATION would fall toward 0 there
+    saturated = k == K_SATURATION if np.max(k) == K_SATURATION else None
     with np.errstate(over="ignore", invalid="ignore"):
-        k = bessel_k(mu, z)
         np.power(z, mu, out=z)
         np.multiply(z, k, out=z)
         np.divide(z, math.gamma(mu) * 2.0 ** (mu - 1.0), out=z)
-    # saturated Bessel values at z -> 0 resolve to the limit 1; the mask is
-    # taken before clipping, which would send -inf to 0
-    finite = np.isfinite(z)
-    np.clip(z, 0.0, 1.0, out=z)
-    if not finite.all():
-        z[~finite] = 1.0
+    # fmax sends NaN, from inf * 0 where z^mu overflows at huge z, to the limit 0
+    np.fmin(np.fmax(z, 0.0, out=z), 1.0, out=z)
+    if saturated is not None:
+        z[saturated] = 1.0
     return z
 
 
@@ -119,35 +119,3 @@ def matern_gram(spec: MaternSpec, A: np.ndarray, B: np.ndarray | None = None) ->
         if B.ndim == 1:
             B = B[:, None]
     return _kernel_of_distance(spec, _distances(A, B))
-
-
-@dataclass(frozen=True)
-class OrthonormalBasis:
-    """Functions e_0..e_p on [0,1]^p, orthonormal under the uniform measure."""
-
-    functions: tuple[Callable[[np.ndarray], np.ndarray], ...]
-    p: int
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        return np.column_stack([f(pts) for f in self.functions])
-
-    def __len__(self) -> int:
-        return len(self.functions)
-
-
-def orthonormal_linear_basis(p: int) -> OrthonormalBasis:
-    """Constant-plus-linear orthonormal basis on [0,1]^p.
-
-    e_0(x) = 1 and e_j(x) = sqrt(12) (x_j - 1/2): mean zero and variance
-    1/12 of a uniform coordinate make these orthonormal in L2([0,1]^p).
-    """
-    if p < 1:
-        raise ValueError("dimension must be at least 1")
-    funcs = [lambda pts: np.ones(pts.shape[0])]
-    sqrt12 = math.sqrt(12.0)
-    for j in range(p):
-        funcs.append(lambda pts, _j=j: sqrt12 * (pts[:, _j] - 0.5))
-    return OrthonormalBasis(tuple(funcs), p)

@@ -1,7 +1,8 @@
-"""Projected kernels: the RKHS orthogonal complement of a finite span.
+"""Projected kernels: the RKHS orthogonal complement of the affine span.
 
-For a base kernel Psi, a basis (e_k) of the interpretable span, and a
-quadrature rule with points s_i and weights w_i, the projected kernel is
+For a base kernel Psi, a basis (e_k) of the affine functions on [0,1]^p,
+and a quadrature rule with points s_i and weights w_i, the projected
+kernel is
 
     Psi_F(x, y) = Psi(x, y) - sum_k e_k(x) m_k(y) - sum_k e_k(y) m_k(x)
                   + sum_{k,l} e_k(x) e_l(y) M_{kl},
@@ -9,25 +10,34 @@ quadrature rule with points s_i and weights w_i, the projected kernel is
 with moments m_k(y) = int Psi(s, y) e_k(s) ds and
 M_{kl} = int int Psi(s, t) e_k(s) e_l(t) ds dt evaluated under the rule.
 
-The supplied basis is re-orthonormalized under the rule's discrete inner
-product (Cholesky-based Gram-Schmidt) before projecting.  That leaves the
-projected span unchanged but makes the discrete orthogonality
-int Psi_F(., y) e_k identically zero up to rounding for the same rule,
-which is the property downstream code relies on.
+The basis 1, sqrt(12) (x_j - 1/2) is orthonormalized under the rule's
+discrete inner product (Cholesky-based Gram-Schmidt) before projecting.
+That makes the discrete orthogonality int Psi_F(., y) e_k identically
+zero up to rounding for the same rule, which is the property downstream
+code relies on.  The rule must span the affine functions: at least p + 1
+points, not all on one hyperplane.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..numerics import QuadratureRule
-from .matern import MaternSpec, OrthonormalBasis, matern_gram, orthonormal_linear_basis
+from .matern import MaternSpec, matern_gram
 
 __all__ = ["ProjectedKernel"]
 
 
+def _affine_columns(points: np.ndarray) -> np.ndarray:
+    """Columns 1 and sqrt(12) (x_j - 1/2), j = 1..p, at (m, p) points."""
+    # orthonormal under the uniform measure, so the Gram-Schmidt below is well conditioned
+    return np.column_stack([np.ones(points.shape[0]), math.sqrt(12.0) * (points - 0.5)])
+
+
 class ProjectedKernel:
-    """Matern kernel projected orthogonally to a finite-dimensional span.
+    """Matern kernel projected orthogonally to the affine functions.
 
     Heavy quadrature-grid quantities (kernel values on the rule's points,
     weighted basis, moment matrix M) are computed once at construction and
@@ -37,17 +47,19 @@ class ProjectedKernel:
     either side, takes the other side's moments from its own base block.
     """
 
-    def __init__(self, base: MaternSpec, quadrature: QuadratureRule,
-                 basis: OrthonormalBasis | None = None):
+    def __init__(self, base: MaternSpec, quadrature: QuadratureRule):
         if quadrature.dim != base.p:
             raise ValueError(f"quadrature dimension {quadrature.dim} != kernel dimension {base.p}")
         self.base = base
         self.quadrature = quadrature
-        self.basis = basis if basis is not None else orthonormal_linear_basis(base.p)
 
         sq = quadrature.points
         wq = quadrature.weights
-        raw = self.basis.evaluate(sq)                      # (m, d) raw basis at rule points
+        raw = _affine_columns(sq)                          # (m, p+1) at rule points
+        if np.linalg.matrix_rank(raw) < raw.shape[1]:
+            raise ValueError(
+                f"a quadrature rule of {sq.shape[0]} points in dimension {base.p} does not "
+                f"span the affine functions: it needs {base.p + 1} points not on one hyperplane")
         gram = raw.T @ (wq[:, None] * raw)
         # Cholesky-based Gram-Schmidt: columns of raw @ T are rule-orthonormal
         L = np.linalg.cholesky(gram)
@@ -60,7 +72,7 @@ class ProjectedKernel:
         self._moment_matrix = self._weighted_basis.T @ psi_qq @ self._weighted_basis
 
     def _basis_at(self, points: np.ndarray) -> np.ndarray:
-        return self.basis.evaluate(points) @ self._transform
+        return _affine_columns(points) @ self._transform
 
     def _moments_at(self, points: np.ndarray) -> np.ndarray:
         # m_k(y) = int Psi(s, y) e_k(s) ds under the attached rule

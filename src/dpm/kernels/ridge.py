@@ -80,7 +80,8 @@ def kernel_ridge_fit(kernel: KernelLike, data: Dataset, residual: np.ndarray,
     model = KernelRidgeModel(data.unit_X, system.solve(residual), system.lam, kernel,
                              system.jitter, data.lo, data.hi)
     fitted = system.gram @ model.alpha
-    penalty = system.lam * float(model.alpha @ fitted)
+    # K is positive semidefinite: a negative alpha^T K alpha is rounding
+    penalty = system.lam * max(float(model.alpha @ fitted), 0.0)
     return FunctionClassMember(model, penalty, fitted)
 
 

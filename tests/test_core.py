@@ -21,7 +21,7 @@ from dpm.core import (
 
 def _line(slope, penalty=0.0):
     """The member x -> slope * x[:, 0], fitted at no training points."""
-    return FunctionClassMember(LinearModel(np.array([slope]), None, np.inf), penalty,
+    return FunctionClassMember(LinearModel(np.array([slope]), 0.0), penalty,
                                np.zeros(0))
 
 

@@ -453,6 +453,13 @@ class TestCli:
         assert (tmp_path / "table1_seed3.csv").exists()
         assert (tmp_path / "table1_seed3.json").exists()
 
+    def test_simulate_example1_at_the_smallest_sizes(self, tmp_path, capsys):
+        args = ["simulate", "example1", "--seed", "0", "--out-dir", str(tmp_path),
+                "--reps", "2", "--n"]
+        assert main(args + ["2"]) == 0
+        assert main(args + ["1"]) == 2       # one point cannot span the affine functions
+        assert "does not span the affine functions" in capsys.readouterr().err
+
     def test_simulate_table2_rejects_n(self, tmp_path):
         code = main(["simulate", "table2", "--seed", "3",
                      "--out-dir", str(tmp_path), "--reps", "2", "--n", "40"])

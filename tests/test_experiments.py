@@ -131,6 +131,17 @@ class TestExampleRuns:
             assert vals["n_lambda"] > 0
         assert any(n.startswith("mean_mspe") for n in res.notes)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_example1_two_points(self, seed):
+        # the projected Gram of two points is about 0, and alpha^T K alpha
+        # read as low as -3.9e-11 before the penalty was clamped at 0
+        res = run_example1(n=2, reps=10, seed=seed)
+        assert all(np.isfinite(res.column("mspe")))
+
+    def test_example1_one_point_is_rejected(self):
+        with pytest.raises(ValueError, match="1 points in dimension 1"):
+            run_example1(n=1, reps=1)
+
     def test_example1_large_clean_sample_improves_mspe(self):
         # same pipeline, more data and no noise: prediction error must drop
         noisy = run_example1(reps=3, seed=4)

@@ -98,13 +98,15 @@ class TestFittedValues:
 
 def _contract_fitters(p):
     """One fitter of every class and option the contract covers, at dimension p."""
-    def first(t):
-        return t if t.ndim == 1 else t[:, 0]
+    def coordinate(j):
+        return lambda t: t if t.ndim == 1 else t[:, j]
+    first = coordinate(0)
     spec = MaternSpec(nu=3.0 + p / 2.0, p=p, phi=1.0)      # integer order 3
     projected = ProjectedKernel(spec, tensor_or_qmc_rule(p, 64))
     return {
         "linear": LinearFitter(),
-        "linear-no-intercept": LinearFitter(include_intercept=False),
+        # the linear fit without an intercept
+        "finite-basis-coordinates": FiniteBasisFitter([coordinate(j) for j in range(p)]),
         "linear-ridge": LinearFitter(ridge_gamma=0.7),
         "linear-ball": LinearFitter(norm_bound=0.1),
         "finite-basis-ball": FiniteBasisFitter([lambda t: np.ones(len(t)),

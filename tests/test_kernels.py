@@ -19,16 +19,15 @@ from dpm.fitter import StoppingRule, fit_double_penalty
 from dpm.kernels import (
     KernelRidgeFitter,
     MaternSpec,
-    OrthonormalBasis,
     ProjectedKernel,
     gcv_select_lambda,
     kernel_ridge_fit,
     matern_gram,
-    orthonormal_linear_basis,
 )
 from dpm.kernels.matern import matern_of_distance
 from dpm.kernels.ridge import RidgeSystem
 from dpm.numerics import (
+    K_SATURATION,
     QuadratureRule,
     bessel_k,
     cholesky_solve,
@@ -106,7 +105,10 @@ class TestMaternValues:
 
 
 def _old_matern_of_distance(spec, r):
-    """The gather / clip / scatter evaluation the in-place path replaced."""
+    """The gather / clip / scatter evaluation the in-place path replaced.
+
+    Saturated Bessel values take the limit 1, as in the in-place path.
+    """
     r = np.asarray(r, dtype=float)
     mu = spec.mu
     z = 2.0 * math.sqrt(mu) * spec.phi * r
@@ -114,9 +116,11 @@ def _old_matern_of_distance(spec, r):
     pos = z > 0.0
     if np.any(pos):
         zp = z[pos]
+        k = bessel_k(mu, zp)
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = zp ** mu * bessel_k(mu, zp) / (math.gamma(mu) * 2.0 ** (mu - 1.0))
-        out[pos] = np.where(np.isfinite(vals), np.clip(vals, 0.0, 1.0), 1.0)
+            vals = zp ** mu * k / (math.gamma(mu) * 2.0 ** (mu - 1.0))
+        out[pos] = np.where(np.isfinite(vals) & (k != K_SATURATION),
+                            np.clip(vals, 0.0, 1.0), 1.0)
     return out
 
 
@@ -185,6 +189,26 @@ class TestMaternBlockPath:
             np.testing.assert_array_equal(new, old)
         np.testing.assert_array_equal(r, before)      # the argument is not overwritten
 
+    @pytest.mark.parametrize("mu", [0.7, 1.0, 1.5, 2.2, 3.0, 4.5])
+    def test_kernel_is_one_where_the_bessel_function_saturates(self, mu):
+        # z^mu K_SATURATION used to fall toward 0 at tiny positive distances
+        # (0.14 at r = 3e-101 for nu = 3.5).  Rounding of z^mu K_mu(z) leaves
+        # up to 1e-14 off 1, and up and down steps of that size, so both
+        # checks allow 1e-13, far below the 5e-6 to 1 the saturation lost
+        spec = MaternSpec(nu=mu + 0.5, p=1, phi=1.0)
+        tiny = matern_of_distance(spec, np.geomspace(5e-324, 1e-120, 400))
+        assert np.max(np.abs(tiny - 1.0)) <= 1e-13
+        vals = matern_of_distance(spec, np.geomspace(5e-324, 1.0, 2000))
+        assert np.max(np.diff(vals)) <= 1e-13
+        K = matern_gram(spec, np.array([0.3, 0.3 + 1e-102]))
+        assert np.max(np.abs(K - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("mu", [0.7, 1.0, 1.5, 2.2, 3.0, 4.5])
+    def test_kernel_is_zero_at_huge_distances(self, mu):
+        # z^mu overflows to inf where K_mu(z) underflows to 0
+        spec = MaternSpec(nu=mu + 0.5, p=1, phi=1.0)
+        np.testing.assert_array_equal(matern_of_distance(spec, [800.0, 1e100, 1e300]), 0.0)
+
     def test_gram_block_allocates_no_large_temporary(self):
         # the study's 1000 x 50 block at p = 5: four block-sized buffers are
         # live at the peak (the scaled distances, kept for z^mu, and the
@@ -200,28 +224,6 @@ class TestMaternBlockPath:
         finally:
             tracemalloc.stop()
         assert peak < 4.25 * K.nbytes, peak / K.nbytes
-
-
-class TestOrthonormalBasis:
-    def test_linear_basis_is_orthonormal_under_lebesgue(self):
-        for p in (1, 3):
-            basis = orthonormal_linear_basis(p)
-            assert isinstance(basis, OrthonormalBasis)
-            rule = gauss_legendre_01(32)
-            if p == 1:
-                pts = rule.points
-                w = rule.weights
-            else:
-                side = rule.points[:, 0]
-                pts = np.stack(np.meshgrid(*([side] * p), indexing="ij"),
-                               axis=-1).reshape(-1, p)
-                w = np.prod(np.stack(np.meshgrid(*([rule.weights] * p),
-                                                 indexing="ij"), axis=-1).reshape(-1, p),
-                            axis=1)
-            E = basis.evaluate(pts)
-            assert E.shape == (len(pts), p + 1)
-            gram = E.T @ (w[:, None] * E)
-            np.testing.assert_allclose(gram, np.eye(p + 1), atol=1e-12)
 
 
 class TestProjectedKernel:
@@ -267,7 +269,7 @@ class TestProjectedKernel:
         pk = ProjectedKernel(MaternSpec(nu=3.5, p=1, phi=1.0), rule)
         K = pk.gram(u[:, None])
         # sums over the sample of e_k(u_i) K(u_i, y) vanish for any y
-        basis = orthonormal_linear_basis(1).evaluate(u[:, None])
+        basis = np.column_stack([np.ones(20), u])
         for y in (0.2, 0.55, 0.83):
             col = pk.gram(u[:, None], np.array([[y]]))[:, 0]
             discrete = basis.T @ col / 20.0
@@ -289,18 +291,16 @@ class TestProjectedKernel:
             member = KernelRidgeFitter(kernel, lam=lam).fit(data, data.y)
             np.testing.assert_array_equal(member.fitted, member(data.X))
 
-    def test_custom_basis_span_invariance(self):
-        # any basis with the same span yields the same projected kernel
-        rule = gauss_legendre_01(48)
-        spec = MaternSpec(nu=3.5, p=1, phi=1.0)
-        pk_default = ProjectedKernel(spec, rule)
-        skewed = OrthonormalBasis((lambda u: np.full(u.shape[0], 2.0),
-                                   lambda u: 5.0 * u[:, 0] - 1.0), p=1)
-        pk_skewed = ProjectedKernel(spec, rule, basis=skewed)
-        a = np.array([[0.2], [0.6], [0.95]])
-        b = np.array([[0.4], [0.8]])
-        np.testing.assert_allclose(pk_default.gram(a, b), pk_skewed.gram(a, b),
-                                   atol=1e-10)
+    @pytest.mark.parametrize("points", [
+        np.array([[0.4]]),                                     # one point, p = 1
+        np.array([[0.2, 0.3], [0.5, 0.6], [0.9, 1.0]]),        # on a line, p = 2
+        np.array([[0.1, 0.5], [0.7, 0.5], [0.4, 0.5], [0.9, 0.5]]),
+    ], ids=["one-point", "diagonal", "constant-coordinate"])
+    def test_rule_that_misses_the_affine_span_is_rejected(self, points):
+        m, p = points.shape
+        rule = QuadratureRule(points, np.full(m, 1.0 / m))
+        with pytest.raises(ValueError, match=f"{m} points in dimension {p}"):
+            ProjectedKernel(MaternSpec(nu=3.5, p=p, phi=1.0), rule)
 
 
 class _ZeroFitter:
