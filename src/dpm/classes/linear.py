@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core import Dataset, FunctionClassFitter, FunctionClassMember
-from ..numerics import tensor_or_qmc_rule
+from ..numerics import tensor_or_qmc_rule, truncated_svd
 
 
 @dataclass(frozen=True, eq=False)    # compared by identity: beta is an array
@@ -48,17 +48,12 @@ class FiniteBasisModel:
 def least_squares_matrix(design: np.ndarray) -> np.ndarray:
     """The (cols x n) matrix S with ``S @ rhs`` the minimum-norm least-squares solution.
 
-    One thin SVD of the design, truncated at the cutoff of
-    ``np.linalg.lstsq(rcond=None)``: singular values at most
-    eps * max(n, cols) * s_max count as zero.  S is the pseudo-inverse
-    V_r diag(1/s_r) U_r^T of the rank-r part, for full-rank and
-    rank-deficient designs alike (Golub & Van Loan, Matrix Computations,
-    4th ed., section 5.5); it is O(n * cols) in memory.
+    S is the pseudo-inverse V_r diag(1/s_r) U_r^T of the rank-r part that
+    ``truncated_svd`` keeps, for full-rank and rank-deficient designs
+    alike (Golub & Van Loan, Matrix Computations, 4th ed., section 5.5).
     """
-    U, s, Vt = np.linalg.svd(design, full_matrices=False)
-    cutoff = np.finfo(float).eps * max(design.shape) * (s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(s > cutoff))
-    return (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
+    U, s, Vt = truncated_svd(design)
+    return (Vt.T / s) @ U.T
 
 
 def fit_linear_ols(data: Dataset, residual: np.ndarray, norm_bound: float = math.inf,

@@ -43,6 +43,14 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
+
+
 def _parse_log_grid(text: str) -> tuple[float, ...]:
     """'lo:hi:k' -> k log-spaced values from lo to hi inclusive."""
     parts = text.split(":")
@@ -145,21 +153,16 @@ def _cmd_grid(args) -> int:
     return EXIT_OK
 
 
-_SIMULATORS = {
-    "table1": lambda args: run_table1(n=args.n or 50, reps=args.reps or 100,
-                                      seed=args.seed),
-    "table2": lambda args: run_table2(reps=args.reps or 100, seed=args.seed),
-    "example1": lambda args: run_example1(n=args.n or 20, reps=args.reps or 100,
-                                          seed=args.seed),
-    "example2": lambda args: run_example2(n=args.n or 50, reps=args.reps or 100,
-                                          seed=args.seed),
-}
+_SIMULATORS = {"table1": run_table1, "table2": run_table2,
+               "example1": run_example1, "example2": run_example2}
 
 
 def _cmd_simulate(args) -> int:
     if args.experiment == "table2" and args.n is not None:
         raise ValueError("table2 sweeps its own sample sizes; --n not supported")
-    result = _SIMULATORS[args.experiment](args)
+    # only the flags given are passed, so each study's defaults live in its signature
+    given = {k: getattr(args, k) for k in ("n", "reps") if getattr(args, k) is not None}
+    result = _SIMULATORS[args.experiment](seed=args.seed, **given)
     csv_path, json_path = write_result_files(result, args.out_dir)
     print(f"wrote {csv_path} and {json_path} "
           f"({len(result.rows)} rows, {result.wall_time_s:.1f}s)")
@@ -269,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("experiment", choices=sorted(_SIMULATORS))
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out-dir", required=True)
-    p_sim.add_argument("--reps", type=int, default=None,
+    p_sim.add_argument("--reps", type=_positive_int, default=None,
                        help="override replication count")
-    p_sim.add_argument("--n", type=int, default=None,
+    p_sim.add_argument("--n", type=_positive_int, default=None,
                        help="override sample size")
     p_sim.set_defaults(func=_cmd_simulate)
 

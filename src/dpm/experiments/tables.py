@@ -20,6 +20,10 @@ from .results import ExperimentResult
 from .testfuncs import sine_linear
 
 _BETA = (1.0, 3.0)
+_NOISE_VAR = 0.1
+_TABLE2_THETA = 3.0
+# a replication stops once its distance to the joint solution is below this
+_TOL = 1e-4
 MAX_CYCLES = 5000
 
 
@@ -34,8 +38,7 @@ def _cell_slope(distances: np.ndarray) -> float | None:
     return None
 
 
-def _sine_linear_cell(theta: float, n: int, reps: int, noise_var: float,
-                      seed: int, tol: float = 1e-4) -> dict:
+def _sine_linear_cell(theta: float, n: int, reps: int, seed: int) -> dict:
     """Run one (theta, n) cell; returns slope/iteration summaries.
 
     Iteration counts are sub-fits after the initial linear fit, which is
@@ -43,10 +46,8 @@ def _sine_linear_cell(theta: float, n: int, reps: int, noise_var: float,
     sequence is too short for a slope fit are excluded from the slope
     mean (the count of usable replications is reported).
     """
-    if noise_var < 0:
-        raise ValueError("noise_var must be nonnegative")
     rng = np.random.default_rng(seed)
-    noise_sd = float(np.sqrt(noise_var))
+    noise_sd = float(np.sqrt(_NOISE_VAR))
     slopes = []
     sub_counts = []
     for _ in range(reps):
@@ -67,12 +68,12 @@ def _sine_linear_cell(theta: float, n: int, reps: int, noise_var: float,
         for _cycle in range(MAX_CYCLES):
             a2 = float(np.dot(y - a1 * x, s) / np.dot(s, s))
             n_sub += 1
-            if dist(a1, a2) < tol:
+            if dist(a1, a2) < _TOL:
                 break
             a1 = float(np.dot(y - a2 * s, x) / np.dot(x, x))
             n_sub += 1
             cycle_dists.append(dist(a1, a2))
-            if dist(a1, a2) < tol:
+            if dist(a1, a2) < _TOL:
                 break
         slope = _cell_slope(np.asarray(cycle_dists))
         if slope is not None:
@@ -89,7 +90,6 @@ def _sine_linear_cell(theta: float, n: int, reps: int, noise_var: float,
 
 
 def run_table1(thetas=(2.0, 3.0, 3.5, 4.0), n: int = 50, reps: int = 100,
-               noise_var: float = 0.1, tol: float = 1e-4,
                seed: int = 0) -> ExperimentResult:
     """Contraction rates across frequencies at a fixed sample size."""
     start = time.perf_counter()
@@ -97,7 +97,7 @@ def run_table1(thetas=(2.0, 3.0, 3.5, 4.0), n: int = 50, reps: int = 100,
                "mean_iterations", "abs_diff", "reps_with_slope")
     rows = []
     for theta in thetas:
-        cell = _sine_linear_cell(theta, n, reps, noise_var, seed, tol=tol)
+        cell = _sine_linear_cell(theta, n, reps, seed)
         target = 2.0 * float(np.log(psi(theta)))
         rows.append((
             float(theta),
@@ -112,7 +112,7 @@ def run_table1(thetas=(2.0, 3.0, 3.5, 4.0), n: int = 50, reps: int = 100,
         name="table1",
         seed=seed,
         config={"thetas": [float(t) for t in thetas], "n": n, "reps": reps,
-                "noise_var": noise_var, "tol": tol,
+                "noise_var": _NOISE_VAR, "tol": _TOL,
                 "beta": list(_BETA)},
         columns=columns,
         rows=tuple(rows),
@@ -120,17 +120,16 @@ def run_table1(thetas=(2.0, 3.0, 3.5, 4.0), n: int = 50, reps: int = 100,
     )
 
 
-def run_table2(sizes=(20, 50, 100, 150, 200), theta: float = 3.0,
-               reps: int = 100, seed: int = 0, noise_var: float = 0.1,
-               tol: float = 1e-4) -> ExperimentResult:
+def run_table2(sizes=(20, 50, 100, 150, 200), reps: int = 100,
+               seed: int = 0) -> ExperimentResult:
     """Slope accuracy as the sample size grows, at a fixed frequency."""
     start = time.perf_counter()
-    target = 2.0 * float(np.log(psi(theta)))
+    target = 2.0 * float(np.log(psi(_TABLE2_THETA)))
     columns = ("n", "mean_slope", "mean_iterations", "abs_diff",
                "reps_with_slope")
     rows = []
     for n in sizes:
-        cell = _sine_linear_cell(theta, n, reps, noise_var, seed, tol=tol)
+        cell = _sine_linear_cell(_TABLE2_THETA, n, reps, seed)
         rows.append((
             int(n),
             cell["mean_slope"],
@@ -141,8 +140,8 @@ def run_table2(sizes=(20, 50, 100, 150, 200), theta: float = 3.0,
     return ExperimentResult(
         name="table2",
         seed=seed,
-        config={"sizes": [int(m) for m in sizes], "theta": float(theta),
-                "reps": reps, "noise_var": noise_var, "tol": tol,
+        config={"sizes": [int(m) for m in sizes], "theta": _TABLE2_THETA,
+                "reps": reps, "noise_var": _NOISE_VAR, "tol": _TOL,
                 "two_log_psi": target},
         columns=columns,
         rows=tuple(rows),

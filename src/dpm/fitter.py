@@ -93,19 +93,22 @@ def fit_double_penalty(data: Dataset, fitter_f: FunctionClassFitter,
     return AdditiveFit(f_member, g_member, tuple(trace), stop_reason)
 
 
-def estimate_convergence_slope(errors: Sequence[float], burn_in: int = 3,
-                               floor: float = 1e-10) -> tuple[float, float, int]:
+_SLOPE_FLOOR = 1e-10     # errors at or below this leave the slope fit
+
+
+def estimate_convergence_slope(errors: Sequence[float],
+                               burn_in: int = 3) -> tuple[float, float, int]:
     """OLS slope of log(error_m) against m over the usable window.
 
     Iterations are numbered from 1; the window keeps m > burn_in with
-    error above ``floor``.  Fewer than 3 usable points is an error.
+    error above 1e-10.  Fewer than 3 usable points is an error.
     """
     errors = np.asarray(list(errors), dtype=float)
     m = np.arange(1, errors.size + 1)
-    keep = (m > burn_in) & (errors > floor)
+    keep = (m > burn_in) & (errors > _SLOPE_FLOOR)
     if keep.sum() < 3:
         raise ValueError(f"only {int(keep.sum())} usable iterations "
-                         f"(burn_in={burn_in}, floor={floor}); need at least 3")
+                         f"(burn_in={burn_in}, floor={_SLOPE_FLOOR}); need at least 3")
     slope, intercept = np.polyfit(m[keep], np.log(errors[keep]), 1)
     return float(slope), float(intercept), int(keep.sum())
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import K_SATURATION, bessel_k
+from ..numerics import bessel_k
 
 __all__ = ["MaternSpec", "matern_gram"]
 
@@ -73,17 +73,17 @@ def _kernel_of_distance(spec: MaternSpec, z: np.ndarray) -> np.ndarray:
 def _scaled_kernel(mu: float, z: np.ndarray) -> np.ndarray:
     """Overwrite positive z with z^mu K_mu(z) / (Gamma(mu) 2^(mu-1)) in [0, 1]."""
     k = bessel_k(mu, z)
-    # K_mu saturates only where z^mu is below 1e-300 or so, where the kernel
-    # is 1 to double precision; z^mu K_SATURATION would fall toward 0 there
-    saturated = k == K_SATURATION if np.max(k) == K_SATURATION else None
+    # K_mu is inf only where z^mu is below 1e-300 or so, where the kernel is
+    # 1 to double precision; z^mu * inf would be NaN once z^mu underflows
+    overflowed = np.isinf(k) if np.max(k) == math.inf else None
     with np.errstate(over="ignore", invalid="ignore"):
         np.power(z, mu, out=z)
         np.multiply(z, k, out=z)
         np.divide(z, math.gamma(mu) * 2.0 ** (mu - 1.0), out=z)
     # fmax sends NaN, from inf * 0 where z^mu overflows at huge z, to the limit 0
     np.fmin(np.fmax(z, 0.0, out=z), 1.0, out=z)
-    if saturated is not None:
-        z[saturated] = 1.0
+    if overflowed is not None:
+        z[overflowed] = 1.0
     return z
 
 

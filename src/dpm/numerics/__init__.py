@@ -1,14 +1,14 @@
-from .bessel import K_SATURATION, bessel_k
+from .bessel import bessel_k
 from .design import maximin_lhs
-from .linalg import CholeskySolveResult, cholesky_solve
+from .linalg import CholeskySolveResult, cholesky_solve, truncated_svd
 from .quadrature import QuadratureRule, gauss_legendre_01, halton, tensor_or_qmc_rule
 
 __all__ = [
-    "K_SATURATION",
     "bessel_k",
     "maximin_lhs",
     "CholeskySolveResult",
     "cholesky_solve",
+    "truncated_svd",
     "QuadratureRule",
     "gauss_legendre_01",
     "halton",

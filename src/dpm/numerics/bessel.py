@@ -38,9 +38,11 @@ x = 5e-324 where T is about 752.  Each row is summed on its own by a numpy
 reduction, so a value does not depend on which other arguments share its
 array.  Octaves where e^-x underflows are exactly 0 without quadrature.
 
-No external special-function dependency.  Values whose magnitude would
-overflow float64 saturate at :data:`K_SATURATION` instead of returning
-infinity; callers can compare against that constant to detect saturation.
+No external special-function dependency, and no stand-in value: every
+argument goes through its order's method, and K is inf where it overflows
+float64.  The rule's weights cosh((mu+1) t_k) overflow a little before K
+does, so at the smallest arguments inf also stands for values from about
+10^303.4 (order 1.495) up to the float64 maximum.
 """
 
 from __future__ import annotations
@@ -50,12 +52,7 @@ import math
 
 import numpy as np
 
-__all__ = ["K_SATURATION", "bessel_k"]
-
-# Flagged saturation value for arguments so small that K_nu overflows.
-K_SATURATION = 1e300
-
-_LOG_SATURATION = math.log(K_SATURATION)
+__all__ = ["bessel_k"]
 
 # The trapezoid rule's discretization and truncation bounds are each e^-39.
 _LOG_TOL = 39.0
@@ -126,21 +123,23 @@ def _k_general(order: float, x: np.ndarray) -> np.ndarray:
     """K_order(x) for any order >= 0 by the trapezoid rule plus upward recurrence."""
     nl = round(order)
     mu = order - nl
-    # K_{mu+1} overflows (inf, or nan where a node's exp underflows) only
-    # where every order from mu + 1 up saturates, so only when nl = 0 or on
-    # arguments already set aside as saturated
+    # at tiny x the weights cosh((mu+1) t_k) and 2/x overflow, and so may
+    # K_mu and K_{mu+1}; every term is positive, so NaN comes only from
+    # inf * 0 (an overflowed weight at a node whose exp underflowed) in a
+    # rule or a recurrence that overflowed, and stands for inf
     with np.errstate(over="ignore", invalid="ignore"):
         k_mu, k_mu1 = _trapezoid(mu, x)
         two_over_x = 2.0 / x
         for j in range(1, nl + 1):
             k_mu += (mu + j) * two_over_x * k_mu1     # K_{mu+j+1}, over K_{mu+j-1}
             k_mu, k_mu1 = k_mu1, k_mu
-    return k_mu.copy()                       # not a view that keeps both rows alive
+    return np.where(np.isnan(k_mu), math.inf, k_mu)   # not a view that keeps both rows alive
 
 
 def _k_half_integer(n: int, x: np.ndarray) -> np.ndarray:
     """K_{n+1/2}(x) closed form, n >= 0, in three x-sized buffers."""
-    with np.errstate(over="ignore"):
+    # (2x)^k underflows to 0 at tiny x, and coeff / (2x)^k then overflows to inf
+    with np.errstate(over="ignore", divide="ignore"):
         two_x = np.multiply(2.0, x)
         term = np.empty_like(x)
         total = np.zeros_like(x)
@@ -158,33 +157,6 @@ def _k_half_integer(n: int, x: np.ndarray) -> np.ndarray:
         return np.multiply(prefactor, total, out=total)
 
 
-def _saturates(order: float, x: np.ndarray) -> np.ndarray:
-    """Small-argument magnitude estimate; flags entries that overflow float64.
-
-    The estimate Gamma(order) 2^(order-1) x^-order bounds K_order(x) from
-    above but is loose as order -> 0, where it diverges while K_order
-    tends to K_0.  Orders up to 1/2 never saturate: K_order <= K_{1/2},
-    which is below 1e162 on every positive float.
-    """
-    if order <= 0.5:
-        return np.zeros(x.shape, dtype=bool)
-    log_small = math.lgamma(order) - math.log(2.0) + order * (math.log(2.0) - np.log(x))
-    return log_small > _LOG_SATURATION
-
-
-def _k_unsaturated(order: float, x: np.ndarray) -> np.ndarray:
-    """K_order(x) by the order's method; entries that overflow become K_SATURATION."""
-    two_order = 2.0 * order
-    if two_order == round(two_order) and round(two_order) % 2 == 1:
-        vals = _k_half_integer(int(round(order - 0.5)), x)
-    else:
-        vals = _k_general(order, x)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        vals[bad] = K_SATURATION
-    return vals
-
-
 def bessel_k(order: float, x: float | np.ndarray) -> float | np.ndarray:
     """Modified Bessel function of the second kind K_order(x).
 
@@ -198,8 +170,8 @@ def bessel_k(order: float, x: float | np.ndarray) -> float | np.ndarray:
     Returns
     -------
     float or ndarray
-        K_order at each argument.  Entries that would overflow float64
-        are returned as :data:`K_SATURATION`.
+        K_order at each argument: inf where K overflows float64, and 0
+        where it underflows.
 
     Raises
     ------
@@ -209,32 +181,22 @@ def bessel_k(order: float, x: float | np.ndarray) -> float | np.ndarray:
     Notes
     -----
     Arguments are validated with two reductions, ``min(x) > 0`` (which NaN
-    fails) and ``max(x) < inf``.  The small-argument saturation estimate
-    falls as x grows, so it is tested on ``min(x)`` first; only when that
-    test fires is each entry masked, and the rest computed apart.  The
-    half-integer closed form works in three buffers the size of x.
+    fails) and ``max(x) < inf``.  The half-integer closed form works in
+    three buffers the size of x.
     """
     if not math.isfinite(order) or order < 0.0:
         raise ValueError(f"order must be a finite non-negative real, got {order!r}")
-    scalar = np.isscalar(x) or np.ndim(x) == 0
+    scalar = np.ndim(x) == 0
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.size == 0:
         return arr.reshape(np.shape(x))
-    lo = arr.min()
-    if not (lo > 0.0 and arr.max() < math.inf):    # NaN fails the first test
+    if not (arr.min() > 0.0 and arr.max() < math.inf):    # NaN fails the first test
         raise ValueError("x must be strictly positive and finite")
 
-    flat = arr.ravel()
-    # the saturation estimate falls as x grows: unless the smallest
-    # argument saturates none does, and no per-entry mask is needed
-    if _saturates(order, lo):
-        sat = _saturates(order, flat)
-        out = np.full(flat.shape, K_SATURATION)
-        if not sat.all():
-            out[~sat] = _k_unsaturated(order, flat[~sat])
+    if (2.0 * order) % 2.0 == 1.0:                   # order n + 1/2
+        out = _k_half_integer(int(order), arr.ravel())
     else:
-        out = _k_unsaturated(order, flat)
-    out = out.reshape(arr.shape)
+        out = _k_general(order, arr.ravel())
     if scalar:
-        return float(out[()] if out.ndim == 0 else out[0])
-    return out
+        return float(out[0])
+    return out.reshape(arr.shape)

@@ -1,4 +1,4 @@
-"""Small dense symmetric linear algebra with explicit jitter handling."""
+"""Small dense linear algebra: a rank-revealing thin SVD and jittered Cholesky solves."""
 
 from __future__ import annotations
 
@@ -6,7 +6,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CholeskySolveResult", "cholesky_solve"]
+__all__ = ["CholeskySolveResult", "cholesky_solve", "truncated_svd"]
+
+
+def truncated_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD U_r, s_r, Vt_r of the rank-r part of an (m, n) matrix ``a``.
+
+    Singular values at most eps * max(m, n) * s_max count as zero, the
+    cutoff of ``np.linalg.lstsq(rcond=None)``, so a zero matrix has rank 0.
+    U_r = a Vt_r^T / s_r is an orthonormal basis of the numerical range.
+    """
+    U, s, Vt = np.linalg.svd(a, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(a.shape) * (s[0] if s.size else 0.0)
+    rank = int(np.count_nonzero(s > cutoff))
+    return U[:, :rank], s[:rank], Vt[:rank]
 
 
 def _require_symmetric(A: np.ndarray, name: str) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Separability diagnostics between two function classes.
 
-The headline quantity is the largest cosine between the spans, i.e. the
-top canonical correlation under either the quadrature (L2) or the
+The headline quantity is the largest cosine between the spans, that of
+the smallest principal angle, under either the quadrature (L2) or the
 empirical inner product; theta < 1 certifies identifiability of the
-additive decomposition.
+additive decomposition.  As in Bjorck & Golub (1973, Math. Comp. 27:579),
+each span's weighted values sqrt(w) V go through one rank-revealing thin
+SVD, with no Gram matrix and no jitter, and the cosines are the singular
+values of Q_f^T Q_g for the orthonormal bases Q it gives.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import QuadratureRule
-
-GRAM_JITTER = 1e-12
+from .numerics import QuadratureRule, truncated_svd
 
 
 def psi(theta: float) -> float:
@@ -43,29 +44,24 @@ class SeparabilityReport:
             raise ValueError(f"theta estimate {self.theta_estimate} outside [0,1]")
 
 
-def _canonical_correlation(gram_f: np.ndarray, gram_g: np.ndarray,
-                           cross: np.ndarray, method: str) -> SeparabilityReport:
-    d1, d2 = cross.shape
-    gram_f = gram_f + GRAM_JITTER * np.eye(d1)
-    gram_g = gram_g + GRAM_JITTER * np.eye(d2)
-    try:
-        lf = np.linalg.cholesky(gram_f)
-        lg = np.linalg.cholesky(gram_g)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"degenerate Gram matrix in {method}: {exc}") from exc
-    # whitened cross-Gram B = Lf^{-1} C Lg^{-T}; its top singular value is
-    # the canonical correlation, and its singular vectors give the pair
-    b = np.linalg.solve(lf, np.linalg.solve(lg, cross.T).T)
-    left, values, right = np.linalg.svd(b)
-    coef_f = np.linalg.solve(lf.T, left[:, 0])
-    coef_g = np.linalg.solve(lg.T, right[0])
-    nf = float(np.sqrt(coef_f @ gram_f @ coef_f))
-    ng = float(np.sqrt(coef_g @ gram_g @ coef_g))
-    if nf > 0.0:
-        coef_f = coef_f / nf
-    if ng > 0.0:
-        coef_g = coef_g / ng
-    return SeparabilityReport(min(float(values[0]), 1.0 + 1e-10), method, (coef_f, coef_g))
+def _principal_angle(values_f: np.ndarray, values_g: np.ndarray,
+                     method: str) -> SeparabilityReport:
+    """Cosine of the smallest principal angle between the column spans.
+
+    Each span's values V give Q = V T with orthonormal columns; the top
+    singular pair (u, v) of Q_f^T Q_g gives the cosine, and T_f u and
+    T_g v are the unit-norm pair of functions that attain it.
+    """
+    bases = []
+    for side, values in (("f", values_f), ("g", values_g)):
+        Q, s, Vt = truncated_svd(values)
+        if not s.size:
+            raise ValueError(f"the {side} span is zero at every point")
+        bases.append((Q, Vt.T / s))
+    (qf, tf), (qg, tg) = bases
+    left, cosines, right = np.linalg.svd(qf.T @ qg)
+    return SeparabilityReport(min(float(cosines[0]), 1.0), method,
+                              (tf @ left[:, 0], tg @ right[0]))
 
 
 def theta_l2_quadrature(basis_f: Sequence[Callable], basis_g: Sequence[Callable],
@@ -74,9 +70,8 @@ def theta_l2_quadrature(basis_f: Sequence[Callable], basis_g: Sequence[Callable]
     pts = rule.points if rule.dim > 1 else rule.points[:, 0]
     vf = np.column_stack([np.asarray(f(pts), dtype=float) for f in basis_f])
     vg = np.column_stack([np.asarray(g(pts), dtype=float) for g in basis_g])
-    w = rule.weights[:, None]
-    return _canonical_correlation(vf.T @ (w * vf), vg.T @ (w * vg), vf.T @ (w * vg),
-                                  "l2-quadrature")
+    root_w = np.sqrt(rule.weights)[:, None]
+    return _principal_angle(root_w * vf, root_w * vg, "l2-quadrature")
 
 
 def empirical_theta(values_f: np.ndarray, values_g: np.ndarray) -> SeparabilityReport:
@@ -89,6 +84,5 @@ def empirical_theta(values_f: np.ndarray, values_g: np.ndarray) -> SeparabilityR
         vg = vg[:, None]
     if vf.shape[0] != vg.shape[0]:
         raise ValueError("evaluation matrices must share the sample dimension")
-    n = vf.shape[0]
-    return _canonical_correlation(vf.T @ vf / n, vg.T @ vg / n, vf.T @ vg / n,
-                                  "empirical-canonical")
+    root_w = 1.0 / math.sqrt(vf.shape[0])
+    return _principal_angle(root_w * vf, root_w * vg, "empirical-canonical")

@@ -10,6 +10,7 @@ import pytest
 import dpm.classes.lasso as lasso_module
 import dpm.classes.linear as linear_module
 import dpm.classes.stumps as stumps_module
+import dpm.cli as cli_module
 import dpm.kernels.matern as matern_module
 import dpm.transect as transect_module
 from dpm.classes import LinearFitter
@@ -22,6 +23,7 @@ from dpm.cv import (
     fold_indices,
 )
 from dpm.data_io import CsvFormatError, load_csv
+from dpm.experiments import run_example1
 from dpm.fitter import StoppingRule
 from dpm.kernels import MaternSpec, gcv_select_lambda, matern_gram
 from dpm.transect import (
@@ -459,6 +461,25 @@ class TestCli:
         assert main(args + ["2"]) == 0
         assert main(args + ["1"]) == 2       # one point cannot span the affine functions
         assert "does not span the affine functions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["table1", "table2", "example1", "example2"])
+    @pytest.mark.parametrize("flag", ["--reps", "--n"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_simulate_rejects_counts_below_one(self, tmp_path, capsys, experiment, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", experiment, "--out-dir", str(tmp_path), flag, value])
+        assert exc.value.code == 2
+        assert "must be an integer >= 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_simulate_passes_only_the_flags_given(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setitem(cli_module._SIMULATORS, "example1",
+                            lambda **kw: calls.append(kw) or run_example1(**kw))
+        base = ["simulate", "example1", "--out-dir", str(tmp_path), "--seed", "4"]
+        assert main(base + ["--reps", "1"]) == 0
+        assert main(base + ["--reps", "1", "--n", "3"]) == 0
+        assert calls == [{"seed": 4, "reps": 1}, {"seed": 4, "n": 3, "reps": 1}]
 
     def test_simulate_table2_rejects_n(self, tmp_path):
         code = main(["simulate", "table2", "--seed", "3",

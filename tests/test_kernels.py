@@ -27,7 +27,6 @@ from dpm.kernels import (
 from dpm.kernels.matern import matern_of_distance
 from dpm.kernels.ridge import RidgeSystem
 from dpm.numerics import (
-    K_SATURATION,
     QuadratureRule,
     bessel_k,
     cholesky_solve,
@@ -107,7 +106,7 @@ class TestMaternValues:
 def _old_matern_of_distance(spec, r):
     """The gather / clip / scatter evaluation the in-place path replaced.
 
-    Saturated Bessel values take the limit 1, as in the in-place path.
+    Overflowed Bessel values take the limit 1, as in the in-place path.
     """
     r = np.asarray(r, dtype=float)
     mu = spec.mu
@@ -119,7 +118,7 @@ def _old_matern_of_distance(spec, r):
         k = bessel_k(mu, zp)
         with np.errstate(over="ignore", invalid="ignore"):
             vals = zp ** mu * k / (math.gamma(mu) * 2.0 ** (mu - 1.0))
-        out[pos] = np.where(np.isfinite(vals) & (k != K_SATURATION),
+        out[pos] = np.where(np.isfinite(vals) & np.isfinite(k),
                             np.clip(vals, 0.0, 1.0), 1.0)
     return out
 
@@ -176,7 +175,7 @@ class TestMaternBlockPath:
         np.array(0.0), np.array(0.8),                      # 0-d arrays
         np.array([0.0, 0.2, 0.0, 3.0, -1.0, np.nan]),      # zeros, a negative, a NaN
         np.linspace(0.01, 6.0, 50).reshape(5, 10),         # all positive
-        np.array([1e-200, 1e-30, 0.5, 900.0]),             # saturated and underflowing K
+        np.array([1e-200, 1e-30, 0.5, 900.0]),             # overflowing and underflowing K
         np.zeros(0),
     ], ids=["0", "scalar", "tiny", "far", "0d-zero", "0d", "zeros", "positive", "extremes",
             "empty"])
@@ -191,10 +190,9 @@ class TestMaternBlockPath:
 
     @pytest.mark.parametrize("mu", [0.7, 1.0, 1.5, 2.2, 3.0, 4.5])
     def test_kernel_is_one_where_the_bessel_function_saturates(self, mu):
-        # z^mu K_SATURATION used to fall toward 0 at tiny positive distances
-        # (0.14 at r = 3e-101 for nu = 3.5).  Rounding of z^mu K_mu(z) leaves
-        # up to 1e-14 off 1, and up and down steps of that size, so both
-        # checks allow 1e-13, far below the 5e-6 to 1 the saturation lost
+        # the kernel is 1 where K_mu overflows to inf.  Rounding of z^mu K_mu(z)
+        # leaves up to 1e-14 off 1, and up and down steps of that size, so
+        # both checks allow 1e-13
         spec = MaternSpec(nu=mu + 0.5, p=1, phi=1.0)
         tiny = matern_of_distance(spec, np.geomspace(5e-324, 1e-120, 400))
         assert np.max(np.abs(tiny - 1.0)) <= 1e-13

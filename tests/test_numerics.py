@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import dpm.numerics.bessel as bessel_module
 import dpm.numerics.design as design_module
 from dpm.numerics import (
-    K_SATURATION,
     CholeskySolveResult,
     QuadratureRule,
     bessel_k,
@@ -186,7 +185,7 @@ def k_integral(order: float, x: float) -> float:
 
 def _old_k_half_integer(n, x):
     """The closed form K_{n+1/2} as written before its buffers were reused."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         total = np.zeros_like(x)
         for k in range(n + 1):
             coeff = math.factorial(n + k) / (math.factorial(k) * math.factorial(n - k))
@@ -195,18 +194,10 @@ def _old_k_half_integer(n, x):
 
 
 def _old_bessel_k(order, x):
-    """bessel_k's former body for a 1-D array: a per-entry saturation mask always."""
-    sat = bessel_module._saturates(order, x)
-    out = np.full(x.shape, K_SATURATION)
-    live = ~sat
-    if np.any(live):
-        xs = x[live]
-        if (2.0 * order) % 2.0 == 1.0:
-            vals = _old_k_half_integer(int(round(order - 0.5)), xs)
-        else:
-            vals = bessel_module._k_general(order, xs)
-        out[live] = np.where(np.isfinite(vals), vals, K_SATURATION)
-    return out
+    """bessel_k on a 1-D array by the order's method, with the unbuffered closed form."""
+    if (2.0 * order) % 2.0 == 1.0:
+        return _old_k_half_integer(int(round(order - 0.5)), x)
+    return bessel_module._k_general(order, x)
 
 
 class TestBesselK:
@@ -247,7 +238,7 @@ class TestBesselK:
                 assert bi == bessel_k(order, float(xi)), (order, xi)
 
     @given(st.floats(0.0, 6.0), st.floats(0.05, 30.0))
-    @example(2.2250738585072014e-309, 1.0)  # once saturated: the small-x bound diverges as order -> 0
+    @example(2.2250738585072014e-309, 1.0)  # an order near 0 at a tiny argument
     @settings(max_examples=100, deadline=None)
     def test_matches_integral_oracle(self, order, x):
         assert bessel_k(order, x) == pytest.approx(k_integral(order, x), rel=1e-12)
@@ -266,12 +257,26 @@ class TestBesselK:
             assert bessel_k(order, 750.0) == 0.0
             np.testing.assert_array_equal(bessel_k(order, np.array([750.0, 1e5])), 0.0)
 
-    def test_saturation_is_finite_sentinel(self):
-        # K_3(x) ~ 8/x^3 near zero, far beyond float range at x=1e-120
-        val = bessel_k(3, 1e-120)
-        assert val == K_SATURATION
-        assert np.isfinite(val)
-        assert bessel_k(3, 1e-80) == pytest.approx(8e240, rel=1e-10)
+    # near the float64 maximum, from 30-digit mpmath
+    @pytest.mark.parametrize("order,x,expected", [
+        (3, 1e-101, 8.0e303),
+        (3, 1e-102, 8.0e306),
+        (1.49, 1e-203, 3.67207483935814826e302),
+        (2.7, 1e-113, 6.31816785586261162e305),
+        (3, 1e-80, 8.0e240),
+    ])
+    def test_near_overflow_values(self, order, x, expected):
+        assert bessel_k(order, x) == pytest.approx(expected, rel=1e-13)
+        assert bessel_k(order, np.array([x, 1.0]))[0] == bessel_k(order, x)
+
+    @pytest.mark.parametrize("order,x", [(3, 1e-104), (200, 1e-2), (3.5, 1e-160), (1, 5e-324)])
+    def test_overflow_is_inf(self, order, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bessel_k(order, x) == math.inf
+            values = bessel_k(order, np.array([x, 5.0, 300.0]))
+        assert values[0] == math.inf
+        assert np.all(np.isfinite(values[1:])) and np.all(values[1:] > 0.0)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -295,14 +300,7 @@ class TestBesselK:
             assert type(value) is float
             assert value == _old_bessel_k(order, np.atleast_1d(np.asarray(x, dtype=float)))[0]
 
-    def test_large_order_saturates_exactly_the_flagged_entries(self):
-        x = np.array([1e-2, 5.0, 300.0])
-        flagged = bessel_module._saturates(200, x)
-        np.testing.assert_array_equal(flagged, [True, False, False])
-        values = bessel_k(200, x)
-        np.testing.assert_array_equal(values == K_SATURATION, flagged)
-        np.testing.assert_array_equal(values, _old_bessel_k(200, x))
-
+    # arrays that mix overflowing, finite and underflowing values
     @pytest.mark.parametrize("order", [0.5, 1.5, 3.5, 10.5, 0.0, 1.0, 3.0, 2.7, 40.0, 200.0])
     def test_mixed_saturated_array_matches_old_code(self, order):
         rng = np.random.default_rng(int(order * 10))
@@ -367,7 +365,7 @@ class TestBesselK:
     def test_matches_integral_oracle_from_1e_6_to_700(self, order, log_x):
         x = math.exp(log_x)
         value = bessel_k(order, x)
-        assume(value != K_SATURATION and value != 0.0)
+        assume(0.0 < value < math.inf)
         assert value == pytest.approx(k_integral(order, x), rel=1e-12)
 
     def test_block_peak_memory(self):

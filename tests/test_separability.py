@@ -56,8 +56,37 @@ class TestQuadratureTheta:
         base = theta_l2_quadrature([lambda t: t], [lambda t: np.sin(3 * t)], rule)
         scaled = theta_l2_quadrature([lambda t: 17.0 * t],
                                      [lambda t: -0.04 * np.sin(3 * t)], rule)
-        # exact up to the fixed 1e-12 Gram jitter, which is not scale-free
-        assert scaled.theta_estimate == pytest.approx(base.theta_estimate, abs=1e-8)
+        assert scaled.theta_estimate == pytest.approx(base.theta_estimate, abs=1e-14)
+
+    def test_tiny_basis_scale_keeps_the_angle(self):
+        # Gram entries of bases of norm 1e-9 are 1e-18, below any fixed jitter
+        rule = gauss_legendre_01(120)
+        base = theta_l2_quadrature([lambda t: t], [lambda t: np.sin(3 * t)], rule)
+        tiny = theta_l2_quadrature([lambda t: 1e-9 * t],
+                                   [lambda t: 1e-9 * np.sin(3 * t)], rule)
+        assert tiny.theta_estimate == pytest.approx(base.theta_estimate, abs=1e-14)
+        assert base.theta_estimate == pytest.approx(psi(3.0), abs=1e-13)
+
+    def test_rank_deficient_span_gives_the_angle_of_its_range(self):
+        rule = gauss_legendre_01(120)
+        solo = theta_l2_quadrature([lambda t: t], [lambda t: np.sin(3 * t)], rule)
+        twice = theta_l2_quadrature([lambda t: t, lambda t: 2.0 * t],
+                                    [lambda t: np.sin(3 * t)], rule)
+        assert twice.theta_estimate == pytest.approx(solo.theta_estimate, abs=1e-14)
+        cf, _ = twice.certificate
+        f_vals = cf[0] * rule.points[:, 0] + cf[1] * 2.0 * rule.points[:, 0]
+        assert rule.integrate(f_vals * f_vals) == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("zero_side", ["f", "g"])
+    def test_zero_span_is_rejected(self, zero_side):
+        rule = gauss_legendre_01(40)
+        zero, sine = [lambda t: 0.0 * t], [lambda t: np.sin(3 * t)]
+        spans = (zero, sine) if zero_side == "f" else (sine, zero)
+        with pytest.raises(ValueError, match=f"the {zero_side} span is zero"):
+            theta_l2_quadrature(*spans, rule)
+        x = rule.points[:, 0]
+        with pytest.raises(ValueError, match="zero at every point"):
+            empirical_theta(np.zeros_like(x), np.sin(3 * x))
 
     def test_identical_spans_give_one(self):
         rule = gauss_legendre_01(64)
