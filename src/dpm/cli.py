@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import Dataset
 from .cv import CvCellError, CvConfig, FLEX_CHOICES, INTERP_CHOICES, LearnerPair
-from .data_io import CsvFormatError, LoadedCsv, load_csv
+from .data_io import load_csv
 from .experiments import (
     run_example1,
     run_example2,
@@ -74,19 +73,11 @@ def _write_rows_csv(rows: list[DiagnosticRow], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _load(args) -> LoadedCsv:
-    return load_csv(args.data, args.response)
-
-
 def _cmd_fit(args) -> int:
-    loaded = _load(args)
+    loaded = load_csv(args.data, args.response)
     data = loaded.data
-    pair = LearnerPair(args.interp, args.flex)
-    if args.gcv and args.flex != "kernel":
-        raise ValueError("--gcv requires --flex kernel")
-    if not args.gcv and args.lambda_g is None:
-        raise ValueError("--lambda-g is required unless --gcv is given")
-    fitter_f, fitter_g = pair.fitters(data, args.lambda_f, None if args.gcv else args.lambda_g)
+    fitter_f, fitter_g = LearnerPair(args.interp, args.flex).fitters(
+        data, args.lambda_f, args.lambda_g)
     fit = fit_double_penalty(data, fitter_f, fitter_g)
     f_vals = fit.f_hat.fitted
     g_vals = fit.g_hat.fitted
@@ -94,14 +85,14 @@ def _cmd_fit(args) -> int:
     report = {
         "version": __version__,
         "data": str(args.data),
-        "response": loaded.response_name,
+        "response": args.response,
         "features": list(loaded.feature_names),
         "dropped_features": list(loaded.dropped_columns),
         "interp": args.interp,
         "flex": args.flex,
         "lambda_f": args.lambda_f,
-        "lambda_g": fitter_g.lam if args.gcv else args.lambda_g,
-        "gcv": bool(args.gcv),
+        "lambda_g": fitter_g.lam if args.lambda_g is None else args.lambda_g,
+        "gcv": args.lambda_g is None,
         "iterations": fit.iterations,
         "stop_reason": fit.stop_reason,
         "penalty_f": fit.f_hat.penalty_value,
@@ -110,21 +101,18 @@ def _cmd_fit(args) -> int:
         "training_cor_g": pearson(data.y, g_vals) if np.ptp(g_vals) else 0.0,
         "training_cor_total": pearson(data.y, f_vals + g_vals),
     }
-    model = fit.f_hat.coefficients  # a LinearModel for both interpretable classes
-    lo = np.array([r[0] for r in loaded.feature_ranges])
-    hi = np.array([r[1] for r in loaded.feature_ranges])
-    beta_unit = np.asarray(model.beta, dtype=float)
-    beta_orig = beta_unit / (hi - lo)
-    report["coefficients_unit"] = dict(zip(loaded.feature_names, map(float, beta_unit)))
-    report["coefficients_original"] = dict(zip(loaded.feature_names, map(float, beta_orig)))
-    report["intercept_original"] = float(model.intercept - beta_orig @ lo)
+    model = fit.f_hat.coefficients  # a LinearModel in the data's units for both classes
+    beta, names = np.asarray(model.beta, dtype=float), loaded.feature_names
+    report["coefficients_unit"] = dict(zip(names, map(float, beta * (data.hi - data.lo))))
+    report["coefficients_original"] = dict(zip(names, map(float, beta)))
+    report["intercept_original"] = float(model.intercept)
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out} ({fit.iterations} iterations, {fit.stop_reason})")
     return EXIT_OK
 
 
 def _cmd_transect(args) -> int:
-    loaded = _load(args)
+    loaded = load_csv(args.data, args.response)
     config = TransectConfig(c=args.c, lambda_f_grid=_parse_log_grid(args.lf_grid),
                             pair=LearnerPair(args.interp, args.flex))
     cv = CvConfig(folds=args.cv_folds, repeats=args.cv_repeats, seed=args.seed)
@@ -139,7 +127,7 @@ def _cmd_transect(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    loaded = _load(args)
+    loaded = load_csv(args.data, args.response)
     cv = CvConfig(folds=args.cv_folds, repeats=args.cv_repeats, seed=args.seed)
     result = grid_sweep(loaded.data, _parse_log_grid(args.lf_grid),
                         _parse_log_grid(args.lg_grid), cv,
@@ -241,9 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_data_args(p_fit)
     add_pair_args(p_fit)
     p_fit.add_argument("--lambda-f", type=float, required=True)
-    p_fit.add_argument("--lambda-g", type=float, default=None)
-    p_fit.add_argument("--gcv", action="store_true",
-                       help="pick lambda-g by GCV (kernel class only)")
+    p_fit.add_argument("--lambda-g", type=float, default=None,
+                       help="omit to pick lambda-g by GCV (kernel class only)")
     p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(func=_cmd_fit)
 
@@ -295,12 +282,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CsvFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    # LinAlgError subclasses ValueError, so the numerical clause comes first
     except (FitterError, CvCellError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:             # CsvFormatError included
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -47,10 +47,10 @@ def to_unit(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 class Dataset:
     """Design points in a rectangular domain plus responses.
 
-    Internally everything operates on the affine rescaling of the domain
-    to the unit cube; `unit_X` exposes it.  `omega_bounds` defaults to
-    [0,1]^p, in which case `unit_X` equals `X`; `lo` and `hi` hold its
-    lower and upper corners as arrays.
+    Kernels see the affine rescaling of the domain to the unit cube,
+    `unit_X`; the other classes fit `X` in its own units.  `omega_bounds`
+    defaults to [0,1]^p, in which case `unit_X` equals `X`; `lo` and `hi`
+    hold its lower and upper corners as arrays.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray,
@@ -92,13 +92,10 @@ class Dataset:
     def unit_X(self) -> np.ndarray:
         """X on the unit cube, computed once and read-only."""
         def build():
-            unit = self.to_unit(self.X)
+            unit = to_unit(self.X, self.lo, self.hi)
             unit.flags.writeable = False
             return unit
         return self.derived("unit_X", build)
-
-    def to_unit(self, points: np.ndarray) -> np.ndarray:
-        return to_unit(points, self.lo, self.hi)
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.X[idx], self.y[idx], self.omega_bounds)

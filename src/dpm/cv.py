@@ -33,6 +33,8 @@ class CvConfig:
             raise ValueError("folds must be at least 2")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,8 @@ class LearnerPair:
 
 
 class CvCellError(RuntimeError):
-    """A fold fit failed; message identifies the (repeat, fold) cell."""
+    """A sweep cell failed: a fold fit raised (the message names the repeat
+    and fold), or an out-of-fold prediction was constant."""
 
 
 def fold_indices(n: int, cv: CvConfig) -> list[list[np.ndarray]]:

@@ -1,4 +1,4 @@
-"""CSV ingestion with per-column min-max rescaling to the unit cube."""
+"""CSV ingestion: features keep their units, and their column ranges are the domain."""
 
 from __future__ import annotations
 
@@ -18,13 +18,10 @@ class CsvFormatError(ValueError):
 
 @dataclass(frozen=True)
 class LoadedCsv:
-    """A parsed dataset plus the rescaling metadata needed to map
-    fitted coefficients back to the original feature units."""
+    """A parsed dataset plus the names of its kept and dropped feature columns."""
 
     data: Dataset
-    response_name: str
     feature_names: tuple[str, ...]
-    feature_ranges: tuple[tuple[float, float], ...]
     dropped_columns: tuple[str, ...]
 
 
@@ -41,12 +38,12 @@ def _parse_cell(raw: str, row_num: int, col_name: str) -> float:
 
 
 def load_csv(path, response_column: str) -> LoadedCsv:
-    """Read a headered CSV into a Dataset on [0,1]^p.
+    """Read a headered CSV into a Dataset whose domain is the box of its feature ranges.
 
-    Every column but the response is a feature.  Features are min-max
-    rescaled per column; constant feature columns are dropped with a
-    warning.  Row numbers in errors count physical file lines, header
-    included.
+    Every column but the response is a feature and keeps its values; its
+    (min, max) is its side of ``omega_bounds``.  Constant feature columns
+    are dropped with a warning.  Row numbers in errors count physical file
+    lines, header included.
     """
     path = Path(path)
     if not path.exists():
@@ -104,15 +101,8 @@ def load_csv(path, response_column: str) -> LoadedCsv:
     if not kept:
         raise CsvFormatError("all feature columns are constant")
 
-    X = raw[:, kept]
-    lo = np.array([r[0] for r in ranges])
-    hi = np.array([r[1] for r in ranges])
-    X = (X - lo) / (hi - lo)
-    data = Dataset(X, y, omega_bounds=tuple((0.0, 1.0) for _ in kept))
     return LoadedCsv(
-        data=data,
-        response_name=response_column,
+        data=Dataset(raw[:, kept], y, omega_bounds=tuple(ranges)),
         feature_names=tuple(feature_columns[j] for j in kept),
-        feature_ranges=tuple(ranges),
         dropped_columns=tuple(dropped),
     )

@@ -62,11 +62,9 @@ def run_example2(nlambdas=(1.0, 0.1, 0.001, 1e-9), noise_sds=(0.1, 0.01),
             y = sun5d(X) + rng.normal(0.0, noise_sd, n)
             data = Dataset(X, y, omega_bounds=bounds)
             K_test = matern_gram(spec, x_test, X)
-            ridge = KernelRidgeFitter(spec)  # one Gram per rep; re-factored per lambda
-            for nl in nlambdas:
-                ridge.lam = nl / n
+            for nl in nlambdas:    # the rep's Gram is shared through data.derived
                 fs = _KeepMembers(LinearFitter())
-                gs = _KeepMembers(ridge)
+                gs = _KeepMembers(KernelRidgeFitter(spec, lam=nl / n))
                 fit_double_penalty(data, fs, gs, stop)
                 # f_0 starts the run, so iterate m pairs f_m with g_m
                 for it, (f_m, g_m) in enumerate(zip(fs.members[1:], gs.members), start=1):

@@ -11,10 +11,12 @@ with moments m_k(y) = int Psi(s, y) e_k(s) ds and
 M_{kl} = int int Psi(s, t) e_k(s) e_l(t) ds dt evaluated under the rule.
 
 The basis 1, sqrt(12) (x_j - 1/2) is orthonormalized under the rule's
-discrete inner product (Cholesky-based Gram-Schmidt) before projecting.
-That makes the discrete orthogonality int Psi_F(., y) e_k identically
-zero up to rounding for the same rule, which is the property downstream
-code relies on.  The rule must span the affine functions: at least p + 1
+discrete inner product before projecting: for the rank-revealing thin SVD
+U s V^T of its weighted values sqrt(w_i) e(s_i), the basis combined by V / s
+is rule-orthonormal (Golub & Van Loan, Matrix Computations, 4th ed., 5.5).
+That makes the discrete orthogonality int Psi_F(., y) e_k identically zero
+up to rounding for the same rule, which is the property downstream code
+relies on.  The rule must span the affine functions: at least p + 1
 points, not all on one hyperplane.
 """
 
@@ -24,7 +26,7 @@ import math
 
 import numpy as np
 
-from ..numerics import QuadratureRule
+from ..numerics import QuadratureRule, truncated_svd
 from .matern import MaternSpec, matern_gram
 
 __all__ = ["ProjectedKernel"]
@@ -32,7 +34,7 @@ __all__ = ["ProjectedKernel"]
 
 def _affine_columns(points: np.ndarray) -> np.ndarray:
     """Columns 1 and sqrt(12) (x_j - 1/2), j = 1..p, at (m, p) points."""
-    # orthonormal under the uniform measure, so the Gram-Schmidt below is well conditioned
+    # orthonormal under the uniform measure, so the SVD below is well conditioned
     return np.column_stack([np.ones(points.shape[0]), math.sqrt(12.0) * (points - 0.5)])
 
 
@@ -43,8 +45,8 @@ class ProjectedKernel:
     weighted basis, moment matrix M) are computed once at construction and
     cached; per-call work is one base Gram block plus rank-(p+1) updates.
     The base Gram block and the moments at the rule's own points are among
-    the cached quantities, and a cross block against the rule's points, on
-    either side, takes the other side's moments from its own base block.
+    the cached quantities, and a cross block against the rule's points
+    takes the other side's moments from its own base block.
     """
 
     def __init__(self, base: MaternSpec, quadrature: QuadratureRule):
@@ -56,14 +58,12 @@ class ProjectedKernel:
         sq = quadrature.points
         wq = quadrature.weights
         raw = _affine_columns(sq)                          # (m, p+1) at rule points
-        if np.linalg.matrix_rank(raw) < raw.shape[1]:
+        _, s, Vt = truncated_svd(np.sqrt(wq)[:, None] * raw)
+        if s.size < raw.shape[1]:
             raise ValueError(
                 f"a quadrature rule of {sq.shape[0]} points in dimension {base.p} does not "
                 f"span the affine functions: it needs {base.p + 1} points not on one hyperplane")
-        gram = raw.T @ (wq[:, None] * raw)
-        # Cholesky-based Gram-Schmidt: columns of raw @ T are rule-orthonormal
-        L = np.linalg.cholesky(gram)
-        self._transform = np.linalg.solve(L, np.eye(L.shape[0])).T
+        self._transform = Vt.T / s                    # columns of raw @ T are rule-orthonormal
         self._rule_points = sq
         self._weighted_basis = wq[:, None] * (raw @ self._transform)   # (m, d)
         psi_qq = matern_gram(base, sq, sq)
@@ -106,17 +106,12 @@ class ProjectedKernel:
             ma = psi @ self._weighted_basis        # psi is A's block against the rule
         else:
             ma = self._moments_at(A)
-        if square:
-            mb = ma
-        elif ma is self._rule_moments:             # A is the rule: psi is its block against B
-            mb = psi.T @ self._weighted_basis
-        else:
-            mb = self._moments_at(B)
+        mb = ma if square else self._moments_at(B)
         K = psi - ea @ mb.T - ma @ eb.T + ea @ self._moment_matrix @ eb.T
         return 0.5 * (K + K.T) if square else K
 
     def orthogonality_residual(self, y: np.ndarray) -> float:
         """max_k |int Psi_F(., y) e_k| under the attached rule."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        vals = self.gram(self._rule_points, y)             # (m, len(y))
-        return float(np.max(np.abs(self._weighted_basis.T @ vals)))
+        vals = self.gram(y, self._rule_points)             # (len(y), m)
+        return float(np.max(np.abs(vals @ self._weighted_basis)))

@@ -54,6 +54,9 @@ def _principal_angle(values_f: np.ndarray, values_g: np.ndarray,
     """
     bases = []
     for side, values in (("f", values_f), ("g", values_g)):
+        bad = np.flatnonzero(~np.all(np.isfinite(values), axis=0))
+        if bad.size:
+            raise ValueError(f"the {side} span has non-finite values in column {bad[0]}")
         Q, s, Vt = truncated_svd(values)
         if not s.size:
             raise ValueError(f"the {side} span is zero at every point")

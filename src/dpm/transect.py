@@ -79,19 +79,26 @@ class DiagnosticRow:
 def _cell(data: Dataset, pair: LearnerPair, lf: float, lg: float,
           cv: CvConfig) -> DiagnosticRow:
     f_avg, g_avg = cross_validated_predictions(data, pair, lf, lg, cv)
-    return DiagnosticRow(lf, lg, pearson(data.y, f_avg), pearson(data.y, g_avg),
-                         pearson(data.y, f_avg + g_avg))
+    try:
+        cors = [pearson(data.y, pred) for pred in (f_avg, g_avg, f_avg + g_avg)]
+    except ValueError as exc:              # a constant prediction has no correlation
+        raise CvCellError(str(exc)) from exc
+    return DiagnosticRow(lf, lg, *cors)
 
 
 def transect_sweep(data: Dataset, config: TransectConfig,
                    cv: CvConfig) -> list[DiagnosticRow]:
-    """One row per grid point; failed cells are skipped with a warning."""
+    """One row per grid point.
+
+    A cell whose fold fit fails, or whose out-of-fold prediction is
+    constant, is skipped with a warning; invalid settings raise.
+    """
     rows = []
     for lf in config.lambda_f_grid:
         lg = config.lambda_g_for(lf)
         try:
             rows.append(_cell(data, config.pair, float(lf), lg, cv))
-        except (CvCellError, ValueError) as exc:
+        except CvCellError as exc:
             warnings.warn(f"transect cell lambda_f={lf:g} skipped: {exc}")
     return rows
 
@@ -143,7 +150,7 @@ def grid_sweep(data: Dataset, lambda_f_grid, lambda_g_grid, cv: CvConfig,
                 continue
             try:
                 rows.append(_cell(data, pair, lf, lg, cv))
-            except (CvCellError, ValueError) as exc:
+            except CvCellError as exc:
                 warnings.warn(f"grid cell ({lf:g}, {lg:g}) skipped: {exc}")
     if not rows:
         raise CvCellError("every grid cell failed")

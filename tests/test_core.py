@@ -16,6 +16,7 @@ from dpm.core import (
     empirical_inner,
     empirical_norm,
     objective,
+    to_unit,
 )
 
 
@@ -53,7 +54,7 @@ class TestDataset:
         d = Dataset(np.array([[0.5], [2.5]]), np.array([0.0, 1.0]),
                     omega_bounds=[(0.5, 2.5)])
         np.testing.assert_allclose(d.unit_X[:, 0], [0.0, 1.0])
-        np.testing.assert_allclose(d.to_unit(np.array([1.5]))[:, 0], [0.5])
+        np.testing.assert_allclose(to_unit(np.array([1.5]), d.lo, d.hi)[:, 0], [0.5])
 
     def test_unit_x_is_computed_once_and_read_only(self):
         d = Dataset(np.array([[0.5], [2.5]]), np.array([0.0, 1.0]),

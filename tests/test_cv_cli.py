@@ -11,6 +11,7 @@ import dpm.classes.lasso as lasso_module
 import dpm.classes.linear as linear_module
 import dpm.classes.stumps as stumps_module
 import dpm.cli as cli_module
+import dpm.cv as cv_module
 import dpm.kernels.matern as matern_module
 import dpm.transect as transect_module
 from dpm.classes import LinearFitter
@@ -56,16 +57,14 @@ class TestLoadCsv:
         header, rows, X, y = _toy_frame()
         path = _write_csv(tmp_path / "toy.csv", header, rows)
         loaded = load_csv(path, "y")
-        assert loaded.response_name == "y"
         assert loaded.feature_names == ("x1", "x2")
         assert loaded.data.n == 30 and loaded.data.p == 2
         np.testing.assert_allclose(loaded.data.y, y, rtol=1e-12)
-        # unit scale hits both endpoints per column
-        assert np.allclose(loaded.data.unit_X.min(axis=0), 0.0)
-        assert np.allclose(loaded.data.unit_X.max(axis=0), 1.0)
-        lo, hi = np.array(loaded.feature_ranges).T
-        back = lo + loaded.data.unit_X * (hi - lo)
-        np.testing.assert_allclose(back, X, rtol=1e-10)
+        # features keep their units, and their ranges are the domain
+        np.testing.assert_array_equal(loaded.data.X, X)
+        assert loaded.data.omega_bounds == tuple(zip(X.min(axis=0), X.max(axis=0)))
+        np.testing.assert_array_equal(loaded.data.unit_X.min(axis=0), [0.0, 0.0])
+        np.testing.assert_array_equal(loaded.data.unit_X.max(axis=0), [1.0, 1.0])
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         header, rows, _, _ = _toy_frame(n=8)
@@ -159,6 +158,8 @@ class TestFolds:
             CvConfig(folds=1)
         with pytest.raises(ValueError):
             CvConfig(repeats=0)
+        with pytest.raises(ValueError, match="seed"):
+            CvConfig(seed=-1)
 
 
 def _cv_dataset(n=36, seed=3):
@@ -328,6 +329,34 @@ class TestTransect:
         assert len(result.rows) == 4 and len(result.transect_rows) == 2
         assert set(result.transect_rows) <= set(result.rows)
 
+    def test_cell_whose_fold_fit_raises_is_skipped(self, monkeypatch):
+        original = cv_module.fit_double_penalty
+
+        def failing_at_one_lambda(train, fitter_f, fitter_g, stop):
+            if fitter_f.lambda_f == 0.1:
+                raise np.linalg.LinAlgError("synthetic")
+            return original(train, fitter_f, fitter_g, stop=stop)
+
+        monkeypatch.setattr(cv_module, "fit_double_penalty", failing_at_one_lambda)
+        config = TransectConfig(c=-1.0, lambda_f_grid=(0.01, 0.1, 1.0))
+        with pytest.warns(UserWarning, match=r"lambda_f=0.1 skipped: .*fold 0: synthetic"):
+            rows = transect_sweep(_cv_dataset(seed=6), config, CvConfig(folds=3, repeats=1))
+        assert [row.lambda_f for row in rows] == [0.01, 1.0]
+
+    def test_cell_with_a_constant_prediction_is_skipped(self, monkeypatch):
+        def constant_f(data, pair, lf, lg, cv):
+            f = np.zeros(data.n) if lf == 1.0 else data.X[:, 0]
+            return f, data.X[:, 1]
+
+        monkeypatch.setattr(transect_module, "cross_validated_predictions", constant_f)
+        with pytest.warns(UserWarning, match=r"grid cell \(1, 0.1\) skipped: .*constant"):
+            result = grid_sweep(_cv_dataset(seed=6), (0.1, 1.0), (0.1,), CvConfig())
+        assert [(r.lambda_f, r.lambda_g) for r in result.rows] == [(0.1, 0.1)]
+
+    def test_invalid_lambda_g_raises_instead_of_skipping(self):
+        with pytest.raises(ValueError, match="lambda_g finite and > 0"):
+            grid_sweep(_cv_dataset(), (0.1,), (0.0,), CvConfig(folds=3, repeats=1))
+
     def test_grid_cells_an_ulp_off_the_transect_take_its_rows(self, monkeypatch):
         cells = []
 
@@ -357,6 +386,24 @@ class TestCli:
         header, rows, _, _ = _toy_frame(n=n, seed=seed)
         return _write_csv(tmp_path / "data.csv", header, rows)
 
+    def test_fit_reports_coefficients_in_the_data_units(self, tmp_path, monkeypatch):
+        fits = []
+        original = cli_module.fit_double_penalty
+        monkeypatch.setattr(cli_module, "fit_double_penalty",
+                            lambda *args: fits.append(original(*args)) or fits[-1])
+        path = self._data_file(tmp_path)
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--data", str(path), "--response", "y",
+                     "--interp", "linear", "--flex", "stumps",
+                     "--lambda-f", "0.5", "--lambda-g", "0.1", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        model = fits[0].f_hat.coefficients
+        data = load_csv(path, "y").data
+        assert list(report["coefficients_original"].values()) == list(model.beta)
+        assert list(report["coefficients_unit"].values()) == list(
+            model.beta * (data.hi - data.lo))
+        assert report["intercept_original"] == model.intercept
+
     def test_fit_writes_report(self, tmp_path, capsys):
         path = self._data_file(tmp_path)
         out = tmp_path / "fit.json"
@@ -371,19 +418,25 @@ class TestCli:
         assert -1.0 <= report["training_cor_total"] <= 1.0
         assert "wrote" in capsys.readouterr().out
 
-    def test_fit_gcv_requires_kernel(self, tmp_path):
+    def test_fit_gcv_requires_kernel(self, tmp_path, capsys):
+        # an omitted --lambda-g means GCV, which only the kernel class has
         path = self._data_file(tmp_path)
         code = main(["fit", "--data", str(path), "--response", "y",
-                     "--flex", "stumps", "--lambda-f", "0.5", "--gcv",
+                     "--flex", "stumps", "--lambda-f", "0.5",
                      "--out", str(tmp_path / "x.json")])
         assert code == 2
+        assert "kernel" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:          # there is no --gcv flag
+            main(["fit", "--data", str(path), "--response", "y", "--flex", "kernel",
+                  "--lambda-f", "0.5", "--gcv", "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
 
     def test_fit_gcv_picks_lambda_g_on_the_first_residual(self, tmp_path):
         path = self._data_file(tmp_path)
         out = tmp_path / "gcv.json"
         code = main(["fit", "--data", str(path), "--response", "y",
                      "--interp", "linear", "--flex", "kernel",
-                     "--lambda-f", "0.5", "--gcv", "--out", str(out)])
+                     "--lambda-f", "0.5", "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
         data = load_csv(path, "y").data
@@ -393,6 +446,11 @@ class TestCli:
         assert report["lambda_g"] == gcv_select_lambda(K, data.y - f_0)[0]
         with pytest.raises(ValueError, match="kernel"):
             LearnerPair("linear", "stumps").fitters(data, 0.5, None)
+        assert main(["fit", "--data", str(path), "--response", "y",
+                     "--interp", "linear", "--flex", "kernel", "--lambda-f", "0.5",
+                     "--lambda-g", "0.25", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["gcv"] is False and report["lambda_g"] == 0.25
 
     def test_fit_missing_lambda_g(self, tmp_path):
         path = self._data_file(tmp_path)
@@ -421,6 +479,37 @@ class TestCli:
                      "--lambda-f", "0.5", "--lambda-g", "0.1",
                      "--out", str(tmp_path / "x.json")])
         assert code == 3
+
+    def test_linalg_error_outside_a_fitter_is_a_numerical_failure(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        def boom(*a, **k):
+            raise np.linalg.LinAlgError("synthetic")
+
+        monkeypatch.setattr(cli_module, "fit_double_penalty", boom)
+        path = self._data_file(tmp_path)
+        code = main(["fit", "--data", str(path), "--response", "y",
+                     "--lambda-f", "0.5", "--lambda-g", "0.1",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        assert "numerical failure: synthetic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["transect", "grid"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--cv-folds", "50", "smaller than folds"),
+        ("--seed", "-1", "seed must be non-negative"),
+    ])
+    def test_sweep_settings_are_validation_errors(self, tmp_path, capsys, command,
+                                                  flag, value, message):
+        path = self._data_file(tmp_path, n=12)
+        out = tmp_path / "s.csv"
+        argv = [command, "--data", str(path), "--response", "y", "--lf-grid", "1e-2:1:2",
+                "--cv-repeats", "1", flag, value, "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")              # no per-cell warnings
+            code = main(argv)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_transect_and_repeat_is_byte_identical(self, tmp_path):
         path = self._data_file(tmp_path, n=21, seed=2)
@@ -498,6 +587,14 @@ class TestCli:
         assert code == 0
         value = float(capsys.readouterr().out.strip())
         assert 0.0 <= value <= 1.0
+
+    def test_separability_non_finite_basis_is_validation_error(self, tmp_path, capsys):
+        path = self._data_file(tmp_path)
+        with np.errstate(invalid="ignore"):
+            code = main(["separability", "--data", str(path), "--response", "y",
+                         "--basis-f", "linear", "--basis-g", "sin:inf"])
+        assert code == 2
+        assert "the g span has non-finite values in column 0" in capsys.readouterr().err
 
     def test_separability_without_args(self):
         assert main(["separability"]) == 2

@@ -415,8 +415,8 @@ class TestProjectedKernelRuleMoments:
                              tensor_or_qmc_rule(p, 64))
         rule, other = pk.quadrature.points, rng.uniform(0, 1, (9, p))
         cross = pk.gram(rule.copy(), other)
-        # the former path: the moments of `other` from a second base block,
-        # the transpose of psi; psi.T @ weights sums in another layout
+        # the moments of `other` from a second base block, not from the
+        # transpose of psi; psi.T @ weights would sum in another layout
         psi = matern_gram(pk.base, rule, other)
         mb = matern_gram(pk.base, other, rule) @ pk._weighted_basis
         ea, eb = pk._basis_at(rule), pk._basis_at(other)

@@ -153,6 +153,16 @@ class TestEmpiricalTheta:
         with pytest.raises(ValueError):
             empirical_theta(np.ones(5), np.ones(6))
 
+    def test_non_finite_values_name_the_span_and_column(self):
+        x = np.linspace(0.0, 1.0, 20)
+        bad = np.column_stack([np.sin(3 * x), x])
+        bad[4, 1] = np.nan
+        with pytest.raises(ValueError, match="the g span has non-finite values in column 1"):
+            empirical_theta(x, bad)
+        with pytest.raises(ValueError, match="the f span has non-finite values in column 0"):
+            theta_l2_quadrature([lambda t: np.full_like(t, np.inf)], [lambda t: t],
+                                gauss_legendre_01(8))
+
     def test_report_validation(self):
         with pytest.raises(ValueError):
             SeparabilityReport(1.5, "empirical-canonical",
