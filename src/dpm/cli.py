@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,17 +30,13 @@ from .experiments import (
 )
 from .fitter import FitterError, fit_double_penalty
 from .separability import empirical_theta, psi
-from .transect import (
-    DiagnosticRow,
-    TransectConfig,
-    grid_sweep,
-    pearson,
-    transect_sweep,
-)
+from .transect import DiagnosticRow, grid_sweep, pearson, transect_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+
+_DEFAULT_GRID = "1e-4:1e2:25"
 
 
 def _positive_int(text: str) -> int:
@@ -48,6 +45,11 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
     return value
+
+
+def _given(args, *names) -> dict:
+    """The named flags that were given, so the library owns every default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _parse_log_grid(text: str) -> tuple[float, ...]:
@@ -65,19 +67,16 @@ def _parse_log_grid(text: str) -> tuple[float, ...]:
 
 
 def _write_rows_csv(rows: list[DiagnosticRow], path: Path) -> None:
-    lines = ["lambda_f,lambda_g,cor_f,cor_g,cor_total"]
-    for row in rows:
-        lines.append(",".join(repr(v) for v in
-                              (row.lambda_f, row.lambda_g, row.cor_f,
-                               row.cor_g, row.cor_total)))
+    lines = [",".join(field.name for field in fields(DiagnosticRow))]
+    lines += [",".join(map(repr, astuple(row))) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
 def _cmd_fit(args) -> int:
     loaded = load_csv(args.data, args.response)
     data = loaded.data
-    fitter_f, fitter_g = LearnerPair(args.interp, args.flex).fitters(
-        data, args.lambda_f, args.lambda_g)
+    pair = LearnerPair(**_given(args, "interp", "flex"))
+    fitter_f, fitter_g = pair.fitters(data, args.lambda_f, args.lambda_g)
     fit = fit_double_penalty(data, fitter_f, fitter_g)
     f_vals = fit.f_hat.fitted
     g_vals = fit.g_hat.fitted
@@ -88,8 +87,8 @@ def _cmd_fit(args) -> int:
         "response": args.response,
         "features": list(loaded.feature_names),
         "dropped_features": list(loaded.dropped_columns),
-        "interp": args.interp,
-        "flex": args.flex,
+        "interp": pair.interp,
+        "flex": pair.flex,
         "lambda_f": args.lambda_f,
         "lambda_g": fitter_g.lam if args.lambda_g is None else args.lambda_g,
         "gcv": args.lambda_g is None,
@@ -113,12 +112,9 @@ def _cmd_fit(args) -> int:
 
 def _cmd_transect(args) -> int:
     loaded = load_csv(args.data, args.response)
-    config = TransectConfig(c=args.c, lambda_f_grid=_parse_log_grid(args.lf_grid),
-                            pair=LearnerPair(args.interp, args.flex))
-    cv = CvConfig(folds=args.cv_folds, repeats=args.cv_repeats, seed=args.seed)
-    rows = transect_sweep(loaded.data, config, cv)
-    if not rows:
-        raise CvCellError("every transect cell failed")
+    rows = transect_sweep(loaded.data, _parse_log_grid(args.lf_grid), args.c,
+                          CvConfig(**_given(args, "folds", "repeats", "seed")),
+                          LearnerPair(**_given(args, "interp", "flex")))
     _write_rows_csv(rows, Path(args.out))
     best = max(rows, key=lambda r: r.cor_total)
     print(f"wrote {args.out}: {len(rows)} rows, best cor_total "
@@ -128,10 +124,10 @@ def _cmd_transect(args) -> int:
 
 def _cmd_grid(args) -> int:
     loaded = load_csv(args.data, args.response)
-    cv = CvConfig(folds=args.cv_folds, repeats=args.cv_repeats, seed=args.seed)
     result = grid_sweep(loaded.data, _parse_log_grid(args.lf_grid),
-                        _parse_log_grid(args.lg_grid), cv,
-                        pair=LearnerPair(args.interp, args.flex),
+                        _parse_log_grid(args.lg_grid),
+                        CvConfig(**_given(args, "folds", "repeats", "seed")),
+                        pair=LearnerPair(**_given(args, "interp", "flex")),
                         transect_c=args.c)
     _write_rows_csv(list(result.rows), Path(args.out))
     msg = f"wrote {args.out}: {len(result.rows)} cells, grid max {result.grid_max:.4f}"
@@ -148,16 +144,15 @@ _SIMULATORS = {"table1": run_table1, "table2": run_table2,
 def _cmd_simulate(args) -> int:
     if args.experiment == "table2" and args.n is not None:
         raise ValueError("table2 sweeps its own sample sizes; --n not supported")
-    # only the flags given are passed, so each study's defaults live in its signature
-    given = {k: getattr(args, k) for k in ("n", "reps") if getattr(args, k) is not None}
-    result = _SIMULATORS[args.experiment](seed=args.seed, **given)
+    result = _SIMULATORS[args.experiment](seed=args.seed, **_given(args, "n", "reps"))
     csv_path, json_path = write_result_files(result, args.out_dir)
     print(f"wrote {csv_path} and {json_path} "
           f"({len(result.rows)} rows, {result.wall_time_s:.1f}s)")
     return EXIT_OK
 
 
-_BASIS_TERMS = ("linear", "quadratic")
+_BASIS = {"linear": lambda u: u, "quadratic": lambda u: u ** 2}
+_WAVES = {"sin": np.sin, "cos": np.cos}
 
 
 def _basis_columns(spec: str, unit_X: np.ndarray) -> np.ndarray:
@@ -167,22 +162,23 @@ def _basis_columns(spec: str, unit_X: np.ndarray) -> np.ndarray:
     sin/cos(k*pi*u_j) per feature.  No constant term, so disjoint specs
     give a nontrivial angle.
     """
-    cols = []
-    for term in spec.split(","):
-        term = term.strip()
-        if term == "linear":
-            cols.append(unit_X)
-        elif term == "quadratic":
-            cols.append(unit_X ** 2)
-        elif term.startswith(("sin:", "cos:")):
-            kind, _, freq = term.partition(":")
-            k = float(freq)
-            fn = np.sin if kind == "sin" else np.cos
-            cols.append(fn(k * math.pi * unit_X))
+    columns = []                 # every term is parsed before any is evaluated
+    for term in map(str.strip, spec.split(",")):
+        kind, _, freq = term.partition(":")
+        if term in _BASIS:
+            columns.append(_BASIS[term])
+        elif kind in _WAVES:
+            try:
+                k = float(freq)
+            except ValueError:
+                k = math.nan
+            if not math.isfinite(k):
+                raise ValueError(f"basis term {term!r} needs a finite number after the colon")
+            columns.append(lambda u, wave=_WAVES[kind], k=k: wave(k * math.pi * u))
         else:
             raise ValueError(f"unknown basis term {term!r}; use "
-                             f"{_BASIS_TERMS + ('sin:<k>', 'cos:<k>')}")
-    return np.hstack(cols)
+                             f"{tuple(_BASIS) + ('sin:<k>', 'cos:<k>')}")
+    return np.hstack([column(unit_X) for column in columns])
 
 
 def _cmd_separability(args) -> int:
@@ -217,13 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--response", required=True, help="response column name")
 
     def add_pair_args(p):
-        p.add_argument("--interp", choices=INTERP_CHOICES, default="lasso")
-        p.add_argument("--flex", choices=FLEX_CHOICES, default="stumps")
+        p.add_argument("--interp", choices=INTERP_CHOICES)
+        p.add_argument("--flex", choices=FLEX_CHOICES)
 
     def add_cv_args(p):
-        p.add_argument("--cv-folds", type=int, default=5)
-        p.add_argument("--cv-repeats", type=int, default=10)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--cv-folds", type=int, dest="folds")
+        p.add_argument("--cv-repeats", type=int, dest="repeats")
+        p.add_argument("--seed", type=int)
 
     p_fit = sub.add_parser("fit", help="single double-penalty fit to JSON")
     add_data_args(p_fit)
@@ -238,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_data_args(p_tr)
     add_pair_args(p_tr)
     p_tr.add_argument("--c", type=float, default=0.0)
-    p_tr.add_argument("--lf-grid", default="1e-4:1e2:25",
+    p_tr.add_argument("--lf-grid", default=_DEFAULT_GRID,
                       help="lambda_f grid as lo:hi:k (log-spaced)")
     add_cv_args(p_tr)
     p_tr.add_argument("--out", required=True)
@@ -247,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gr = sub.add_parser("grid", help="full Cartesian (lambda_f, lambda_g) sweep")
     add_data_args(p_gr)
     add_pair_args(p_gr)
-    p_gr.add_argument("--lf-grid", default="1e-4:1e2:25")
-    p_gr.add_argument("--lg-grid", default="1e-4:1e2:25")
+    p_gr.add_argument("--lf-grid", default=_DEFAULT_GRID)
+    p_gr.add_argument("--lg-grid", default=_DEFAULT_GRID)
     p_gr.add_argument("--c", type=float, default=None,
                       help="also report the gap to this transect")
     add_cv_args(p_gr)

@@ -62,7 +62,7 @@ class LearnerPair:
             raise ValueError("lambda_g=None (GCV) needs the kernel class")
         lambda_g_ok = lambda_g is None or 0 < lambda_g < math.inf
         if not (0 <= lambda_f < math.inf and lambda_g_ok):
-            raise ValueError("lambda_f must be finite and >= 0, lambda_g finite and > 0")
+            raise ValueError("lambda_f must be finite and >= 0, lambda_g positive and finite")
         if self.interp == "linear":
             fitter_f = LinearFitter(ridge_gamma=lambda_f)
         else:
@@ -82,6 +82,8 @@ class CvCellError(RuntimeError):
 
 def fold_indices(n: int, cv: CvConfig) -> list[list[np.ndarray]]:
     """Per-repeat uniform random partitions into ``cv.folds`` test folds."""
+    if n < cv.folds:
+        raise ValueError(f"n={n} is smaller than folds={cv.folds}")
     rng = np.random.default_rng(cv.seed)
     out = []
     for _ in range(cv.repeats):
@@ -106,8 +108,6 @@ def cross_validated_predictions(data: Dataset, pair: LearnerPair,
     Every call on the same dataset object and ``cv`` fits on the same
     training subsets, so sweep cells share what fitters derive from them.
     """
-    if data.n < cv.folds:
-        raise ValueError(f"n={data.n} is smaller than folds={cv.folds}")
     f_sum = np.zeros(data.n)
     g_sum = np.zeros(data.n)
     splits = data.derived(("folds", cv), lambda: _training_folds(data, cv))

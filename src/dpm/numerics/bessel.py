@@ -40,9 +40,10 @@ array.  Octaves where e^-x underflows are exactly 0 without quadrature.
 
 No external special-function dependency, and no stand-in value: every
 argument goes through its order's method, and K is inf where it overflows
-float64.  The rule's weights cosh((mu+1) t_k) overflow a little before K
-does, so at the smallest arguments inf also stands for values from about
-10^303.4 (order 1.495) up to the float64 maximum.
+float64.  At the smallest arguments the weights cosh((mu+1) t_k) overflow
+before K does.  There the octave's rule scales each overflowing row of
+weights cosh(nu t_k) by e^-s, s half its largest nu t_k, and that row's
+sums are multiplied by e^s, which costs a rounding or two.
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ _PI_OVER_2_MAX = 0.5 * math.pi / np.finfo(float).max
 
 
 @functools.lru_cache(maxsize=_OCTAVE_CACHE)
-def _octave_rule(e: int, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents -2^e (cosh t_k - 1) and the weights of K_mu, K_{mu+1} for x in [2^(e-1), 2^e)."""
+def _octave_rule(e: int, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Exponents -2^e (cosh t_k - 1), the weights of K_mu, K_{mu+1}, and the factor
+    e^s that scales each row's sums back (None if no weight overflows) for x in [2^(e-1), 2^e)."""
     hi = math.ldexp(1.0, e)
     lo = 0.5 * hi
     a = _STRIP_WIDTHS
@@ -87,11 +89,20 @@ def _octave_rule(e: int, mu: float) -> tuple[np.ndarray, np.ndarray]:
     # 2^e (cosh t - 1) = 2^(1+r) (2^q sinh(t/2))^2 with e = 2q + r
     q, r = divmod(e, 2)
     exponent = -2.0 ** (1 + r) * np.square(np.ldexp(np.sinh(0.5 * t), q))
-    weights = h * np.cosh(np.multiply.outer((mu, mu + 1.0), t))
+    nu_t = np.multiply.outer((mu, mu + 1.0), t)
+    weights = h * np.cosh(nu_t)
+    factor = None
+    if not np.isfinite(weights).all():
+        # cosh(nu t_k) overflowed (under _k_general's errstate) before K does:
+        # scale by e^-s, s half the row's largest nu t_k, so both are finite
+        nu_t = np.abs(nu_t)
+        s = np.where(np.isfinite(weights).all(axis=1), 0.0, 0.5 * nu_t.max(axis=1))[:, None]
+        weights = np.where(s > 0.0, 0.5 * h * (np.exp(nu_t - s) + np.exp(-nu_t - s)), weights)
+        factor = np.exp(s)
     weights[:, 0] *= 0.5
     exponent.flags.writeable = False
     weights.flags.writeable = False
-    return exponent, weights
+    return exponent, weights, factor
 
 
 def _trapezoid(mu: float, x: np.ndarray) -> np.ndarray:
@@ -104,7 +115,7 @@ def _trapezoid(mu: float, x: np.ndarray) -> np.ndarray:
     for e in bands.tolist():
         if math.exp(-math.ldexp(1.0, e - 1)) == 0.0:
             break                        # e^-x underflows here and in every later octave
-        exponent, weights = _octave_rule(e, mu)
+        exponent, weights, factor = _octave_rule(e, mu)
         rows = np.flatnonzero(octave == e)
         step = max(1, _BLOCK_ENTRIES // exponent.size)
         for lo in range(0, rows.size, step):
@@ -114,6 +125,8 @@ def _trapezoid(mu: float, x: np.ndarray) -> np.ndarray:
             for total, w in zip(sums, weights):
                 total[chunk] = np.add.reduce(block * w, axis=1)
             del block                        # before the next chunk's block is made
+        if factor is not None:
+            sums[:, rows] *= factor
     # e^-x, in the buffer of the spent mantissas
     sums *= np.exp(np.negative(x, out=mantissa), out=mantissa)
     return sums
@@ -123,17 +136,16 @@ def _k_general(order: float, x: np.ndarray) -> np.ndarray:
     """K_order(x) for any order >= 0 by the trapezoid rule plus upward recurrence."""
     nl = round(order)
     mu = order - nl
-    # at tiny x the weights cosh((mu+1) t_k) and 2/x overflow, and so may
-    # K_mu and K_{mu+1}; every term is positive, so NaN comes only from
-    # inf * 0 (an overflowed weight at a node whose exp underflowed) in a
-    # rule or a recurrence that overflowed, and stands for inf
-    with np.errstate(over="ignore", invalid="ignore"):
+    # at tiny x a new rule's cosh(nu t_k), 2/x, K_mu and K_{mu+1} may overflow;
+    # the rule rescales its weights and every term is positive, so K reads
+    # inf where it overflows, never NaN
+    with np.errstate(over="ignore"):
         k_mu, k_mu1 = _trapezoid(mu, x)
         two_over_x = 2.0 / x
         for j in range(1, nl + 1):
             k_mu += (mu + j) * two_over_x * k_mu1     # K_{mu+j+1}, over K_{mu+j-1}
             k_mu, k_mu1 = k_mu1, k_mu
-    return np.where(np.isnan(k_mu), math.inf, k_mu)   # not a view that keeps both rows alive
+    return k_mu.copy()                  # not a view that keeps both rows alive
 
 
 def _k_half_integer(n: int, x: np.ndarray) -> np.ndarray:

@@ -2,14 +2,18 @@
 
 Each cell cross-validates a double-penalty fit and reports Pearson
 correlations between the response and the averaged out-of-fold
-predictions of f, g, and their sum.
+predictions of f, g, and their sum.  Both sweeps check every cell before
+any fold fit runs: its lambdas must pass ``LearnerPair.fitters``, and each
+grid must be non-empty and strictly increasing, or a ValueError names the
+cell.  A cell whose fold fit fails, or whose out-of-fold prediction is
+constant, is skipped with a warning; CvCellError if every cell is.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,37 +33,6 @@ def pearson(a, b) -> float:
     if na == 0.0 or nb == 0.0:
         raise ValueError("correlation undefined for constant input")
     return float(np.clip(float(a0 @ b0) / (na * nb), -1.0, 1.0))
-
-
-def default_lambda_f_grid(count: int = 25) -> tuple[float, ...]:
-    return tuple(np.logspace(-4.0, 2.0, count))
-
-
-@dataclass(frozen=True)
-class TransectConfig:
-    c: float = 0.0
-    lambda_f_grid: tuple = field(default_factory=default_lambda_f_grid)
-    pair: LearnerPair = field(default_factory=LearnerPair)
-
-    def __post_init__(self):
-        if not math.isfinite(self.c):
-            raise ValueError("transect offset c must be finite")
-        grid = np.asarray(self.lambda_f_grid, dtype=float)
-        if grid.size == 0 or not np.all((grid > 0.0) & np.isfinite(grid)):
-            raise ValueError("lambda_f grid must be positive and finite")
-        if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
-            raise ValueError("lambda_f grid must be strictly increasing")
-        for lf in self.lambda_f_grid:
-            try:
-                lg = self.lambda_g_for(float(lf))
-            except OverflowError:
-                lg = math.inf
-            if not 0.0 < lg < math.inf:
-                raise ValueError(f"transect offset c={self.c:g} gives lambda_g={lg:g} "
-                                 f"at lambda_f={float(lf):g}; it must be positive and finite")
-
-    def lambda_g_for(self, lambda_f: float) -> float:
-        return 10.0 ** (self.c - math.log10(lambda_f))
 
 
 @dataclass(frozen=True)
@@ -86,73 +59,90 @@ def _cell(data: Dataset, pair: LearnerPair, lf: float, lg: float,
     return DiagnosticRow(lf, lg, *cors)
 
 
-def transect_sweep(data: Dataset, config: TransectConfig,
-                   cv: CvConfig) -> list[DiagnosticRow]:
-    """One row per grid point.
-
-    A cell whose fold fit fails, or whose out-of-fold prediction is
-    constant, is skipped with a warning; invalid settings raise.
-    """
-    rows = []
-    for lf in config.lambda_f_grid:
-        lg = config.lambda_g_for(lf)
+def _checked(data: Dataset, pair: LearnerPair, cells: list[tuple[float, float]],
+             kind: str) -> list[tuple[float, float]]:
+    """``cells`` if there are any, ``pair`` builds fitters for each, and they
+    increase strictly in (lambda_f, lambda_g) order, as they do when each
+    grid is strictly increasing; else a ValueError naming the first bad cell."""
+    if not cells:
+        raise ValueError(f"the {kind} sweep has no cells; its grids must be non-empty")
+    for prev, (lf, lg) in zip([None] + cells, cells):
         try:
-            rows.append(_cell(data, config.pair, float(lf), lg, cv))
+            pair.fitters(data, lf, lg)
+            if prev is not None and prev >= (lf, lg):
+                raise ValueError("grids must be strictly increasing")
+        except ValueError as exc:
+            raise ValueError(f"{kind} cell ({lf:g}, {lg:g}): {exc}") from None
+    return cells
+
+
+def _sweep(data: Dataset, pair: LearnerPair, cells: list[tuple[float, float]],
+           cv: CvConfig, kind: str, reuse=()) -> list[DiagnosticRow]:
+    """One row per checked cell, in order.  A cell takes the row of
+    ``reuse`` at its lambda_f when its lambda_g is within 1e-12 relative of
+    the row's (log grids and ``10 ** (c - log10(lambda_f))`` can differ by
+    an ulp), with the cell's own lambda_g."""
+    done_at = {row.lambda_f: row for row in reuse}
+    rows = []
+    for lf, lg in cells:
+        done = done_at.get(lf)
+        if done is not None and math.isclose(lg, done.lambda_g, rel_tol=1e-12):
+            rows.append(replace(done, lambda_g=lg))
+            continue
+        try:
+            rows.append(_cell(data, pair, lf, lg, cv))
         except CvCellError as exc:
-            warnings.warn(f"transect cell lambda_f={lf:g} skipped: {exc}")
+            warnings.warn(f"{kind} cell ({lf:g}, {lg:g}) skipped: {exc}")
+    if not rows:
+        raise CvCellError(f"every {kind} cell failed")
     return rows
+
+
+def _transect_lambda_g(c: float, lambda_f: float) -> float:
+    """10 ** (c - log10(lambda_f)); inf where that overflows or lambda_f <= 0."""
+    try:
+        return 10.0 ** (c - math.log10(lambda_f))
+    except (OverflowError, ValueError):
+        return math.inf
+
+
+def transect_sweep(data: Dataset, lambda_f_grid, c: float, cv: CvConfig,
+                   pair: LearnerPair | None = None) -> list[DiagnosticRow]:
+    """One row per lambda_f, at lambda_g = 10 ** (c - log10(lambda_f))."""
+    pair = pair or LearnerPair()
+    cells = [(float(lf), _transect_lambda_g(c, float(lf))) for lf in lambda_f_grid]
+    return _sweep(data, pair, _checked(data, pair, cells, "transect"), cv, "transect")
 
 
 @dataclass(frozen=True)
 class GridSweepResult:
     rows: tuple[DiagnosticRow, ...]
-    grid_max: float
     transect_rows: tuple[DiagnosticRow, ...] = ()
-    transect_max: float | None = None
+
+    @property
+    def grid_max(self) -> float:
+        return max(row.cor_total for row in self.rows)
+
+    @property
+    def transect_max(self) -> float | None:
+        return max((row.cor_total for row in self.transect_rows), default=None)
 
     @property
     def gap(self) -> float | None:
-        if self.transect_max is None:
-            return None
-        return self.grid_max - self.transect_max
+        return None if self.transect_max is None else self.grid_max - self.transect_max
 
 
 def grid_sweep(data: Dataset, lambda_f_grid, lambda_g_grid, cv: CvConfig,
                pair: LearnerPair | None = None,
                transect_c: float | None = None) -> GridSweepResult:
-    """Full Cartesian sweep; with ``transect_c`` also reports how far the
-    grid-wide best cor(y, f+g) sits above the best along that transect.
-
-    The transect runs first, and a grid cell takes the transect row at its
-    lambda_f when its lambda_g is within 1e-12 relative of the row's (log
-    grids and ``10 ** (c - log10(lambda_f))`` can differ by an ulp).  The
-    reused row carries the grid's own (lambda_f, lambda_g)."""
+    """Full Cartesian sweep.  With ``transect_c`` the transect runs first, the
+    grid takes its rows where they match, and ``gap`` reports how far the
+    grid-wide best cor(y, f+g) sits above the transect's best."""
     pair = pair or LearnerPair()
     lf_grid = [float(v) for v in lambda_f_grid]
-    lg_grid = [float(v) for v in lambda_g_grid]
-    if not lf_grid or not lg_grid:
-        raise ValueError("grids must be non-empty")
-    transect_rows: tuple[DiagnosticRow, ...] = ()
-    transect_max = None
-    if transect_c is not None:
-        config = TransectConfig(c=transect_c, lambda_f_grid=tuple(lf_grid), pair=pair)
-        transect_rows = tuple(transect_sweep(data, config, cv))
-        if transect_rows:
-            transect_max = max(row.cor_total for row in transect_rows)
-    on_transect = {row.lambda_f: row for row in transect_rows}
-
-    rows = []
-    for lf in lf_grid:
-        for lg in lg_grid:
-            done = on_transect.get(lf)
-            if done is not None and math.isclose(lg, done.lambda_g, rel_tol=1e-12):
-                rows.append(replace(done, lambda_g=lg))
-                continue
-            try:
-                rows.append(_cell(data, pair, lf, lg, cv))
-            except CvCellError as exc:
-                warnings.warn(f"grid cell ({lf:g}, {lg:g}) skipped: {exc}")
-    if not rows:
-        raise CvCellError("every grid cell failed")
-    grid_max = max(row.cor_total for row in rows)
-    return GridSweepResult(tuple(rows), grid_max, transect_rows, transect_max)
+    cells = [(lf, float(lg)) for lf in lf_grid for lg in lambda_g_grid]
+    cells = _checked(data, pair, cells, "grid")
+    transect_rows = () if transect_c is None else tuple(
+        transect_sweep(data, lf_grid, transect_c, cv, pair))
+    return GridSweepResult(tuple(_sweep(data, pair, cells, cv, "grid", transect_rows)),
+                           transect_rows)

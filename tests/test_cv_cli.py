@@ -18,6 +18,7 @@ from dpm.classes import LinearFitter
 from dpm.cli import _parse_log_grid, main
 from dpm.core import Dataset
 from dpm.cv import (
+    CvCellError,
     CvConfig,
     LearnerPair,
     cross_validated_predictions,
@@ -27,14 +28,7 @@ from dpm.data_io import CsvFormatError, load_csv
 from dpm.experiments import run_example1
 from dpm.fitter import StoppingRule
 from dpm.kernels import MaternSpec, gcv_select_lambda, matern_gram
-from dpm.transect import (
-    DiagnosticRow,
-    TransectConfig,
-    default_lambda_f_grid,
-    grid_sweep,
-    pearson,
-    transect_sweep,
-)
+from dpm.transect import DiagnosticRow, grid_sweep, pearson, transect_sweep
 
 
 def _write_csv(path, header, rows):
@@ -161,6 +155,10 @@ class TestFolds:
         with pytest.raises(ValueError, match="seed"):
             CvConfig(seed=-1)
 
+    def test_more_folds_than_points_raises(self):
+        with pytest.raises(ValueError, match="n=3 is smaller than folds=5"):
+            fold_indices(3, CvConfig(folds=5, repeats=1))
+
 
 def _cv_dataset(n=36, seed=3):
     rng = np.random.default_rng(seed)
@@ -227,9 +225,8 @@ class TestFoldsSharedAcrossCells:
 
         monkeypatch.setattr(matern_module, "matern_gram", counted)
         monkeypatch.setattr(linear_module, "least_squares_matrix", counted_solve)
-        config = TransectConfig(c=-2.0, lambda_f_grid=(1e-3, 1e-2, 1e-1, 1.0),
-                                pair=LearnerPair("linear", "kernel"))
-        rows = transect_sweep(_cv_dataset(), config, CvConfig(folds=3, repeats=1, seed=1))
+        rows = transect_sweep(_cv_dataset(), (1e-3, 1e-2, 1e-1, 1.0), -2.0,
+                              CvConfig(folds=3, repeats=1, seed=1), LearnerPair("linear", "kernel"))
         assert len(rows) == 4
         # 3 folds, not 4 cells x 3 folds, nor once per linear fit
         assert fit_grams == [(24, 2)] * 3
@@ -254,44 +251,71 @@ class TestFoldsSharedAcrossCells:
                                         for _, x in designs for lg in lg_grid)
 
 
+def _stub_cells(monkeypatch):
+    """Replace each cell's cross-validation by a cheap stand-in; returns the
+    (lambda_f, lambda_g) of every cell cross-validated."""
+    cells = []
+
+    def stub(data, pair, lf, lg, cv):
+        cells.append((lf, lg))
+        return data.X[:, 0], data.X[:, 1] + math.log(lg) * data.y
+
+    monkeypatch.setattr(transect_module, "cross_validated_predictions", stub)
+    return cells
+
+
+_DEFAULT_LF = _parse_log_grid(cli_module._DEFAULT_GRID)
+
+
 class TestTransect:
-    def test_default_grid(self):
-        grid = default_lambda_f_grid()
+    def test_default_grid(self, tmp_path, monkeypatch):
+        # `dpm transect` without --lf-grid sweeps 25 points from 1e-4 to 1e2
+        cells = _stub_cells(monkeypatch)
+        header, rows, _, _ = _toy_frame(n=12)
+        path = _write_csv(tmp_path / "d.csv", header, rows)
+        assert main(["transect", "--data", str(path), "--response", "y",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+        grid = [lf for lf, _ in cells]
         assert len(grid) == 25
         assert grid[0] == pytest.approx(1e-4)
         assert grid[-1] == pytest.approx(1e2)
 
-    def test_lambda_identity(self):
-        config = TransectConfig(c=-1.0, lambda_f_grid=default_lambda_f_grid())
-        for lf in config.lambda_f_grid:
-            lg = config.lambda_g_for(lf)
-            assert np.log10(lf) + np.log10(lg) == pytest.approx(-1.0, abs=1e-12)
+    def test_lambda_identity(self, monkeypatch):
+        _stub_cells(monkeypatch)
+        rows = transect_sweep(_cv_dataset(), _DEFAULT_LF, -1.0, CvConfig())
+        assert [row.lambda_f for row in rows] == list(_DEFAULT_LF)
+        for row in rows:
+            assert np.log10(row.lambda_f) + np.log10(row.lambda_g) == pytest.approx(-1.0, abs=1e-12)
 
-    def test_row_validation(self):
+    def test_row_validation(self, monkeypatch):
+        cells = _stub_cells(monkeypatch)
         with pytest.raises(ValueError):
             DiagnosticRow(0.1, 0.1, 1.5, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            TransectConfig(lambda_f_grid=(0.1, 0.1))
-        with pytest.raises(ValueError):
-            TransectConfig(lambda_f_grid=(-1.0, 1.0))
+        for grid in ((0.1, 0.1), (-1.0, 1.0), ()):
+            with pytest.raises(ValueError):
+                transect_sweep(_cv_dataset(), grid, 0.0, CvConfig())
+        assert cells == []
 
     @pytest.mark.parametrize("c", [400.0, -400.0, 306.0, -330.0])
-    def test_offsets_whose_lambda_g_leaves_float_range_are_rejected(self, c):
+    def test_offsets_whose_lambda_g_leaves_float_range_are_rejected(self, c, monkeypatch):
         # 10**(c - log10(lambda_f)) overflows (c > 0) or underflows to 0 (c < 0)
-        # at some point of the default grid, 1e-4 .. 1e2
-        with pytest.raises(ValueError, match="positive and finite"):
-            TransectConfig(c=c)
+        # at some point of the default grid, 1e-4 .. 1e2, before any cell runs
+        cells = _stub_cells(monkeypatch)
+        with pytest.raises(ValueError, match=r"transect cell \(.*positive and finite"):
+            transect_sweep(_cv_dataset(), _DEFAULT_LF, c, CvConfig())
+        assert cells == []
 
-    def test_extreme_offsets_inside_float_range_are_kept(self):
-        config = TransectConfig(c=300.0)
-        assert all(0.0 < config.lambda_g_for(lf) < math.inf for lf in config.lambda_f_grid)
-        TransectConfig(c=-300.0)
+    def test_extreme_offsets_inside_float_range_are_kept(self, monkeypatch):
+        _stub_cells(monkeypatch)
+        for c in (300.0, -300.0):
+            rows = transect_sweep(_cv_dataset(), _DEFAULT_LF, c, CvConfig())
+            assert len(rows) == 25
+            assert all(0.0 < row.lambda_g < math.inf for row in rows)
 
     def test_sweep_rows_live_on_the_transect(self):
         data = _cv_dataset(seed=6)
-        config = TransectConfig(c=-1.0, lambda_f_grid=(0.01, 0.1, 1.0))
         cv = CvConfig(folds=3, repeats=1, seed=1)
-        rows = transect_sweep(data, config, cv)
+        rows = transect_sweep(data, (0.01, 0.1, 1.0), -1.0, cv)
         assert len(rows) == 3
         for row in rows:
             assert np.log10(row.lambda_f) + np.log10(row.lambda_g) == pytest.approx(
@@ -322,8 +346,7 @@ class TestTransect:
         data = _cv_dataset(seed=8)
         cv = CvConfig(folds=3, repeats=1, seed=2)
         lf_grid = (0.1, 1.0)
-        on_transect = TransectConfig(c=-1.0, lambda_f_grid=lf_grid)
-        lg_grid = sorted(on_transect.lambda_g_for(lf) for lf in lf_grid)
+        lg_grid = sorted(transect_module._transect_lambda_g(-1.0, lf) for lf in lf_grid)
         result = grid_sweep(data, lf_grid, lg_grid, cv, transect_c=-1.0)
         assert len(cells) == len(set(cells)) == 4
         assert len(result.rows) == 4 and len(result.transect_rows) == 2
@@ -338,10 +361,26 @@ class TestTransect:
             return original(train, fitter_f, fitter_g, stop=stop)
 
         monkeypatch.setattr(cv_module, "fit_double_penalty", failing_at_one_lambda)
-        config = TransectConfig(c=-1.0, lambda_f_grid=(0.01, 0.1, 1.0))
-        with pytest.warns(UserWarning, match=r"lambda_f=0.1 skipped: .*fold 0: synthetic"):
-            rows = transect_sweep(_cv_dataset(seed=6), config, CvConfig(folds=3, repeats=1))
+        skipped = r"transect cell \(0.1, 1\) skipped: .*fold 0: synthetic"
+        with pytest.warns(UserWarning, match=skipped):
+            rows = transect_sweep(_cv_dataset(seed=6), (0.01, 0.1, 1.0), -1.0,
+                                  CvConfig(folds=3, repeats=1))
         assert [row.lambda_f for row in rows] == [0.01, 1.0]
+
+    @pytest.mark.parametrize("transect_c", [None, -1.0])
+    def test_every_cell_failing_raises(self, monkeypatch, transect_c):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("synthetic")
+
+        monkeypatch.setattr(cv_module, "fit_double_penalty", failing)
+        data, cv = _cv_dataset(), CvConfig(folds=3, repeats=1)
+        kind = "grid" if transect_c is None else "transect"
+        with pytest.warns(UserWarning, match="skipped"), \
+                pytest.raises(CvCellError, match=f"every {kind} cell failed"):
+            grid_sweep(data, (0.01, 0.1), (0.1,), cv, transect_c=transect_c)
+        with pytest.warns(UserWarning, match="skipped"), \
+                pytest.raises(CvCellError, match="every transect cell failed"):
+            transect_sweep(data, (0.01, 0.1), -1.0, cv)
 
     def test_cell_with_a_constant_prediction_is_skipped(self, monkeypatch):
         def constant_f(data, pair, lf, lg, cv):
@@ -354,20 +393,31 @@ class TestTransect:
         assert [(r.lambda_f, r.lambda_g) for r in result.rows] == [(0.1, 0.1)]
 
     def test_invalid_lambda_g_raises_instead_of_skipping(self):
-        with pytest.raises(ValueError, match="lambda_g finite and > 0"):
+        with pytest.raises(ValueError, match=r"grid cell \(0.1, 0\): .*lambda_g positive"):
             grid_sweep(_cv_dataset(), (0.1,), (0.0,), CvConfig(folds=3, repeats=1))
 
+    @pytest.mark.parametrize("transect_c", [None, -1.0])
+    def test_bad_lambda_raises_naming_its_cell_before_any_fit(self, monkeypatch, transect_c):
+        cells = _stub_cells(monkeypatch)
+        with pytest.raises(ValueError, match=r"^grid cell \(0.01, -1\): lambda_f must"):
+            grid_sweep(_cv_dataset(), [0.01, 0.1], [0.1, -1.0], CvConfig(),
+                       transect_c=transect_c)
+        assert cells == []
+
+    @pytest.mark.parametrize("lf_grid, lg_grid", [
+        ((0.1, 0.1), (0.1,)), ((1.0, 0.1), (0.1, 1.0)), ((0.1, 1.0), (0.1, 0.1)), ((), (0.1,)),
+    ])
+    @pytest.mark.parametrize("transect_c", [None, -1.0])
+    def test_grids_must_be_strictly_increasing(self, monkeypatch, lf_grid, lg_grid, transect_c):
+        cells = _stub_cells(monkeypatch)
+        with pytest.raises(ValueError, match="strictly increasing|non-empty"):
+            grid_sweep(_cv_dataset(), lf_grid, lg_grid, CvConfig(), transect_c=transect_c)
+        assert cells == []
+
     def test_grid_cells_an_ulp_off_the_transect_take_its_rows(self, monkeypatch):
-        cells = []
-
-        def counted(data, pair, lf, lg, cv):
-            cells.append((lf, lg))
-            return data.X[:, 0], data.X[:, 1] + lg * data.y
-
-        monkeypatch.setattr(transect_module, "cross_validated_predictions", counted)
+        cells = _stub_cells(monkeypatch)
         grid = _parse_log_grid("1e-3:1e1:7")
-        on_transect = TransectConfig(c=-2.0, lambda_f_grid=grid)
-        transect_lg = [on_transect.lambda_g_for(lf) for lf in grid]
+        transect_lg = [transect_module._transect_lambda_g(-2.0, lf) for lf in grid]
         # every transect cell lies on the grid, but some only to the last digit
         assert all(any(math.isclose(lg, g, rel_tol=1e-12) for g in grid) for lg in transect_lg)
         assert sum(lg in grid for lg in transect_lg) < len(grid)
@@ -526,6 +576,40 @@ class TestCli:
         assert lines[0] == "lambda_f,lambda_g,cor_f,cor_g,cor_total"
         assert len(lines) == 4
 
+    def test_sweeps_pass_only_the_flags_given(self, tmp_path, monkeypatch):
+        calls = []
+        row = DiagnosticRow(0.1, 0.1, 0.5, 0.5, 0.5)
+        monkeypatch.setattr(cli_module, "transect_sweep",
+                            lambda data, grid, c, cv, pair: calls.append((cv, pair)) or [row])
+        base = ["transect", "--data", str(self._data_file(tmp_path)), "--response", "y",
+                "--out", str(tmp_path / "t.csv")]
+        assert main(base) == 0
+        assert main(base + ["--interp", "linear", "--cv-repeats", "2", "--seed", "3"]) == 0
+        assert calls == [(CvConfig(), LearnerPair()),
+                         (CvConfig(repeats=2, seed=3), LearnerPair(interp="linear"))]
+
+    def test_fit_reports_the_pair_defaults(self, tmp_path):
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--data", str(self._data_file(tmp_path)), "--response", "y",
+                     "--lambda-f", "0.5", "--lambda-g", "0.1", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert (report["interp"], report["flex"]) == (LearnerPair().interp, LearnerPair().flex)
+
+    def test_sweep_where_every_cell_fails_is_a_numerical_failure(self, tmp_path, monkeypatch,
+                                                                capsys):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("synthetic")
+
+        monkeypatch.setattr(cv_module, "fit_double_penalty", failing)
+        out = tmp_path / "t.csv"
+        with pytest.warns(UserWarning, match="skipped"):
+            code = main(["transect", "--data", str(self._data_file(tmp_path)), "--response", "y",
+                         "--lf-grid", "1e-2:1:2", "--cv-folds", "3", "--cv-repeats", "1",
+                         "--out", str(out)])
+        assert code == 3
+        assert "every transect cell failed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_reports_gap(self, tmp_path, capsys):
         path = self._data_file(tmp_path, n=21, seed=3)
         out = tmp_path / "grid.csv"
@@ -590,11 +674,19 @@ class TestCli:
 
     def test_separability_non_finite_basis_is_validation_error(self, tmp_path, capsys):
         path = self._data_file(tmp_path)
-        with np.errstate(invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")              # no RuntimeWarning from numpy
             code = main(["separability", "--data", str(path), "--response", "y",
                          "--basis-f", "linear", "--basis-g", "sin:inf"])
         assert code == 2
-        assert "the g span has non-finite values in column 0" in capsys.readouterr().err
+        assert "basis term 'sin:inf' needs a finite number" in capsys.readouterr().err
+
+    def test_separability_non_numeric_frequency_names_the_term(self, tmp_path, capsys):
+        path = self._data_file(tmp_path)
+        code = main(["separability", "--data", str(path), "--response", "y",
+                     "--basis-f", "linear", "--basis-g", "cos:1,sin:abc"])
+        assert code == 2
+        assert "basis term 'sin:abc' needs a finite number" in capsys.readouterr().err
 
     def test_separability_without_args(self):
         assert main(["separability"]) == 2

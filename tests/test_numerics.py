@@ -269,6 +269,19 @@ class TestBesselK:
         assert bessel_k(order, x) == pytest.approx(expected, rel=1e-13)
         assert bessel_k(order, np.array([x, 1.0]))[0] == bessel_k(order, x)
 
+    # the weights cosh((mu+1) t_k) overflow here before K does; 30-digit mpmath
+    @pytest.mark.parametrize("order,x,expected", [
+        (1.495, 1.27e-203, 2.66866506866798819386791464444e303),
+        (1.49, 3.2e-205, 6.19780711378844832475410297103e304),
+        (1.45, 1e-212, 3.03900353671309496998227485599e307),
+        (1.3, 2e-237, 5.64924332960302688628534478312e307),
+    ])
+    def test_finite_where_the_weights_overflow(self, order, x, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bessel_k(order, x) == pytest.approx(expected, rel=1e-12)
+            assert bessel_k(order, np.array([x, 1.0]))[0] == bessel_k(order, x)
+
     @pytest.mark.parametrize("order,x", [(3, 1e-104), (200, 1e-2), (3.5, 1e-160), (1, 5e-324)])
     def test_overflow_is_inf(self, order, x):
         with warnings.catch_warnings():
