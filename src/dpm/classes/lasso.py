@@ -54,9 +54,7 @@ def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float) -> FunctionC
     """
     if lambda_f < 0.0:
         raise ValueError("lambda_f must be non-negative")
-    residual = np.asarray(residual, dtype=float).ravel()
-    if residual.size != data.n:
-        raise ValueError("residual length must match dataset")
+    residual = data.residual(residual)
     design = data.derived("lasso_design", lambda: lasso_design(data.X))
     n = data.n
     Z, scale, idx = design.Z, design.scale, design.active

@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core import Dataset, FunctionClassFitter, FunctionClassMember
+from ..core import Dataset, FunctionClassFitter, FunctionClassMember, basis_columns
 from ..numerics import tensor_or_qmc_rule, truncated_svd
 
 
@@ -19,21 +19,7 @@ class LinearModel:
     converged: bool = True
 
     def predict(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        return pts @ self.beta + self.intercept
-
-
-def _basis_columns(basis: Sequence[Callable], points: np.ndarray) -> np.ndarray:
-    """Each basis function at ``points``, one column each.
-
-    A basis function sees an (m, p) array, or a 1-D array when p = 1:
-    an (m, 1) array is passed as its only column.
-    """
-    pts = np.asarray(points, dtype=float)
-    arg = pts[:, 0] if pts.ndim == 2 and pts.shape[1] == 1 else pts
-    return np.column_stack([np.asarray(phi(arg), dtype=float) for phi in basis])
+        return points @ self.beta + self.intercept
 
 
 @dataclass(frozen=True, eq=False)    # compared by identity: alpha is an array
@@ -42,7 +28,7 @@ class FiniteBasisModel:
     alpha: np.ndarray
 
     def predict(self, points: np.ndarray) -> np.ndarray:
-        return _basis_columns(self.basis, points) @ self.alpha
+        return basis_columns(self.basis, points) @ self.alpha
 
 
 def least_squares_matrix(design: np.ndarray) -> np.ndarray:
@@ -68,11 +54,10 @@ def fit_linear_ols(data: Dataset, residual: np.ndarray, norm_bound: float = math
     norm exceeds ``norm_bound`` the vector is rescaled onto the ball.
     Returns a FunctionClassMember carrying a LinearModel.
     """
-    residual = np.asarray(residual, dtype=float).ravel()
-    if residual.size != data.n:
-        raise ValueError("residual length must match dataset")
+    if not (0.0 <= ridge_gamma < math.inf and norm_bound >= 0.0):
+        raise ValueError("ridge_gamma must be finite and >= 0, norm_bound >= 0")
     coef = data.derived("ls_solve", lambda: least_squares_matrix(
-        np.hstack([data.X, np.ones((data.n, 1))]))) @ residual
+        np.hstack([data.X, np.ones((data.n, 1))]))) @ data.residual(residual)
     if ridge_gamma > 0.0:
         coef = coef * (2.0 / (2.0 + ridge_gamma))
     norm = float(np.sqrt(coef @ coef))
@@ -92,11 +77,12 @@ def fit_finite_basis(basis: Sequence[Callable], data: Dataset, residual: np.ndar
     (rescaled) domain; if it exceeds ``l2_bound`` the coefficients are
     rescaled onto the ball.
     """
-    residual = np.asarray(residual, dtype=float).ravel()
-    alpha = least_squares_matrix(_basis_columns(basis, data.X)) @ residual
+    if not l2_bound >= 0.0:
+        raise ValueError("l2_bound must be >= 0")
+    alpha = least_squares_matrix(basis_columns(basis, data.X)) @ data.residual(residual)
     if math.isfinite(l2_bound):
         rule = tensor_or_qmc_rule(data.p, 64 if data.p == 1 else 1024)
-        vals = _basis_columns(basis, data.lo + rule.points * (data.hi - data.lo)) @ alpha
+        vals = basis_columns(basis, data.lo + rule.points * (data.hi - data.lo)) @ alpha
         norm = math.sqrt(max(rule.integrate(vals * vals), 0.0))
         if norm > l2_bound:
             alpha = alpha * (l2_bound / norm)

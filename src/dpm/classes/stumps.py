@@ -26,12 +26,9 @@ class StumpEnsemble:
     rounds: tuple[Stump, ...]
 
     def predict(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        out = np.zeros(pts.shape[0])
+        out = np.zeros(points.shape[0])
         for st in self.rounds:
-            go_left = pts[:, st.feature] <= st.threshold
+            go_left = points[:, st.feature] <= st.threshold
             out += np.where(go_left, st.left_value, st.right_value)
         return out
 
@@ -104,9 +101,7 @@ def fit_boosted_stumps(data: Dataset, residual: np.ndarray,
     leaf values.  If no feature has a cut (every feature constant, or a
     single row) the ensemble falls back to shrunk-mean single leaves.
     """
-    resid = np.asarray(residual, dtype=float).ravel().copy()
-    if resid.size != data.n:
-        raise ValueError("residual length must match dataset")
+    resid = data.residual(residual).copy()
     table = data.derived(("split_table", lambda_g), lambda: split_table(data.X, lambda_g))
     n_lambda = data.n * lambda_g
     stumps = []

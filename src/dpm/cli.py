@@ -144,7 +144,7 @@ _SIMULATORS = {"table1": run_table1, "table2": run_table2,
 def _cmd_simulate(args) -> int:
     if args.experiment == "table2" and args.n is not None:
         raise ValueError("table2 sweeps its own sample sizes; --n not supported")
-    result = _SIMULATORS[args.experiment](seed=args.seed, **_given(args, "n", "reps"))
+    result = _SIMULATORS[args.experiment](**_given(args, "seed", "n", "reps"))
     csv_path, json_path = write_result_files(result, args.out_dir)
     print(f"wrote {csv_path} and {json_path} "
           f"({len(result.rows)} rows, {result.wall_time_s:.1f}s)")
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a scripted study")
     p_sim.add_argument("experiment", choices=sorted(_SIMULATORS))
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--out-dir", required=True)
     p_sim.add_argument("--reps", type=_positive_int, default=None,
                        help="override replication count")

@@ -36,12 +36,22 @@ def objective(data: "Dataset", f_vals: np.ndarray, g_vals: np.ndarray,
     return empirical_inner(resid, resid) + lf_val + lg_val
 
 
-def to_unit(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Points of the box [lo, hi] (rows, or a 1-D array when p = 1) on the unit cube."""
+def as_points(points: np.ndarray) -> np.ndarray:
+    """Points as a float (m, p) array: a 1-D array or a scalar is one column (p = 1)."""
     points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    return (points - lo) / (hi - lo)
+    return points.reshape(-1, 1) if points.ndim < 2 else points
+
+
+def basis_columns(basis: Sequence[Callable], points: np.ndarray) -> np.ndarray:
+    """Each basis function at ``as_points(points)``, or its column if p = 1: a float column each."""
+    pts = as_points(points)
+    arg = pts[:, 0] if pts.shape[1] == 1 else pts
+    return np.column_stack([np.asarray(phi(arg), dtype=float) for phi in basis])
+
+
+def to_unit(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Points of the box [lo, hi] (see ``as_points``) on the unit cube."""
+    return (as_points(points) - lo) / (hi - lo)
 
 
 class Dataset:
@@ -55,9 +65,7 @@ class Dataset:
 
     def __init__(self, X: np.ndarray, y: np.ndarray,
                  omega_bounds: Optional[Sequence[tuple[float, float]]] = None):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = as_points(X)
         y = np.asarray(y, dtype=float).ravel()
         if X.ndim != 2 or X.shape[0] != y.size or y.size < 1:
             raise ValueError(f"inconsistent shapes: X {X.shape}, y {y.shape}")
@@ -97,6 +105,13 @@ class Dataset:
             return unit
         return self.derived("unit_X", build)
 
+    def residual(self, values: np.ndarray) -> np.ndarray:
+        """``values`` as the float vector of length n that every fitter reads."""
+        values = np.asarray(values, dtype=float).ravel()
+        if values.size != self.n:
+            raise ValueError("residual length must match dataset")
+        return values
+
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.X[idx], self.y[idx], self.omega_bounds)
 
@@ -119,8 +134,8 @@ class FunctionClassMember:
     """A fitted function of one class, with its penalty value.
 
     `coefficients` is the class's fitted model; its `predict` maps points
-    in the original domain (m x p array, or a 1-D array when p = 1) to
-    fitted values, and calling the member calls it.  `fitted` holds the
+    in the original domain, an (m, p) float array, to fitted values.
+    Calling the member calls it on ``as_points(points)``.  `fitted` holds the
     member's values at the training points `data.X` of the fit that made
     it, and must equal `member(data.X)` exactly; the alternation reads it
     instead of re-evaluating the member.  It takes no part in comparisons.
@@ -135,7 +150,7 @@ class FunctionClassMember:
             raise ValueError("penalty_value must be non-negative")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.coefficients.predict(points)
+        return self.coefficients.predict(as_points(points))
 
 
 class FunctionClassFitter(ABC):

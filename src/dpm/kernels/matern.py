@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import as_points
 from ..numerics import bessel_k
 
 __all__ = ["MaternSpec", "matern_gram"]
@@ -109,13 +110,6 @@ def matern_gram(spec: MaternSpec, A: np.ndarray, B: np.ndarray | None = None) ->
     sums a short last axis; from p = 8 numpy sums pairwise, and the two
     orders can differ in the last few bits of a distance.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 1:
-        A = A[:, None]
-    if B is None:
-        B = A
-    else:
-        B = np.asarray(B, dtype=float)
-        if B.ndim == 1:
-            B = B[:, None]
+    A = as_points(A)
+    B = A if B is None else as_points(B)
     return _kernel_of_distance(spec, _distances(A, B))

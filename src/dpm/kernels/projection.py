@@ -26,6 +26,7 @@ import math
 
 import numpy as np
 
+from ..core import as_points
 from ..numerics import QuadratureRule, truncated_svd
 from .matern import MaternSpec, matern_gram
 
@@ -88,13 +89,9 @@ class ProjectedKernel:
         a nearly flat kernel, and their rounding would otherwise leave an
         asymmetry that a Cholesky factorization rejects.
         """
-        A = np.asarray(A, dtype=float)
-        if A.ndim == 1:
-            A = A[:, None]
+        A = as_points(A)
         square = B is None
-        B = A if square else np.asarray(B, dtype=float)
-        if B.ndim == 1:
-            B = B[:, None]
+        B = A if square else as_points(B)
         square = square or np.array_equal(A, B)
         if square and np.array_equal(A, self._rule_points):
             psi = self._rule_gram
@@ -111,7 +108,6 @@ class ProjectedKernel:
         return 0.5 * (K + K.T) if square else K
 
     def orthogonality_residual(self, y: np.ndarray) -> float:
-        """max_k |int Psi_F(., y) e_k| under the attached rule."""
-        y = np.atleast_2d(np.asarray(y, dtype=float))
+        """max_k |int Psi_F(., y) e_k| under the attached rule (points as in ``gram``)."""
         vals = self.gram(y, self._rule_points)             # (len(y), m)
         return float(np.max(np.abs(vals @ self._weighted_basis)))

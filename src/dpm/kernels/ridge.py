@@ -74,10 +74,7 @@ def kernel_ridge_fit(kernel: KernelLike, data: Dataset, residual: np.ndarray,
     and its ``fitted`` values are K alpha.  If the system only factored
     with added diagonal jitter, the model's ``jitter`` says how much.
     """
-    residual = np.asarray(residual, dtype=float).ravel()
-    if residual.size != data.n:
-        raise ValueError("residual length must match dataset")
-    model = KernelRidgeModel(data.unit_X, system.solve(residual), system.lam, kernel,
+    model = KernelRidgeModel(data.unit_X, system.solve(data.residual(residual)), system.lam, kernel,
                              system.jitter, data.lo, data.hi)
     fitted = system.gram @ model.alpha
     # K is positive semidefinite: a negative alpha^T K alpha is rounding

@@ -21,8 +21,13 @@ kappa = x (1 - cos a) + (3/2) log(1/cos a) bounds log(K_nu(x cos a) / K_nu(x))
 for nu <= 3/2.  The rule is truncated at T where the tail
 e^{-x (cosh T - 1) + 3T/2} falls below the same target relative to
 K_nu(x) e^x >= 1 / sqrt(max(x, 1)).  Both bounds are set to e^-39
-(about 1.2e-17), so the error left is rounding, a few units in the last
-place.
+(about 1.2e-17), so the error left is rounding, which grows as the
+argument shrinks.  Against 30-digit mpmath, for orders 0.3, 0.7, 1.3,
+2.2, 3 and 4 at 150 log-spaced arguments per range, the largest relative
+error is 6.5e-16 on [1e-3, 700], 1.2e-15 on [1e-20, 1e-3], 8.9e-15 on
+[1e-100, 1e-20] and 3.2e-14 below 1e-100, about 140 ulps, at
+K_1.3(1.39e-225).  Half-integer orders take the closed form and are not
+part of these figures.
 
 Arguments are banded by their binary octave [2^(e-1), 2^e), e the
 ``np.frexp`` exponent.  The kappa bound grows with x, so the octave's step

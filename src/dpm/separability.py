@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .core import as_points, basis_columns
 from .numerics import QuadratureRule, truncated_svd
 
 
@@ -70,21 +71,14 @@ def _principal_angle(values_f: np.ndarray, values_g: np.ndarray,
 def theta_l2_quadrature(basis_f: Sequence[Callable], basis_g: Sequence[Callable],
                         rule: QuadratureRule) -> SeparabilityReport:
     """Largest canonical correlation of two spans under a quadrature rule."""
-    pts = rule.points if rule.dim > 1 else rule.points[:, 0]
-    vf = np.column_stack([np.asarray(f(pts), dtype=float) for f in basis_f])
-    vg = np.column_stack([np.asarray(g(pts), dtype=float) for g in basis_g])
     root_w = np.sqrt(rule.weights)[:, None]
-    return _principal_angle(root_w * vf, root_w * vg, "l2-quadrature")
+    return _principal_angle(root_w * basis_columns(basis_f, rule.points),
+                            root_w * basis_columns(basis_g, rule.points), "l2-quadrature")
 
 
 def empirical_theta(values_f: np.ndarray, values_g: np.ndarray) -> SeparabilityReport:
     """Largest canonical correlation under the empirical inner product."""
-    vf = np.asarray(values_f, dtype=float)
-    vg = np.asarray(values_g, dtype=float)
-    if vf.ndim == 1:
-        vf = vf[:, None]
-    if vg.ndim == 1:
-        vg = vg[:, None]
+    vf, vg = as_points(values_f), as_points(values_g)
     if vf.shape[0] != vg.shape[0]:
         raise ValueError("evaluation matrices must share the sample dimension")
     root_w = 1.0 / math.sqrt(vf.shape[0])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import dpm.classes.lasso as lasso_module
 import dpm.classes.stumps as stumps_module
 from dpm.classes import (
+    FiniteBasisFitter,
     LassoFitter,
     LinearFitter,
     LinearModel,
@@ -25,6 +26,7 @@ from dpm.classes.linear import least_squares_matrix
 from dpm.classes.stumps import _best_stump, split_table
 from dpm.core import Dataset
 from dpm.fitter import StoppingRule, fit_double_penalty
+from dpm.kernels import KernelRidgeFitter, MaternSpec
 
 
 def _soft(v, t):
@@ -171,6 +173,31 @@ class TestFiniteBasis:
         m = fit_finite_basis(basis, Dataset(x, y), y, l2_bound=2.0)
         # constant function: L2 norm equals |alpha|
         assert abs(m.coefficients.alpha[0]) == pytest.approx(2.0, rel=1e-10)
+
+
+_BOUND_DATA = Dataset(np.linspace(0.0, 1.0, 6), np.arange(6.0))
+
+
+@pytest.mark.parametrize("name, value", [("norm_bound", -1.0), ("norm_bound", math.nan),
+                                         ("ridge_gamma", -1.0), ("ridge_gamma", math.nan),
+                                         ("ridge_gamma", math.inf), ("l2_bound", -1.0),
+                                         ("l2_bound", math.nan)])
+def test_invalid_bounds_raise(name, value):
+    r = _BOUND_DATA.y
+    with pytest.raises(ValueError, match=name):
+        if name == "l2_bound":
+            fit_finite_basis([np.ones_like], _BOUND_DATA, r, l2_bound=value)
+        else:
+            fit_linear_ols(_BOUND_DATA, r, **{name: value})
+
+
+@pytest.mark.parametrize("fitter", [
+    LinearFitter(), FiniteBasisFitter([np.ones_like]), LassoFitter(0.1), StumpFitter(0.1),
+    KernelRidgeFitter(MaternSpec(nu=3.5, p=1, phi=1.0), lam=0.1),
+])
+def test_wrong_length_residual_raises(fitter):
+    with pytest.raises(ValueError, match="residual length must match dataset"):
+        fitter.fit(_BOUND_DATA, np.zeros(_BOUND_DATA.n + 1))
 
 
 class TestLasso:

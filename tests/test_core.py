@@ -55,6 +55,7 @@ class TestDataset:
                     omega_bounds=[(0.5, 2.5)])
         np.testing.assert_allclose(d.unit_X[:, 0], [0.0, 1.0])
         np.testing.assert_allclose(to_unit(np.array([1.5]), d.lo, d.hi)[:, 0], [0.5])
+        np.testing.assert_allclose(to_unit(1.5, d.lo, d.hi), [[0.5]])   # a scalar is one point
 
     def test_unit_x_is_computed_once_and_read_only(self):
         d = Dataset(np.array([[0.5], [2.5]]), np.array([0.0, 1.0]),
@@ -119,6 +120,17 @@ class TestFunctionClassMember:
             _line(3.0, penalty=-1.0)
         with pytest.raises(ValueError):
             _line(3.0, penalty=float("nan"))
+
+    def test_predict_gets_a_float_point_array(self):
+        seen = []
+
+        class Recording:
+            def predict(self, points):
+                seen.append(points)
+                return np.zeros(points.shape[0])
+
+        FunctionClassMember(Recording(), 0.0, np.zeros(0))([1, 2, 3])
+        assert seen[0].shape == (3, 1) and seen[0].dtype == float
 
 
 class TestAdditiveFit:

@@ -652,7 +652,8 @@ class TestCli:
         base = ["simulate", "example1", "--out-dir", str(tmp_path), "--seed", "4"]
         assert main(base + ["--reps", "1"]) == 0
         assert main(base + ["--reps", "1", "--n", "3"]) == 0
-        assert calls == [{"seed": 4, "reps": 1}, {"seed": 4, "n": 3, "reps": 1}]
+        assert main(base[:-2] + ["--reps", "1"]) == 0
+        assert calls == [{"seed": 4, "reps": 1}, {"seed": 4, "n": 3, "reps": 1}, {"reps": 1}]
 
     def test_simulate_table2_rejects_n(self, tmp_path):
         code = main(["simulate", "table2", "--seed", "3",

@@ -232,9 +232,11 @@ class TestProjectedKernel:
     def test_orthogonality_residual(self):
         pk = self._kernel()
         rng = np.random.default_rng(0)
-        worst = max(pk.orthogonality_residual(float(y))
-                    for y in rng.uniform(0, 1, 10))
+        ys = rng.uniform(0, 1, 10)
+        worst = max(pk.orthogonality_residual(float(y)) for y in ys)
         assert worst < 1e-8
+        # a 1-D array is one-dimensional points, as gram reads it
+        assert pk.orthogonality_residual(ys) == pk.orthogonality_residual(ys[:, None])
 
     def test_symmetry(self):
         pk = self._kernel()
