@@ -56,7 +56,7 @@ class SplitTable:
 
 def split_table(X: np.ndarray, lambda_g: float) -> SplitTable:
     """Sort the columns of X once for every boosting fit at ``lambda_g``."""
-    if lambda_g < 0.0:
+    if not lambda_g >= 0.0:                # NaN fails this too
         raise ValueError("lambda_g must be non-negative")
     XT = np.ascontiguousarray(X.T)
     n = XT.shape[1]

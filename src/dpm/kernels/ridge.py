@@ -101,11 +101,14 @@ def gcv_select_lambda(gram: np.ndarray, residual: np.ndarray) -> tuple[float, li
     weight then lies in (0, 1].  Ties go to the smaller lambda.
     """
     n = gram.shape[0]
+    residual = np.asarray(residual, dtype=float).ravel()
+    if residual.size != n:
+        raise ValueError(f"residual has {residual.size} entries, the {n} x {n} Gram needs {n}")
     grid = np.logspace(-6.0, 2.0, 20) / n
     n_lam = n * grid
     s, U = np.linalg.eigh(gram)
     weights = n_lam[:, None] / (np.maximum(s, 0.0) + n_lam[:, None])
-    z_sq = (U.T @ np.asarray(residual, dtype=float).ravel()) ** 2
+    z_sq = (U.T @ residual) ** 2
     scores = (weights ** 2 @ z_sq / n) / (weights.sum(axis=1) / n) ** 2
     curve = [GcvPoint(float(lam), float(nl), float(score))
              for lam, nl, score in zip(grid, n_lam, scores)]

@@ -22,26 +22,40 @@ for nu <= 3/2.  The rule is truncated at T where the tail
 e^{-x (cosh T - 1) + 3T/2} falls below the same target relative to
 K_nu(x) e^x >= 1 / sqrt(max(x, 1)).  Both bounds are set to e^-39
 (about 1.2e-17), so the error left is rounding, which grows as the
-argument shrinks.  Against 30-digit mpmath, for orders 0.3, 0.7, 1.3,
-2.2, 3 and 4 at 150 log-spaced arguments per range, the largest relative
-error is 6.5e-16 on [1e-3, 700], 1.2e-15 on [1e-20, 1e-3], 8.9e-15 on
-[1e-100, 1e-20] and 3.2e-14 below 1e-100, about 140 ulps, at
-K_1.3(1.39e-225).  Half-integer orders take the closed form and are not
-part of these figures.
+argument shrinks.  Against 30-digit mpmath (mpmath 1.3.0), for orders
+0.3, 0.7, 1.3, 2.2, 3 and 4 at 150 log-spaced arguments per range, the
+largest relative error is 6.9e-16 on [1e-3, 700], 9.6e-16 on
+[1e-20, 1e-3], 8.9e-15 on [1e-100, 1e-20] and 3.1e-14 on
+[1e-300, 1e-100], about 140 ulps, at K_1.3(1.47e-225).  K_0 stays within
+5.1e-15 down to 1e-100 but reads 2.1e-14 at 1e-300 and 2.9e-14 at
+5e-324, where its rows hold up to 3,480 nearly equal terms and each is
+summed in SIMD lanes rather than pairwise.  Half-integer orders take the
+closed form and are not part of these figures.
 
 Arguments are banded by their binary octave [2^(e-1), 2^e), e the
 ``np.frexp`` exponent.  The kappa bound grows with x, so the octave's step
 is the largest h over a grid of strip widths a that meets it at the upper
 edge; the tail falls with x, so T is set at the lower edge.  Every argument
 of an octave then shares the nodes t_k = k h, cached per octave and mu
-with the weights of K_mu and K_{mu+1}.  An octave's arguments, gathered by
-index, cost one ``exp`` over their (arguments x nodes) block and one
-weighted sum per row and order.
+with the weights of K_mu and K_{mu+1}.
 The nodes keep 2^e (cosh t_k - 1), so that x (cosh t_k - 1) is the exact
 product of that and the mantissa x 2^-e: nothing overflows, down to
-x = 5e-324 where T is about 752.  Each row is summed on its own by a numpy
-reduction, so a value does not depend on which other arguments share its
-array.  Octaves where e^-x underflows are exactly 0 without quadrature.
+x = 5e-324 where T is about 752.
+
+One stable counting sort on the octave (a ``bincount`` and a radix
+``argsort`` of a small-integer key) makes each octave's arguments one
+contiguous slice, taken in ascending octave; the sums go back to the
+arguments' order in one scatter.  A slice is evaluated in chunks of rows:
+a rank-one BLAS product forms the (arguments x nodes) block of exponents
+(one rounded product per entry, as ``np.multiply.outer`` gives, without
+an inner loop per short row), one ``exp`` runs over it, and one
+``einsum`` contracts it with the (2, nodes) weights into the sums of both
+orders.  ``einsum`` reduces each output over its own row's nodes in an
+order fixed by the row length alone, so a value does not depend on which
+other arguments share its array or its chunk.  A BLAS matrix product
+would be faster, but its blocking, and so its rounding, depends on the
+number of rows.  Octaves where e^-x underflows are exactly 0 without
+quadrature.
 
 No external special-function dependency, and no stand-in value: every
 argument goes through its order's method, and K is inf where it overflows
@@ -53,8 +67,8 @@ sums are multiplied by e^s, which costs a rounding or two.
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
 
 import numpy as np
 
@@ -68,14 +82,13 @@ _NU_MAX = 1.5
 _STRIP_WIDTHS = np.linspace(0.005, 1.565, 313)
 # Entries of an octave's (arguments x nodes) block evaluated at once.
 _BLOCK_ENTRIES = 1 << 13
-# (octave, mu) rules kept between calls.
-_OCTAVE_CACHE = 64
+# Bytes of (octave, mu) rules kept between calls.
+_RULE_CACHE_BYTES = 4 << 20
 # Below this argument pi/(2x) overflows float64.
 _PI_OVER_2_MAX = 0.5 * math.pi / np.finfo(float).max
 
 
-@functools.lru_cache(maxsize=_OCTAVE_CACHE)
-def _octave_rule(e: int, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _build_rule(e: int, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Exponents -2^e (cosh t_k - 1), the weights of K_mu, K_{mu+1}, and the factor
     e^s that scales each row's sums back (None if no weight overflows) for x in [2^(e-1), 2^e)."""
     hi = math.ldexp(1.0, e)
@@ -110,31 +123,84 @@ def _octave_rule(e: int, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray 
     return exponent, weights, factor
 
 
-def _trapezoid(mu: float, x: np.ndarray) -> np.ndarray:
-    """K_mu(x) and K_{mu+1}(x) (|mu| <= 1/2) as the rows of a (2, x.size) array."""
+def _rule_bytes(rule: tuple[np.ndarray, np.ndarray, np.ndarray | None]) -> int:
+    return sum(a.nbytes for a in rule if a is not None)
+
+
+class _RuleCache:
+    """The rules of recent calls, oldest dropped first once their arrays hold
+    more than ``max_bytes``.
+
+    A call needs one rule per occupied octave and order: 15 octaves (1e-4 to
+    1) hold 16 KB, 77 octaves (1e-20 to 800) 0.22 MB and 210 octaves (1e-60
+    to 800) 1.7 MB.  A call whose rules alone exceed the bound, such as the
+    1,007 octaves from 1e-300 to 800 (39 MB at one order), drops its own
+    rules as it goes and rebuilds every one of them on every call.
+    """
+
+    def __init__(self, build, max_bytes: int):
+        self._build = build
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._rules: dict = {}           # in insertion order, oldest first
+        self._lock = threading.Lock()    # held to add and drop; a lookup is one dict.get
+
+    def __call__(self, e: int, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        key = (e, mu)
+        rule = self._rules.get(key)
+        if rule is None:
+            rule = self._build(e, mu)
+            with self._lock:
+                if key not in self._rules:
+                    self._rules[key] = rule
+                    self.nbytes += _rule_bytes(rule)
+                    while self.nbytes > self.max_bytes:
+                        self.nbytes -= _rule_bytes(self._rules.pop(next(iter(self._rules))))
+        return rule
+
+
+_octave_rule = _RuleCache(_build_rule, _RULE_CACHE_BYTES)
+
+
+def _trapezoid(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K_mu(x) and K_{mu+1}(x) (|mu| <= 1/2), each in the order of x."""
     mantissa, octave = np.frexp(x)
-    # occupied octaves, ascending; np.unique would import numpy.ma (1 MB RSS)
     first = int(octave.min())
-    bands = np.flatnonzero(np.bincount(octave - first)) + first
+    octave -= first
+    counts = np.bincount(octave)
+    # a stable counting sort: each octave's arguments become one slice, and
+    # the slices run in ascending octave (the key fits int16 for radix sort)
+    order = np.argsort(octave.astype(np.int16), kind="stable")
+    del octave
+    mantissa = mantissa[order]
+    # octave first + band is mantissa[bounds[band]:bounds[band + 1]]
+    bounds = [0, *np.cumsum(counts).tolist()]
     sums = np.zeros((2, x.size))
-    for e in bands.tolist():
+    for band in np.flatnonzero(counts).tolist():
+        e = first + band
         if math.exp(-math.ldexp(1.0, e - 1)) == 0.0:
             break                        # e^-x underflows here and in every later octave
         exponent, weights, factor = _octave_rule(e, mu)
-        rows = np.flatnonzero(octave == e)
+        start, stop = bounds[band], bounds[band + 1]
         step = max(1, _BLOCK_ENTRIES // exponent.size)
-        for lo in range(0, rows.size, step):
-            chunk = rows[lo:lo + step]
-            block = np.multiply.outer(mantissa[chunk], exponent)
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            # one term per entry, so the same bits as np.multiply.outer
+            block = np.dot(mantissa[lo:hi, None], exponent[None, :])
             np.exp(block, out=block)
-            for total, w in zip(sums, weights):
-                total[chunk] = np.add.reduce(block * w, axis=1)
+            np.einsum("ij,kj->ki", block, weights, out=sums[:, lo:hi])
             del block                        # before the next chunk's block is made
         if factor is not None:
-            sums[:, rows] *= factor
-    # e^-x, in the buffer of the spent mantissas
-    sums *= np.exp(np.negative(x, out=mantissa), out=mantissa)
-    return sums
+            sums[:, start:stop] *= factor
+    # back to the order of x, in the spent mantissas and the first row of sums;
+    # the second row then holds e^-x
+    k_mu, k_mu1, decay = mantissa, sums[0], sums[1]
+    k_mu[order] = sums[0]
+    k_mu1[order] = sums[1]
+    np.exp(np.negative(x, out=decay), out=decay)
+    k_mu *= decay
+    k_mu1 *= decay
+    return k_mu, k_mu1
 
 
 def _k_general(order: float, x: np.ndarray) -> np.ndarray:

@@ -191,6 +191,12 @@ def test_invalid_bounds_raise(name, value):
             fit_linear_ols(_BOUND_DATA, r, **{name: value})
 
 
+@pytest.mark.parametrize("fit, name", [(fit_lasso, "lambda_f"), (fit_boosted_stumps, "lambda_g")])
+def test_nan_penalty_raises(fit, name):
+    with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+        fit(_BOUND_DATA, _BOUND_DATA.y, math.nan)
+
+
 @pytest.mark.parametrize("fitter", [
     LinearFitter(), FiniteBasisFitter([np.ones_like]), LassoFitter(0.1), StumpFitter(0.1),
     KernelRidgeFitter(MaternSpec(nu=3.5, p=1, phi=1.0), lam=0.1),

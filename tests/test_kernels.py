@@ -633,6 +633,10 @@ class TestGcv:
         assert all(np.isfinite(pt.score) and pt.score > 0.0 for pt in curve)
         assert lam in [pt.lam for pt in curve]
 
+    def test_residual_length_must_match_the_gram(self):
+        with pytest.raises(ValueError, match="residual has 11 entries, the 10 x 10 Gram needs 10"):
+            gcv_select_lambda(np.eye(10), np.ones(11))
+
     def test_ties_go_to_the_smaller_lambda(self):
         # a zero residual scores 0 at every grid point
         K = matern_gram(MaternSpec(nu=2.5, p=1, phi=1.0), np.linspace(0.0, 1.0, 8)[:, None])

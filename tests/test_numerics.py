@@ -95,10 +95,9 @@ BESSEL_TABLE = [
     (4.2, 30.0, 2.8465803726034514e-14),
 ]
 
-# (order, x, bessel_k(order, x)) recorded to the last bit from the
-# implementation: the general path's bookkeeping (which arguments share a
-# chunk, in what order the octaves run) must not move a value by one ulp,
-# which the 17-digit table above, checked at rel 1e-13, would not see
+# (order, x, bessel_k(order, x)) as once recorded from the implementation,
+# now a regression pin at rel 1e-13: their last bits depend on which exp
+# numpy dispatches for the host's CPU (AVX-512 or AVX2)
 BESSEL_BITS = [
     (0, 5e-324, 744.5560034370394),
     (0, 1e-300, 690.8914594138721),
@@ -206,9 +205,27 @@ class TestBesselK:
         assert bessel_k(order, x) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("order,x,expected", BESSEL_BITS)
-    def test_values_are_bit_exact(self, order, x, expected):
-        assert bessel_k(order, x) == expected
-        assert bessel_k(order, np.array([x]))[0] == expected
+    def test_values_are_bit_exact(self, order, x, expected, monkeypatch):
+        # the general path's bookkeeping (which arguments share a chunk, in
+        # what order the octaves run) must not move a value by one ulp, which
+        # the 17-digit table above, checked at rel 1e-13, would not see; the
+        # scalar value is compared with itself, so this holds on any host
+        value = bessel_k(order, x)
+        assert value == pytest.approx(expected, rel=1e-13)
+        assert bessel_k(order, np.array([x]))[0] == value
+        # x among copies, arguments of its own octave and of 70 others, shuffled
+        rng = np.random.default_rng(24)
+        octave = math.frexp(x)[1]
+        batch = rng.permutation(np.concatenate([
+            np.full(5, x),
+            np.ldexp(rng.uniform(0.5, 1.0, 40), octave),
+            np.ldexp(rng.uniform(0.5, 1.0, 200), rng.integers(-60, 10, 200)),
+        ]))
+        at = np.flatnonzero(batch == x)
+        np.testing.assert_array_equal(bessel_k(order, batch)[at], value)
+        # chunks of one to three rows, so x's octave takes many chunks
+        monkeypatch.setattr(bessel_module, "_BLOCK_ENTRIES", 64)
+        np.testing.assert_array_equal(bessel_k(order, batch)[at], value)
 
     @pytest.mark.parametrize("order", [0, 0.3, 2.7, 3])
     def test_shuffled_batch_matches_scalar_calls(self, order):
@@ -391,6 +408,23 @@ class TestBesselK:
         finally:
             tracemalloc.stop()
         assert peak < 6 * block.nbytes, peak / block.nbytes
+
+    def test_rule_cache_is_bounded_by_bytes(self, monkeypatch):
+        # 77 occupied octaves (0.22 MB of rules) are all kept for the next
+        # call; 1,007 octaves (39 MB) leave the cache at its byte bound
+        cache = bessel_module._RuleCache(bessel_module._build_rule, bessel_module._RULE_CACHE_BYTES)
+        monkeypatch.setattr(bessel_module, "_octave_rule", cache)
+        x = np.geomspace(1e-20, 800.0, 3000)
+        first = bessel_k(0.3, x)
+
+        def rebuilt(e, mu):
+            raise AssertionError(f"the rule of octave {e} was built again")
+
+        monkeypatch.setattr(cache, "_build", rebuilt)
+        np.testing.assert_array_equal(bessel_k(0.3, x), first)
+        monkeypatch.setattr(cache, "_build", bessel_module._build_rule)
+        bessel_k(0.3, np.geomspace(1e-300, 800.0, 3000))
+        assert 0 < cache.nbytes <= cache.max_bytes
 
 
 class TestGaussLegendre:
