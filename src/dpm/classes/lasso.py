@@ -52,7 +52,7 @@ def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float) -> FunctionC
     coefficient change in a sweep drops below ``TOL``; a run that exhausts
     ``MAX_SWEEPS`` is returned with ``converged=False``.
     """
-    if not lambda_f >= 0.0:                # NaN fails this too
+    if not 0.0 <= lambda_f < math.inf:      # NaN fails this too
         raise ValueError("lambda_f must be non-negative")
     residual = data.residual(residual)
     design = data.derived("lasso_design", lambda: lasso_design(data.X))

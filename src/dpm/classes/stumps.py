@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,7 +57,7 @@ class SplitTable:
 
 def split_table(X: np.ndarray, lambda_g: float) -> SplitTable:
     """Sort the columns of X once for every boosting fit at ``lambda_g``."""
-    if not lambda_g >= 0.0:                # NaN fails this too
+    if not 0.0 <= lambda_g < math.inf:      # NaN fails this too
         raise ValueError("lambda_g must be non-negative")
     XT = np.ascontiguousarray(X.T)
     n = XT.shape[1]

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .core import basis_columns
 from .cv import CvCellError, CvConfig, FLEX_CHOICES, INTERP_CHOICES, LearnerPair
 from .data_io import load_csv
 from .experiments import (
@@ -155,18 +156,18 @@ _BASIS = {"linear": lambda u: u, "quadratic": lambda u: u ** 2}
 _WAVES = {"sin": np.sin, "cos": np.cos}
 
 
-def _basis_columns(spec: str, unit_X: np.ndarray) -> np.ndarray:
-    """Comma-separated terms over unit-scaled features.
+def _basis_terms(spec: str) -> list:
+    """Comma-separated terms over unit-scaled features, as basis functions.
 
     linear -> each u_j; quadratic -> each u_j^2; sin:<k> / cos:<k> ->
-    sin/cos(k*pi*u_j) per feature.  No constant term, so disjoint specs
-    give a nontrivial angle.
+    sin/cos(k*pi*u_j) per feature.  Each term maps the (n, p) points to p
+    columns.  No constant term, so disjoint specs give a nontrivial angle.
     """
-    columns = []                 # every term is parsed before any is evaluated
+    terms = []
     for term in map(str.strip, spec.split(",")):
         kind, _, freq = term.partition(":")
         if term in _BASIS:
-            columns.append(_BASIS[term])
+            terms.append(_BASIS[term])
         elif kind in _WAVES:
             try:
                 k = float(freq)
@@ -174,11 +175,11 @@ def _basis_columns(spec: str, unit_X: np.ndarray) -> np.ndarray:
                 k = math.nan
             if not math.isfinite(k):
                 raise ValueError(f"basis term {term!r} needs a finite number after the colon")
-            columns.append(lambda u, wave=_WAVES[kind], k=k: wave(k * math.pi * u))
+            terms.append(lambda u, wave=_WAVES[kind], k=k: wave(k * math.pi * u))
         else:
             raise ValueError(f"unknown basis term {term!r}; use "
                              f"{tuple(_BASIS) + ('sin:<k>', 'cos:<k>')}")
-    return np.hstack([column(unit_X) for column in columns])
+    return terms
 
 
 def _cmd_separability(args) -> int:
@@ -192,10 +193,9 @@ def _cmd_separability(args) -> int:
             or args.basis_f is None or args.basis_g is None):
         raise ValueError("need --analytic-psi, or --data with --response, "
                          "--basis-f and --basis-g")
-    loaded = load_csv(args.data, args.response)
-    u = loaded.data.unit_X
-    report = empirical_theta(_basis_columns(args.basis_f, u),
-                             _basis_columns(args.basis_g, u))
+    u = load_csv(args.data, args.response).data.unit_X
+    report = empirical_theta(basis_columns(_basis_terms(args.basis_f), u),
+                             basis_columns(_basis_terms(args.basis_g), u))
     print(repr(report.theta_estimate))
     return EXIT_OK
 

@@ -75,8 +75,9 @@ class Dataset:
         if omega_bounds is None:
             omega_bounds = [(0.0, 1.0)] * p
         bounds = [(float(lo), float(hi)) for lo, hi in omega_bounds]
-        if len(bounds) != p or any(hi <= lo for lo, hi in bounds):
-            raise ValueError("omega_bounds needs one (lo, hi) pair per dimension, lo < hi")
+        if len(bounds) != p or not all(-np.inf < lo < hi < np.inf for lo, hi in bounds):
+            raise ValueError("omega_bounds needs one (lo, hi) pair per dimension, "
+                             "finite with lo < hi")
         lo = np.array([b[0] for b in bounds])
         hi = np.array([b[1] for b in bounds])
         tol = 1e-9 * np.maximum(hi - lo, 1.0)

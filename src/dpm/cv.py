@@ -15,7 +15,7 @@ import numpy as np
 
 from .classes import LassoFitter, LinearFitter, StumpFitter
 from .core import Dataset, FunctionClassFitter
-from .fitter import StoppingRule, fit_double_penalty
+from .fitter import fit_double_penalty
 from .kernels import KernelRidgeFitter, MaternSpec
 
 INTERP_CHOICES = ("linear", "lasso")
@@ -101,8 +101,7 @@ def _training_folds(data: Dataset, cv: CvConfig) -> list[list[tuple[Dataset, np.
 
 def cross_validated_predictions(data: Dataset, pair: LearnerPair,
                                 lambda_f: float, lambda_g: float,
-                                cv: CvConfig,
-                                stop: StoppingRule = StoppingRule()) -> tuple[np.ndarray, np.ndarray]:
+                                cv: CvConfig) -> tuple[np.ndarray, np.ndarray]:
     """Out-of-fold f and g predictions, averaged across repeats.
 
     Every call on the same dataset object and ``cv`` fits on the same
@@ -115,7 +114,7 @@ def cross_validated_predictions(data: Dataset, pair: LearnerPair,
         for fold, (train, test_idx) in enumerate(folds):
             fitter_f, fitter_g = pair.fitters(train, lambda_f, lambda_g)
             try:
-                fit = fit_double_penalty(train, fitter_f, fitter_g, stop=stop)
+                fit = fit_double_penalty(train, fitter_f, fitter_g)
             except Exception as exc:
                 raise CvCellError(
                     f"fit failed at repeat {repeat}, fold {fold}: {exc}") from exc

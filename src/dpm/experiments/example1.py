@@ -24,18 +24,18 @@ from .testfuncs import gramacy1d
 _DOMAIN = (0.5, 2.5)
 _NORM_BOUND = 10.0
 _TEST_GRID = 201        # equispaced test points on the domain
-_CHANGE_TOL = 1e-6      # the alternation's stopping tolerance
+_NOISE_VAR = 0.1
 
 
 def run_example1(n: int = 20, nu: float = 3.5, phi: float = 1.0,
-                 noise_var: float = 0.1, reps: int = 100,
-                 seed: int = 0) -> ExperimentResult:
+                 reps: int = 100, seed: int = 0) -> ExperimentResult:
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     spec = MaternSpec(nu=nu, p=1, phi=phi)
     x_test = np.linspace(_DOMAIN[0], _DOMAIN[1], _TEST_GRID)
     h_test = gramacy1d(x_test)
-    noise_sd = float(np.sqrt(noise_var))
+    noise_sd = float(np.sqrt(_NOISE_VAR))
+    stop = StoppingRule()
 
     columns = ("rep", "mspe", "iterations", "n_lambda", "ball_active")
     rows = []
@@ -47,9 +47,7 @@ def run_example1(n: int = 20, nu: float = 3.5, phi: float = 1.0,
         kernel = ProjectedKernel(spec, rule)
         fitter_f = LinearFitter(norm_bound=_NORM_BOUND)
         fitter_g = KernelRidgeFitter(kernel, lam=None)
-        fit = fit_double_penalty(data, fitter_f, fitter_g,
-                                 stop=StoppingRule(max_iters=500,
-                                                   change_tol=_CHANGE_TOL))
+        fit = fit_double_penalty(data, fitter_f, fitter_g, stop)
         pred = fit.predict(x_test[:, None])
         mspe = float(np.mean((pred - h_test) ** 2))
         model = fit.f_hat.coefficients
@@ -69,9 +67,9 @@ def run_example1(n: int = 20, nu: float = 3.5, phi: float = 1.0,
     return ExperimentResult(
         name="example1",
         seed=seed,
-        config={"n": n, "nu": nu, "phi": phi, "noise_var": noise_var,
+        config={"n": n, "nu": nu, "phi": phi, "noise_var": _NOISE_VAR,
                 "reps": reps, "test_grid": _TEST_GRID,
-                "change_tol": _CHANGE_TOL, "norm_bound": _NORM_BOUND},
+                "change_tol": stop.change_tol, "norm_bound": _NORM_BOUND},
         columns=columns,
         rows=tuple(rows),
         wall_time_s=time.perf_counter() - start,

@@ -25,6 +25,8 @@ from .testfuncs import sun5d
 
 _P = 5
 _BESSEL_ORDER = 3.5
+_NLAMBDAS = (1.0, 0.1, 0.001, 1e-9)    # the ridge levels n*lambda
+_ITERS = 5                             # alternation iterations at each level
 
 
 class _KeepMembers(FunctionClassFitter):
@@ -40,8 +42,7 @@ class _KeepMembers(FunctionClassFitter):
         return member
 
 
-def run_example2(nlambdas=(1.0, 0.1, 0.001, 1e-9), noise_sds=(0.1, 0.01),
-                 iters: int = 5, n: int = 50, reps: int = 100,
+def run_example2(noise_sds=(0.1, 0.01), n: int = 50, reps: int = 100,
                  seed: int = 0) -> ExperimentResult:
     """Each noise level uses generator seed ``seed + level_index``."""
     start = time.perf_counter()
@@ -51,10 +52,10 @@ def run_example2(nlambdas=(1.0, 0.1, 0.001, 1e-9), noise_sds=(0.1, 0.01),
     x_test = halton(np.arange(1, 1001), _P)
     h_test = sun5d(x_test)
     bounds = tuple((0.0, 1.0) for _ in range(_P))
-    stop = StoppingRule(max_iters=iters, change_tol=0.0)
+    stop = StoppingRule(max_iters=_ITERS, change_tol=0.0)
 
     sums = {(sd, nl, it): np.zeros(4)
-            for sd in noise_sds for nl in nlambdas for it in range(1, iters + 1)}
+            for sd in noise_sds for nl in _NLAMBDAS for it in range(1, _ITERS + 1)}
     for level, noise_sd in enumerate(noise_sds):
         rng = np.random.default_rng(seed + level)
         for _ in range(reps):
@@ -62,7 +63,7 @@ def run_example2(nlambdas=(1.0, 0.1, 0.001, 1e-9), noise_sds=(0.1, 0.01),
             y = sun5d(X) + rng.normal(0.0, noise_sd, n)
             data = Dataset(X, y, omega_bounds=bounds)
             K_test = matern_gram(spec, x_test, X)
-            for nl in nlambdas:    # the rep's Gram is shared through data.derived
+            for nl in _NLAMBDAS:    # the rep's Gram is shared through data.derived
                 fs = _KeepMembers(LinearFitter())
                 gs = _KeepMembers(KernelRidgeFitter(spec, lam=nl / n))
                 fit_double_penalty(data, fs, gs, stop)
@@ -81,8 +82,8 @@ def run_example2(nlambdas=(1.0, 0.1, 0.001, 1e-9), noise_sds=(0.1, 0.01),
                "prediction", "linear_l2", "nonlinear_l2")
     rows = []
     for sd in noise_sds:
-        for nl in nlambdas:
-            for it in range(1, iters + 1):
+        for nl in _NLAMBDAS:
+            for it in range(1, _ITERS + 1):
                 vals = sums[(sd, nl, it)] / reps
                 rows.append((float(sd), float(nl), it,
                              float(vals[0]), float(vals[1]),
@@ -90,9 +91,9 @@ def run_example2(nlambdas=(1.0, 0.1, 0.001, 1e-9), noise_sds=(0.1, 0.01),
     return ExperimentResult(
         name="example2",
         seed=seed,
-        config={"nlambdas": [float(v) for v in nlambdas],
+        config={"nlambdas": [float(v) for v in _NLAMBDAS],
                 "noise_sds": [float(v) for v in noise_sds],
-                "iters": iters, "n": n, "reps": reps,
+                "iters": _ITERS, "n": n, "reps": reps,
                 "bessel_order": _BESSEL_ORDER},
         columns=columns,
         rows=tuple(rows),

@@ -11,6 +11,7 @@ theory predicts to be 2*log(psi(theta)).
 from __future__ import annotations
 
 import time
+from contextlib import suppress
 
 import numpy as np
 
@@ -21,21 +22,12 @@ from .testfuncs import sine_linear
 
 _BETA = (1.0, 3.0)
 _NOISE_VAR = 0.1
+_TABLE1_THETAS = (2.0, 3.0, 3.5, 4.0)
 _TABLE2_THETA = 3.0
+_TABLE2_SIZES = (20, 50, 100, 150, 200)
 # a replication stops once its distance to the joint solution is below this
 _TOL = 1e-4
 MAX_CYCLES = 5000
-
-
-def _cell_slope(distances: np.ndarray) -> float | None:
-    """Burn-in cascade: relax the warm-up window until >=3 points remain."""
-    for b in (3, 2, 1, 0):
-        try:
-            slope, _, _ = estimate_convergence_slope(distances, burn_in=b)
-            return slope
-        except ValueError:
-            continue
-    return None
 
 
 def _sine_linear_cell(theta: float, n: int, reps: int, seed: int) -> dict:
@@ -75,9 +67,8 @@ def _sine_linear_cell(theta: float, n: int, reps: int, seed: int) -> dict:
             cycle_dists.append(dist(a1, a2))
             if dist(a1, a2) < _TOL:
                 break
-        slope = _cell_slope(np.asarray(cycle_dists))
-        if slope is not None:
-            slopes.append(slope)
+        with suppress(ValueError):     # fewer than 3 distances above the floor
+            slopes.append(estimate_convergence_slope(cycle_dists)[0])
         sub_counts.append(n_sub)
     return {
         "theta": float(theta),
@@ -89,14 +80,13 @@ def _sine_linear_cell(theta: float, n: int, reps: int, seed: int) -> dict:
     }
 
 
-def run_table1(thetas=(2.0, 3.0, 3.5, 4.0), n: int = 50, reps: int = 100,
-               seed: int = 0) -> ExperimentResult:
+def run_table1(n: int = 50, reps: int = 100, seed: int = 0) -> ExperimentResult:
     """Contraction rates across frequencies at a fixed sample size."""
     start = time.perf_counter()
     columns = ("theta", "psi", "two_log_psi", "mean_slope",
                "mean_iterations", "abs_diff", "reps_with_slope")
     rows = []
-    for theta in thetas:
+    for theta in _TABLE1_THETAS:
         cell = _sine_linear_cell(theta, n, reps, seed)
         target = 2.0 * float(np.log(psi(theta)))
         rows.append((
@@ -111,7 +101,7 @@ def run_table1(thetas=(2.0, 3.0, 3.5, 4.0), n: int = 50, reps: int = 100,
     return ExperimentResult(
         name="table1",
         seed=seed,
-        config={"thetas": [float(t) for t in thetas], "n": n, "reps": reps,
+        config={"thetas": [float(t) for t in _TABLE1_THETAS], "n": n, "reps": reps,
                 "noise_var": _NOISE_VAR, "tol": _TOL,
                 "beta": list(_BETA)},
         columns=columns,
@@ -120,15 +110,14 @@ def run_table1(thetas=(2.0, 3.0, 3.5, 4.0), n: int = 50, reps: int = 100,
     )
 
 
-def run_table2(sizes=(20, 50, 100, 150, 200), reps: int = 100,
-               seed: int = 0) -> ExperimentResult:
+def run_table2(reps: int = 100, seed: int = 0) -> ExperimentResult:
     """Slope accuracy as the sample size grows, at a fixed frequency."""
     start = time.perf_counter()
     target = 2.0 * float(np.log(psi(_TABLE2_THETA)))
     columns = ("n", "mean_slope", "mean_iterations", "abs_diff",
                "reps_with_slope")
     rows = []
-    for n in sizes:
+    for n in _TABLE2_SIZES:
         cell = _sine_linear_cell(_TABLE2_THETA, n, reps, seed)
         rows.append((
             int(n),
@@ -140,7 +129,7 @@ def run_table2(sizes=(20, 50, 100, 150, 200), reps: int = 100,
     return ExperimentResult(
         name="table2",
         seed=seed,
-        config={"sizes": [int(m) for m in sizes], "theta": _TABLE2_THETA,
+        config={"sizes": [int(m) for m in _TABLE2_SIZES], "theta": _TABLE2_THETA,
                 "reps": reps, "noise_var": _NOISE_VAR, "tol": _TOL,
                 "two_log_psi": target},
         columns=columns,

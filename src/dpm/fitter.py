@@ -23,7 +23,7 @@ class StoppingRule:
     """Stop on iteration cap or small iterate change.
 
     ``max_iters`` (at least 1) always caps the run.  ``change_tol``
-    applies to ||f_m - f_{m-1}||_n + ||g_m - g_{m-1}||_n.
+    applies to ||f_m - f_{m-1}||_n + ||g_m - g_{m-1}||_n; 0 turns it off.
     """
 
     max_iters: int = 500
@@ -32,6 +32,8 @@ class StoppingRule:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if not self.change_tol >= 0.0:     # NaN fails this too
+            raise ValueError(f"change_tol must be non-negative, got {self.change_tol}")
 
 
 class FitterError(RuntimeError):
@@ -94,23 +96,26 @@ def fit_double_penalty(data: Dataset, fitter_f: FunctionClassFitter,
 
 
 _SLOPE_FLOOR = 1e-10     # errors at or below this leave the slope fit
+_BURN_IN = 3             # leading iterations the window drops when it can spare them
 
 
-def estimate_convergence_slope(errors: Sequence[float],
-                               burn_in: int = 3) -> tuple[float, float, int]:
+def estimate_convergence_slope(errors: Sequence[float]) -> tuple[float, float, int]:
     """OLS slope of log(error_m) against m over the usable window.
 
     Iterations are numbered from 1; the window keeps m > burn_in with
-    error above 1e-10.  Fewer than 3 usable points is an error.
+    error above 1e-10.  burn_in = min(3, i), where i is the 0-based index
+    of the third-to-last error above 1e-10: up to 3 leading iterations
+    go, as many as leave 3 points.  Fewer than 3 errors above 1e-10 is an
+    error.  Returns the slope, the intercept and the points used.
     """
     errors = np.asarray(list(errors), dtype=float)
-    m = np.arange(1, errors.size + 1)
-    keep = (m > burn_in) & (errors > _SLOPE_FLOOR)
-    if keep.sum() < 3:
-        raise ValueError(f"only {int(keep.sum())} usable iterations "
-                         f"(burn_in={burn_in}, floor={_SLOPE_FLOOR}); need at least 3")
-    slope, intercept = np.polyfit(m[keep], np.log(errors[keep]), 1)
-    return float(slope), float(intercept), int(keep.sum())
+    above = np.flatnonzero(errors > _SLOPE_FLOOR)
+    if above.size < 3:
+        raise ValueError(f"only {above.size} usable errors (above {_SLOPE_FLOOR}); "
+                         "need at least 3")
+    kept = above[above >= min(_BURN_IN, above[-3])]
+    slope, intercept = np.polyfit(kept + 1, np.log(errors[kept]), 1)
+    return float(slope), float(intercept), int(kept.size)
 
 
 @dataclass(frozen=True)

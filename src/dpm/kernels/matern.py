@@ -21,6 +21,14 @@ from ..numerics import bessel_k
 __all__ = ["MaternSpec", "matern_gram"]
 
 
+def _normalizer(mu: float) -> float:
+    """Gamma(mu) 2^(mu-1), or inf where it overflows."""
+    try:
+        return math.gamma(mu) * 2.0 ** (mu - 1.0)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class MaternSpec:
     """Matern kernel parameters: smoothness nu > p/2, dimension p, range phi."""
@@ -32,10 +40,15 @@ class MaternSpec:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("dimension p must be at least 1")
+        if not math.isfinite(self.nu):
+            raise ValueError(f"nu must be finite, got nu={self.nu}")
         if not self.mu > 0.0:
             raise ValueError(f"need nu > p/2, got nu={self.nu}, p={self.p}")
-        if not self.phi > 0.0:
-            raise ValueError("phi must be positive")
+        if not 0.0 < self.phi < math.inf:
+            raise ValueError(f"phi must be positive and finite, got phi={self.phi}")
+        if not math.isfinite(_normalizer(self.mu)):
+            raise ValueError(f"mu = nu - p/2 = {self.mu} is too large: the normalizer "
+                             "Gamma(mu) 2^(mu-1) overflows from mu = 151.1385")
 
     @property
     def mu(self) -> float:
@@ -80,7 +93,7 @@ def _scaled_kernel(mu: float, z: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         np.power(z, mu, out=z)
         np.multiply(z, k, out=z)
-        np.divide(z, math.gamma(mu) * 2.0 ** (mu - 1.0), out=z)
+        np.divide(z, _normalizer(mu), out=z)
     # fmax sends NaN, from inf * 0 where z^mu overflows at huge z, to the limit 0
     np.fmin(np.fmax(z, 0.0, out=z), 1.0, out=z)
     if overflowed is not None:

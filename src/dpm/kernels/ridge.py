@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -54,7 +55,7 @@ class RidgeSystem:
 
     @classmethod
     def factor(cls, gram: np.ndarray, lam: float) -> "RidgeSystem":
-        if not lam > 0.0:
+        if not 0.0 < lam < math.inf:
             raise ValueError("lambda must be positive")
         n = gram.shape[0]
         solved = cholesky_solve(gram + n * lam * np.eye(n), np.empty((n, 0)))

@@ -8,12 +8,14 @@ import numpy as np
 
 __all__ = ["maximin_lhs"]
 
+_RESTARTS = 2     # random starting designs
+_SWAPS = 150      # proposed swaps per start
 
-def maximin_lhs(n: int, p: int, rng: np.random.Generator,
-                restarts: int = 2, swaps: int = 150) -> np.ndarray:
+
+def maximin_lhs(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
     """Maximin Latin hypercube design: n points in [0,1]^p.
 
-    Each of `restarts` random LHS candidates is improved by `swaps`
+    Each of `_RESTARTS` random LHS candidates is improved by `_SWAPS`
     proposed within-column pair swaps (accepted when the minimum pairwise
     distance increases); the best candidate overall is returned.  Every
     column of the result hits each of the n equal bins exactly once.
@@ -33,7 +35,7 @@ def maximin_lhs(n: int, p: int, rng: np.random.Generator,
     designs equal those of re-scoring every candidate in full.
 
     A restart's swaps are drawn in one call, `integers(0, high)` with high
-    = (p, n, n) tiled `swaps` times.  numpy draws a bounded-integer array
+    = (p, n, n) tiled `_SWAPS` times.  numpy draws a bounded-integer array
     element by element from the same stream, so the draws and the
     generator's state afterwards equal those of per-swap calls
     `integers(p)` and `integers(n, size=2)`; `tests/test_numerics.py`
@@ -43,19 +45,15 @@ def maximin_lhs(n: int, p: int, rng: np.random.Generator,
         raise ValueError(f"need at least two points, got n={n}")
     if p < 1:
         raise ValueError(f"dimension must be at least 1, got p={p}")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    if swaps < 0:
-        raise ValueError(f"swaps must be non-negative, got swaps={swaps}")
     best, best_score = None, -1.0
-    for _ in range(restarts):
+    for _ in range(_RESTARTS):
         design = (np.argsort(rng.random((p, n)), axis=1).T + rng.random((n, p))) / n
         d2 = ((design[:, None] - design[None, :]) ** 2).sum(-1)
         np.fill_diagonal(d2, np.inf)
         min_sq = d2.min()
         current = math.sqrt(min_sq)
         closest = np.argwhere(d2 == min_sq).tolist()
-        proposals = rng.integers(0, np.tile((p, n, n), swaps)).reshape(swaps, 3)
+        proposals = rng.integers(0, np.tile((p, n, n), _SWAPS)).reshape(_SWAPS, 3)
         for j, a, b in proposals.tolist():
             if a == b or not all(a in pair or b in pair for pair in closest):
                 continue

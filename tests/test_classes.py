@@ -193,8 +193,9 @@ def test_invalid_bounds_raise(name, value):
 
 @pytest.mark.parametrize("fit, name", [(fit_lasso, "lambda_f"), (fit_boosted_stumps, "lambda_g")])
 def test_nan_penalty_raises(fit, name):
-    with pytest.raises(ValueError, match=f"{name} must be non-negative"):
-        fit(_BOUND_DATA, _BOUND_DATA.y, math.nan)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+            fit(_BOUND_DATA, _BOUND_DATA.y, value)
 
 
 @pytest.mark.parametrize("fitter", [

@@ -74,6 +74,11 @@ class TestDataset:
             Dataset(np.array([[np.nan]]), np.array([0.0]))
         with pytest.raises(ValueError):
             Dataset(np.array([[0.5]]), np.array([0.0]), omega_bounds=[(1.0, 0.0)])
+        # a non-finite bound has no unit-cube image: NaN, or 0 for every point
+        for bounds in ([(np.nan, 1.0), (0.0, 1.0)], [(0.0, np.inf), (0.0, 1.0)],
+                       [(0.0, 1.0), (-np.inf, 1.0)], [(0.0, 1.0), (0.0, np.nan)]):
+            with pytest.raises(ValueError, match="finite"):
+                Dataset(np.full((2, 2), 0.5), np.zeros(2), omega_bounds=bounds)
 
     def test_subset_keeps_bounds(self):
         d = Dataset(np.array([[0.5], [1.0], [2.0]]), np.array([1.0, 2.0, 3.0]),

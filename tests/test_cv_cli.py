@@ -26,7 +26,6 @@ from dpm.cv import (
 )
 from dpm.data_io import CsvFormatError, load_csv
 from dpm.experiments import run_example1
-from dpm.fitter import StoppingRule
 from dpm.kernels import MaternSpec, gcv_select_lambda, matern_gram
 from dpm.transect import DiagnosticRow, grid_sweep, pearson, transect_sweep
 
@@ -167,15 +166,12 @@ def _cv_dataset(n=36, seed=3):
     return Dataset(X, y, ((0.0, 1.0), (0.0, 1.0)))
 
 
-_FAST_STOP = StoppingRule(max_iters=12, change_tol=1e-5)
-
-
 class TestCrossValidation:
     def test_single_repeat_is_plain_oof(self):
         # repeats=1: the average is just the one out-of-fold pass
         data = _cv_dataset()
         pair = LearnerPair("lasso", "stumps")
-        kw = dict(lambda_f=0.01, lambda_g=0.1, stop=_FAST_STOP)
+        kw = dict(lambda_f=0.01, lambda_g=0.1)
         f1, g1 = cross_validated_predictions(data, pair,
                                              cv=CvConfig(folds=3, repeats=1, seed=4),
                                              **kw)
@@ -193,7 +189,7 @@ class TestCrossValidation:
         data = _cv_dataset(seed=5)
         pair = LearnerPair("lasso", "stumps")
         cv = CvConfig(folds=3, repeats=1, seed=7)
-        kw = dict(lambda_f=0.01, lambda_g=0.1, cv=cv, stop=_FAST_STOP)
+        kw = dict(lambda_f=0.01, lambda_g=0.1, cv=cv)
         f_clean, g_clean = cross_validated_predictions(data, pair, **kw)
         y_poison = data.y.copy()
         y_poison[11] += 1000.0
@@ -355,10 +351,10 @@ class TestTransect:
     def test_cell_whose_fold_fit_raises_is_skipped(self, monkeypatch):
         original = cv_module.fit_double_penalty
 
-        def failing_at_one_lambda(train, fitter_f, fitter_g, stop):
+        def failing_at_one_lambda(train, fitter_f, fitter_g):
             if fitter_f.lambda_f == 0.1:
                 raise np.linalg.LinAlgError("synthetic")
-            return original(train, fitter_f, fitter_g, stop=stop)
+            return original(train, fitter_f, fitter_g)
 
         monkeypatch.setattr(cv_module, "fit_double_penalty", failing_at_one_lambda)
         skipped = r"transect cell \(0.1, 1\) skipped: .*fold 0: synthetic"

@@ -89,11 +89,11 @@ class TestResultFiles:
 
 class TestTableRuns:
     def test_table1_reduced(self):
-        res = run_table1(thetas=(3.0,), reps=4, seed=5)
+        res = run_table1(reps=4, seed=5)
         assert res.name == "table1"
         assert res.columns[:3] == ("theta", "psi", "two_log_psi")
-        (row,) = res.rows
-        vals = dict(zip(res.columns, row))
+        assert res.column("theta") == [2.0, 3.0, 3.5, 4.0]
+        vals = dict(zip(res.columns, res.rows[1]))
         assert vals["theta"] == 3.0
         assert vals["psi"] == pytest.approx(psi(3.0), rel=1e-12)
         assert vals["two_log_psi"] == pytest.approx(2 * np.log(psi(3.0)), rel=1e-12)
@@ -103,20 +103,49 @@ class TestTableRuns:
         assert vals["reps_with_slope"] == 4
 
     def test_table1_deterministic(self):
-        a = run_table1(thetas=(2.0,), reps=3, seed=1)
-        b = run_table1(thetas=(2.0,), reps=3, seed=1)
+        a = run_table1(reps=3, seed=1)
+        b = run_table1(reps=3, seed=1)
         assert a.rows == b.rows
-        c = run_table1(thetas=(2.0,), reps=3, seed=2)
+        c = run_table1(reps=3, seed=2)
         assert c.rows != a.rows
 
     def test_table2_reduced(self):
-        res = run_table2(sizes=(20, 100), reps=4, seed=3)
+        res = run_table2(reps=4, seed=3)
         assert res.name == "table2"
-        assert [dict(zip(res.columns, r))["n"] for r in res.rows] == [20, 100]
+        assert res.column("n") == [20, 50, 100, 150, 200]
         for r in res.rows:
             vals = dict(zip(res.columns, r))
             assert vals["reps_with_slope"] >= 1
             assert vals["mean_slope"] < 0
+
+
+class TestRecordedSettings:
+    """Each study's fixed settings, read back from the written config."""
+
+    @staticmethod
+    def _config(result, tmp_path):
+        _, json_path = write_result_files(result, tmp_path)
+        return json.loads(json_path.read_text())["config"]
+
+    def test_table1_thetas(self, tmp_path):
+        config = self._config(run_table1(reps=1), tmp_path)
+        assert config["thetas"] == [2.0, 3.0, 3.5, 4.0]
+
+    def test_table2_sizes(self, tmp_path):
+        config = self._config(run_table2(reps=1), tmp_path)
+        assert config["sizes"] == [20, 50, 100, 150, 200]
+
+    def test_example1_noise_and_change_tol(self, tmp_path):
+        config = self._config(run_example1(reps=1), tmp_path)
+        assert config["noise_var"] == 0.1
+        assert config["change_tol"] == 1e-6
+
+    def test_example2_ladder_and_iterations(self, tmp_path):
+        result = run_example2(noise_sds=(0.1,), reps=1)
+        config = self._config(result, tmp_path)
+        assert config["nlambdas"] == [1.0, 0.1, 0.001, 1e-9]
+        assert config["iters"] == 5
+        assert result.column("iteration")[:6] == [1, 2, 3, 4, 5, 1]
 
 
 class TestExampleRuns:
@@ -143,18 +172,18 @@ class TestExampleRuns:
             run_example1(n=1, reps=1)
 
     def test_example1_large_clean_sample_improves_mspe(self):
-        # same pipeline, more data and no noise: prediction error must drop
+        # same pipeline and noise, ten times the data: prediction error must
+        # drop (0.913 at n = 20 against 0.0557 at n = 200)
         noisy = run_example1(reps=3, seed=4)
-        clean = run_example1(n=200, noise_var=0.0, reps=3, seed=4)
+        clean = run_example1(n=200, reps=3, seed=4)
         m_noisy = float(np.mean(noisy.column("mspe")))
         m_clean = float(np.mean(clean.column("mspe")))
         assert m_clean < 0.5 * m_noisy
 
     def test_example2_reduced(self):
-        res = run_example2(nlambdas=(1.0, 1e-9), noise_sds=(0.1,), iters=2,
-                           reps=2, seed=6)
+        res = run_example2(noise_sds=(0.1,), reps=2, seed=6)
         assert res.name == "example2"
-        assert len(res.rows) == 2 * 2
+        assert len(res.rows) == 4 * 5        # four n*lambda levels, five iterations each
         vals = [dict(zip(res.columns, r)) for r in res.rows]
         for v in vals:
             assert v["noise_sd"] == 0.1
@@ -166,7 +195,7 @@ class TestExampleRuns:
         assert min(t["training"] for t in tight) < min(l["training"] for l in loose)
 
     def test_example2_deterministic(self):
-        kw = dict(nlambdas=(0.1,), noise_sds=(0.1,), iters=1, reps=2, seed=8)
+        kw = dict(noise_sds=(0.1,), reps=2, seed=8)
         assert run_example2(**kw).rows == run_example2(**kw).rows
 
     def test_example2_rows_equal_with_full_rescoring_designs(self, monkeypatch):
@@ -211,9 +240,10 @@ def _example2_reference(nlambdas, noise_sds, iters, n, reps, seed):
 
 class TestExample2Alternation:
     def test_matches_hand_written_alternation(self):
-        kw = dict(nlambdas=(1.0, 1e-9), noise_sds=(0.1, 0.01), iters=3, reps=3)
+        kw = dict(noise_sds=(0.1, 0.01), reps=3)
         res = run_example2(**kw)
-        expected = _example2_reference(n=50, seed=0, **kw)
+        expected = _example2_reference(example2_module._NLAMBDAS, iters=example2_module._ITERS,
+                                       n=50, seed=0, **kw)
         np.testing.assert_allclose(np.array(res.rows), expected, rtol=1e-9, atol=1e-11)
 
     def test_one_factorization_per_ridge_system(self, monkeypatch):
@@ -225,9 +255,9 @@ class TestExample2Alternation:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(ridge_module, "cholesky_solve", counted)
-        reps, nlambdas = 2, (1.0, 0.1, 1e-9)
-        run_example2(nlambdas=nlambdas, noise_sds=(0.1,), iters=4, reps=reps)
-        assert len(calls) == reps * len(nlambdas)
+        reps = 2
+        run_example2(noise_sds=(0.1,), reps=reps)
+        assert len(calls) == reps * len(example2_module._NLAMBDAS)
 
     def test_one_gram_per_rep(self, monkeypatch):
         # every n*lambda of a rep shares the training Gram
@@ -240,5 +270,5 @@ class TestExample2Alternation:
 
         monkeypatch.setattr(matern_module, "matern_gram", counted)
         reps = 2
-        run_example2(nlambdas=(1.0, 0.1, 1e-9), noise_sds=(0.1, 0.01), iters=2, reps=reps)
+        run_example2(noise_sds=(0.1, 0.01), reps=reps)
         assert len(calls) == 2 * reps

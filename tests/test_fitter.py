@@ -148,6 +148,18 @@ class TestStoppingRule:
         with pytest.raises(ValueError):
             StoppingRule(max_iters=0, change_tol=0.0)
 
+    @pytest.mark.parametrize("change_tol", [-1.0, -1e-300, float("nan"), -float("inf")])
+    def test_negative_or_nan_change_tol_rejected(self, change_tol):
+        # no change norm falls below it, so it would turn the change test off
+        with pytest.raises(ValueError, match="change_tol"):
+            StoppingRule(change_tol=change_tol)
+
+    def test_zero_change_tol_turns_the_change_test_off(self):
+        data, _ = _sine_data(seed=4)
+        fit = fit_double_penalty(data, LinearFitter(), ZeroFitter(),
+                                 StoppingRule(max_iters=3, change_tol=0.0))
+        assert (fit.stop_reason, fit.iterations) == ("max-iters", 3)
+
     @pytest.mark.parametrize("max_iters", [0, -3])
     def test_max_iters_below_one_rejected(self, max_iters):
         # change_tol stays active, but a run with no iterations is no fit
@@ -236,20 +248,63 @@ class TestSlopeEstimation:
         assert slope == pytest.approx(-0.2, abs=0.01)
 
     def test_floor_excludes_tiny_values(self):
+        # five errors above the floor: burn-in 2 leaves the last three
         errors = [1.0, 0.5, 0.25, 0.125, 0.0625, 1e-14, 1e-15, 1e-16]
-        slope, _, used = estimate_convergence_slope(errors, burn_in=0)
-        assert used == 5
+        slope, _, used = estimate_convergence_slope(errors)
+        assert used == 3
         assert slope == pytest.approx(np.log(0.5), abs=1e-10)
 
     def test_too_few_points_raises(self):
-        with pytest.raises(ValueError, match="usable"):
-            estimate_convergence_slope([1.0, 0.5, 0.25, 0.125], burn_in=2)
+        # fewer than three errors above the floor, wherever they sit
+        for errors in ([], [1.0, 0.5], [1.0, 0.5, 1e-10, 0.0, 1e-12]):
+            with pytest.raises(ValueError, match="usable"):
+                estimate_convergence_slope(errors)
+
+    @pytest.mark.parametrize("length, burn_in", [(3, 0), (4, 1), (5, 2), (6, 3), (9, 3)])
+    def test_burn_in_shrinks_to_leave_three_points(self, length, burn_in):
+        errors = 0.5 ** np.arange(1, length + 1)
+        slope, _, used = estimate_convergence_slope(errors)
+        assert used == length - burn_in
+        assert slope == pytest.approx(np.log(0.5), abs=1e-10)
 
     def test_burn_in_shifts_window(self):
         # first entries off-trend; burn-in ignores them
         errors = [10.0, 10.0, 10.0] + list(0.5 ** np.arange(1, 11))
-        slope, _, _ = estimate_convergence_slope(errors, burn_in=3)
+        slope, _, _ = estimate_convergence_slope(errors)
         assert slope == pytest.approx(np.log(0.5), abs=1e-10)
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 1e-16, 1e-10]),
+                              st.floats(1e-9, 1e6)), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_burn_in_equals_the_retry_cascade(self, errors):
+        # the rule the study code used before the function worked out its
+        # own burn-in: try burn-in 3, 2, 1 and 0 until 3 points remain
+        want = _burn_in_cascade(errors)
+        if want is None:
+            with pytest.raises(ValueError, match="usable"):
+                estimate_convergence_slope(errors)
+        else:
+            assert estimate_convergence_slope(errors) == want
+
+
+def _slope_at_burn_in(errors, burn_in):
+    """Oracle: the OLS fit over m > burn_in with error above 1e-10, or None below 3 points."""
+    errors = np.asarray(errors, dtype=float)
+    m = np.arange(1, errors.size + 1)
+    keep = (m > burn_in) & (errors > 1e-10)
+    if keep.sum() < 3:
+        return None
+    slope, intercept = np.polyfit(m[keep], np.log(errors[keep]), 1)
+    return float(slope), float(intercept), int(keep.sum())
+
+
+def _burn_in_cascade(errors):
+    """Oracle: the first of burn-in 3, 2, 1, 0 that leaves 3 points, else None."""
+    for burn_in in (3, 2, 1, 0):
+        fit = _slope_at_burn_in(errors, burn_in)
+        if fit is not None:
+            return fit
+    return None
 
 
 def _trace_from_distances(dists):

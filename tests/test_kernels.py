@@ -50,6 +50,21 @@ class TestMaternSpec:
             MaternSpec(nu=1.0, p=2, phi=1.0)  # mu = 0
         with pytest.raises(ValueError):
             MaternSpec(nu=2.0, p=1, phi=0.0)
+        for nu, phi in ((math.inf, 1.0), (math.nan, 1.0), (3.5, math.inf), (3.5, math.nan)):
+            with pytest.raises(ValueError, match="nu|phi"):
+                MaternSpec(nu=nu, p=1, phi=phi)
+
+    @pytest.mark.parametrize("mu", [151.14, 152.0, 165.2, 170.5, 200.0, 1e6])
+    def test_orders_whose_normalizer_overflows_rejected(self, mu):
+        # past mu = 151.1385 Gamma(mu) 2^(mu-1) is inf, which would divide
+        # every off-diagonal entry to 0 and leave an identity Gram
+        with pytest.raises(ValueError, match="151.1385"):
+            MaternSpec(nu=mu + 0.5, p=1, phi=1.0)
+
+    def test_largest_orders_still_give_a_gram(self):
+        K = MaternSpec(nu=151.5, p=1, phi=1.0).gram(np.array([0.2, 0.7]))
+        assert K[0, 1] == pytest.approx(0.77767, abs=1e-5)
+        MaternSpec(nu=151.638, p=1, phi=1.0)      # mu = 151.138, just below the limit
 
 
 class TestMaternValues:
@@ -480,7 +495,8 @@ class TestKernelRidge:
         assert (a == a) is True
 
     def test_factor_rejects_nonpositive_lambda(self):
-        for lam in (0.0, -0.1):
+        # an infinite lambda would factor, with warnings, into NaN entries
+        for lam in (0.0, -0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="lambda"):
                 RidgeSystem.factor(np.eye(3), lam)
 

@@ -10,6 +10,7 @@ import math
 import tracemalloc
 import warnings
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -547,6 +548,15 @@ def maximin_lhs_full_rescore(n, p, rng, restarts=2, swaps=150):
     return best
 
 
+def search_budget(restarts, swaps):
+    """maximin_lhs set to `restarts` starting designs of `swaps` proposals each.
+
+    A context manager, so it also works inside Hypothesis tests, which take
+    no function-scoped fixtures such as monkeypatch.
+    """
+    return patch.multiple(design_module, _RESTARTS=restarts, _SWAPS=swaps)
+
+
 class ScriptedRng:
     """Replays fixed draws where maximin_lhs asks its generator for them.
 
@@ -585,7 +595,8 @@ class TestMaximinLhs:
     @settings(max_examples=150, deadline=None)
     def test_matches_full_rescoring_oracle(self, n, p, restarts, swaps, seed):
         fast_rng, full_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        fast = maximin_lhs(n, p, fast_rng, restarts, swaps)
+        with search_budget(restarts, swaps):
+            fast = maximin_lhs(n, p, fast_rng)
         full = maximin_lhs_full_rescore(n, p, full_rng, restarts, swaps)
         assert np.array_equal(fast, full)
         # run_example2 draws its noise from the same generator
@@ -623,7 +634,8 @@ class TestMaximinLhs:
 
         want = maximin_lhs_full_rescore(4, 2, ScriptedRng(draws), restarts=1, swaps=5)
         monkeypatch.setattr(design_module, "math", SimpleNamespace(sqrt=sqrt))
-        got = maximin_lhs(4, 2, ScriptedRng(draws), restarts=1, swaps=5)
+        with search_budget(1, 5):
+            got = maximin_lhs(4, 2, ScriptedRng(draws))
         assert np.array_equal(got, want)
         start = (np.argsort(ranks, axis=1).T + jitter) / 4
         start[[1, 2], 0] = start[[2, 1], 0]
@@ -654,9 +666,10 @@ class TestMaximinLhs:
         else:
             pytest.fail("no tie found")
         draws = [ranks, jitter, np.array([[0, 0, 1]])]
-        for fit in (maximin_lhs, maximin_lhs_full_rescore):
-            kept = fit(3, 2, ScriptedRng(draws), restarts=1, swaps=1)
-            assert np.array_equal(kept, design)
+        with search_budget(1, 1):
+            assert np.array_equal(maximin_lhs(3, 2, ScriptedRng(draws)), design)
+        kept = maximin_lhs_full_rescore(3, 2, ScriptedRng(draws), restarts=1, swaps=1)
+        assert np.array_equal(kept, design)
 
     def test_first_of_equally_good_restarts_is_kept(self):
         # the second restart's rows are the first's in another order
@@ -664,11 +677,14 @@ class TestMaximinLhs:
         jitter = np.array([[0.6, 0.15], [0.4, 0.97], [0.5, 0.5]])
         first = (np.argsort(ranks, axis=1).T + jitter) / 3
         draws = [ranks, jitter, ranks[:, ::-1], jitter[::-1]]
-        for fit in (maximin_lhs, maximin_lhs_full_rescore):
-            kept = fit(3, 2, ScriptedRng(draws), restarts=2, swaps=0)
-            assert np.array_equal(kept, first)
-            assert np.array_equal(fit(3, 2, ScriptedRng(draws[2:]), restarts=1, swaps=0),
-                                  first[::-1])
+        with search_budget(2, 0):
+            assert np.array_equal(maximin_lhs(3, 2, ScriptedRng(draws)), first)
+        with search_budget(1, 0):
+            assert np.array_equal(maximin_lhs(3, 2, ScriptedRng(draws[2:])), first[::-1])
+        kept = maximin_lhs_full_rescore(3, 2, ScriptedRng(draws), restarts=2, swaps=0)
+        assert np.array_equal(kept, first)
+        assert np.array_equal(maximin_lhs_full_rescore(3, 2, ScriptedRng(draws[2:]),
+                                                       restarts=1, swaps=0), first[::-1])
 
     def test_paper_size_designs_match_oracle(self):
         for seed in range(10):
@@ -694,8 +710,10 @@ class TestMaximinLhs:
             np.fill_diagonal(diff, np.inf)
             return diff.min()
 
-        raw = maximin_lhs(20, 2, np.random.default_rng(31), restarts=1, swaps=0)
-        optimized = maximin_lhs(20, 2, np.random.default_rng(31), restarts=1, swaps=150)
+        with search_budget(1, 0):
+            raw = maximin_lhs(20, 2, np.random.default_rng(31))
+        with search_budget(1, 150):
+            optimized = maximin_lhs(20, 2, np.random.default_rng(31))
         assert min_dist(optimized) >= min_dist(raw)
 
     def test_argument_validation(self):
@@ -703,14 +721,11 @@ class TestMaximinLhs:
             maximin_lhs(1, 2, np.random.default_rng(0))
         with pytest.raises(ValueError):
             maximin_lhs(5, 0, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="restarts"):
-            maximin_lhs(5, 2, np.random.default_rng(0), restarts=0)
-        with pytest.raises(ValueError, match="swaps must be non-negative"):
-            maximin_lhs(5, 2, np.random.default_rng(0), swaps=-1)
 
     def test_zero_swaps_draw_only_the_starting_designs(self):
         rng, expected = np.random.default_rng(3), np.random.default_rng(3)
-        maximin_lhs(5, 2, rng, restarts=2, swaps=0)
+        with search_budget(2, 0):
+            maximin_lhs(5, 2, rng)
         for _ in range(2):
             expected.random((2, 5))
             expected.random((5, 2))
