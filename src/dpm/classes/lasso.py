@@ -53,7 +53,7 @@ def fit_lasso(data: Dataset, residual: np.ndarray, lambda_f: float) -> FunctionC
     ``MAX_SWEEPS`` is returned with ``converged=False``.
     """
     if not 0.0 <= lambda_f < math.inf:      # NaN fails this too
-        raise ValueError("lambda_f must be non-negative")
+        raise ValueError("lambda_f must be non-negative and finite")
     residual = data.residual(residual)
     design = data.derived("lasso_design", lambda: lasso_design(data.X))
     n = data.n

@@ -58,7 +58,7 @@ class SplitTable:
 def split_table(X: np.ndarray, lambda_g: float) -> SplitTable:
     """Sort the columns of X once for every boosting fit at ``lambda_g``."""
     if not 0.0 <= lambda_g < math.inf:      # NaN fails this too
-        raise ValueError("lambda_g must be non-negative")
+        raise ValueError("lambda_g must be non-negative and finite")
     XT = np.ascontiguousarray(X.T)
     n = XT.shape[1]
     order = np.argsort(XT, axis=1, kind="stable")

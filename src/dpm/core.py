@@ -169,7 +169,7 @@ class FunctionClassFitter(ABC):
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One Algorithm-1 iteration: changes, penalties, optional oracle distance."""
+    """One Algorithm-1 iteration: objective, changes and penalties."""
 
     iteration: int
     objective: float
@@ -177,7 +177,6 @@ class TraceRecord:
     delta_g: float
     penalty_f: float
     penalty_g: float
-    ref_distance: Optional[float] = None
 
 
 STOP_REASONS = ("max-iters", "change-tol")

@@ -16,8 +16,8 @@ import time
 import numpy as np
 
 from ..classes import LinearFitter
-from ..core import Dataset, FunctionClassFitter, FunctionClassMember
-from ..fitter import StoppingRule, fit_double_penalty
+from ..core import Dataset
+from ..fitter import RecordingFitter, StoppingRule, fit_double_penalty
 from ..kernels import KernelRidgeFitter, MaternSpec, matern_gram
 from ..numerics import halton, maximin_lhs
 from .results import ExperimentResult
@@ -27,19 +27,6 @@ _P = 5
 _BESSEL_ORDER = 3.5
 _NLAMBDAS = (1.0, 0.1, 0.001, 1e-9)    # the ridge levels n*lambda
 _ITERS = 5                             # alternation iterations at each level
-
-
-class _KeepMembers(FunctionClassFitter):
-    """Pass-through fitter that keeps every member its inner fitter returns."""
-
-    def __init__(self, inner: FunctionClassFitter):
-        self.inner = inner
-        self.members = []
-
-    def fit(self, data: Dataset, residual: np.ndarray) -> FunctionClassMember:
-        member = self.inner.fit(data, residual)
-        self.members.append(member)
-        return member
 
 
 def run_example2(noise_sds=(0.1, 0.01), n: int = 50, reps: int = 100,
@@ -64,8 +51,8 @@ def run_example2(noise_sds=(0.1, 0.01), n: int = 50, reps: int = 100,
             data = Dataset(X, y, omega_bounds=bounds)
             K_test = matern_gram(spec, x_test, X)
             for nl in _NLAMBDAS:    # the rep's Gram is shared through data.derived
-                fs = _KeepMembers(LinearFitter())
-                gs = _KeepMembers(KernelRidgeFitter(spec, lam=nl / n))
+                fs = RecordingFitter(LinearFitter())
+                gs = RecordingFitter(KernelRidgeFitter(spec, lam=nl / n))
                 fit_double_penalty(data, fs, gs, stop)
                 # f_0 starts the run, so iterate m pairs f_m with g_m
                 for it, (f_m, g_m) in enumerate(zip(fs.members[1:], gs.members), start=1):

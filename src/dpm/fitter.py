@@ -12,6 +12,7 @@ from .core import (
     AdditiveFit,
     Dataset,
     FunctionClassFitter,
+    FunctionClassMember,
     TraceRecord,
     empirical_norm,
     objective,
@@ -46,16 +47,13 @@ class FitterError(RuntimeError):
 
 def fit_double_penalty(data: Dataset, fitter_f: FunctionClassFitter,
                        fitter_g: FunctionClassFitter,
-                       stop: StoppingRule = StoppingRule(),
-                       reference: Optional[tuple[np.ndarray, np.ndarray]] = None) -> AdditiveFit:
+                       stop: StoppingRule = StoppingRule()) -> AdditiveFit:
     """Alternate penalized fits of f and g (Algorithm 1 of the method).
 
     Starts from f_0 = argmin ||y - f||_n^2 + L_f(f); iteration m fits
     g_m on y - f_{m-1} and then f_m on y - g_m.  The trace records the
-    objective, change norms, and penalties per iteration; when
-    ``reference`` holds training-point values (f_ref, g_ref) of a known
-    solution, each record also carries the distance
-    ||f_m - f_ref||_n + ||g_m - g_ref||_n.
+    objective, change norms, and penalties per iteration; wrap a fitter
+    in ``RecordingFitter`` to keep the iterates themselves.
     """
     y = data.y
     trace: list[TraceRecord] = []
@@ -81,18 +79,40 @@ def fit_double_penalty(data: Dataset, fitter_f: FunctionClassFitter,
         f_vals, g_vals = f_member.fitted, g_member.fitted
 
         obj = objective(data, f_vals, g_vals, f_member.penalty_value, g_member.penalty_value)
-        ref_dist = None
-        if reference is not None:
-            ref_dist = (empirical_norm(f_vals - reference[0])
-                        + empirical_norm(g_vals - reference[1]))
         trace.append(TraceRecord(len(trace) + 1, obj, delta_f, delta_g,
-                                 f_member.penalty_value, g_member.penalty_value, ref_dist))
+                                 f_member.penalty_value, g_member.penalty_value))
 
         if stop.change_tol > 0.0 and delta_f + delta_g < stop.change_tol:
             stop_reason = "change-tol"
             break
 
     return AdditiveFit(f_member, g_member, tuple(trace), stop_reason)
+
+
+class RecordingFitter(FunctionClassFitter):
+    """Pass-through fitter that keeps every member its inner fitter returns.
+
+    f's list starts with f_0, so iterate m of ``fit_double_penalty`` pairs
+    ``f.members[m]`` with ``g.members[m - 1]``.
+    """
+
+    def __init__(self, inner: FunctionClassFitter):
+        self.inner = inner
+        self.members: list[FunctionClassMember] = []
+
+    def fit(self, data: Dataset, residual: np.ndarray) -> FunctionClassMember:
+        member = self.inner.fit(data, residual)
+        self.members.append(member)
+        return member
+
+
+def _finite_sequence(values: Sequence[float], name: str) -> np.ndarray:
+    """The values as a float array, or ValueError at the first non-finite one (from 1)."""
+    values = np.asarray(list(values), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{name} {bad[0] + 1} is {values[bad[0]]}; need finite values")
+    return values
 
 
 _SLOPE_FLOOR = 1e-10     # errors at or below this leave the slope fit
@@ -106,9 +126,10 @@ def estimate_convergence_slope(errors: Sequence[float]) -> tuple[float, float, i
     error above 1e-10.  burn_in = min(3, i), where i is the 0-based index
     of the third-to-last error above 1e-10: up to 3 leading iterations
     go, as many as leave 3 points.  Fewer than 3 errors above 1e-10 is an
-    error.  Returns the slope, the intercept and the points used.
+    error, and so is a non-finite error.  Returns the slope, the intercept
+    and the points used.
     """
-    errors = np.asarray(list(errors), dtype=float)
+    errors = _finite_sequence(errors, "error")
     above = np.flatnonzero(errors > _SLOPE_FLOOR)
     if above.size < 3:
         raise ValueError(f"only {above.size} usable errors (above {_SLOPE_FLOOR}); "
@@ -134,26 +155,27 @@ _EXPONENTS = {
 }
 
 
-def verify_rate_bound(trace: Sequence[TraceRecord], rate: float,
+def verify_rate_bound(distances: Sequence[float], rate: float,
                       offset_exponent_rule: str = "theorem1",
                       tol: float = 0.1) -> RateBoundReport:
-    """Check d_m <= rate^exponent(m) * d_1 * (1 + tol) along a trace.
+    """Check d_m <= rate^exponent(m) * d_1 * (1 + tol) over distances d_1, d_2, ...
 
     The exponent is 2m - 6 for the separability-based bound and m - 1 for
-    the strong-convexity bound.  The trace must carry reference distances.
+    the strong-convexity bound.  An empty sequence or a non-finite distance
+    is an error.
     """
     if offset_exponent_rule not in _EXPONENTS:
         raise ValueError(f"unknown rule {offset_exponent_rule!r}")
     if not 0.0 < rate < 1.0:
         raise ValueError("rate must be in (0, 1)")
-    dists = [(rec.iteration, rec.ref_distance) for rec in trace]
-    if not dists or any(d is None for _, d in dists):
-        raise ValueError("trace must contain reference distances for every iteration")
+    dists = _finite_sequence(distances, "distance").tolist()
+    if not dists:
+        raise ValueError("need at least one distance")
     exponent = _EXPONENTS[offset_exponent_rule]
-    d1 = dists[0][1]
+    d1 = dists[0]
     first_violation = None
     worst = 0.0
-    for m, d in dists:
+    for m, d in enumerate(dists, start=1):
         bound = rate ** exponent(m) * d1 * (1.0 + tol)
         if d1 == 0.0:
             ratio = 0.0 if d == 0.0 else math.inf

@@ -21,12 +21,11 @@ from ..numerics import bessel_k
 __all__ = ["MaternSpec", "matern_gram"]
 
 
-def _normalizer(mu: float) -> float:
-    """Gamma(mu) 2^(mu-1), or inf where it overflows."""
-    try:
-        return math.gamma(mu) * 2.0 ** (mu - 1.0)
-    except OverflowError:
-        return math.inf
+# Largest mu = nu - p/2 accepted.  Where K_mu(z) overflows the kernel is set
+# to its limit 1.  Against 40-digit mpmath on z in [1e-12, 50], up to mu = 40
+# that costs at most 2.0e-15 and the kernel stays within 4.6e-15, but the
+# limit alone is off by 1.6e-14 at mu = 42.5 and 4.5e-10 at 60.5.
+_MU_MAX = 40.0
 
 
 @dataclass(frozen=True)
@@ -46,9 +45,9 @@ class MaternSpec:
             raise ValueError(f"need nu > p/2, got nu={self.nu}, p={self.p}")
         if not 0.0 < self.phi < math.inf:
             raise ValueError(f"phi must be positive and finite, got phi={self.phi}")
-        if not math.isfinite(_normalizer(self.mu)):
-            raise ValueError(f"mu = nu - p/2 = {self.mu} is too large: the normalizer "
-                             "Gamma(mu) 2^(mu-1) overflows from mu = 151.1385")
+        if not self.mu <= _MU_MAX:
+            raise ValueError(f"mu = nu - p/2 = {self.mu} is above {_MU_MAX:g}: past it, "
+                             "setting the kernel to 1 where K_mu overflows costs accuracy")
 
     @property
     def mu(self) -> float:
@@ -87,13 +86,13 @@ def _kernel_of_distance(spec: MaternSpec, z: np.ndarray) -> np.ndarray:
 def _scaled_kernel(mu: float, z: np.ndarray) -> np.ndarray:
     """Overwrite positive z with z^mu K_mu(z) / (Gamma(mu) 2^(mu-1)) in [0, 1]."""
     k = bessel_k(mu, z)
-    # K_mu is inf only where z^mu is below 1e-300 or so, where the kernel is
-    # 1 to double precision; z^mu * inf would be NaN once z^mu underflows
+    # K_mu is inf only where z^mu is below 1e-300 or so, where for mu <= 40
+    # the kernel is 1 within 2e-15; z^mu * inf would be NaN once z^mu underflows
     overflowed = np.isinf(k) if np.max(k) == math.inf else None
     with np.errstate(over="ignore", invalid="ignore"):
         np.power(z, mu, out=z)
         np.multiply(z, k, out=z)
-        np.divide(z, _normalizer(mu), out=z)
+        np.divide(z, math.gamma(mu) * 2.0 ** (mu - 1.0), out=z)
     # fmax sends NaN, from inf * 0 where z^mu overflows at huge z, to the limit 0
     np.fmin(np.fmax(z, 0.0, out=z), 1.0, out=z)
     if overflowed is not None:

@@ -56,7 +56,7 @@ class RidgeSystem:
     @classmethod
     def factor(cls, gram: np.ndarray, lam: float) -> "RidgeSystem":
         if not 0.0 < lam < math.inf:
-            raise ValueError("lambda must be positive")
+            raise ValueError("lambda must be positive and finite")
         n = gram.shape[0]
         solved = cholesky_solve(gram + n * lam * np.eye(n), np.empty((n, 0)))
         return cls(gram, lam, solved.jitter_used, solved.inverse_factor)

@@ -11,10 +11,11 @@ import pytest
 
 from dpm.classes import FiniteBasisFitter, LinearFitter
 from dpm.cli import main
-from dpm.core import Dataset
+from dpm.core import Dataset, empirical_norm
 from dpm.cv import CvConfig, LearnerPair, cross_validated_predictions
 from dpm.experiments import run_example1, run_example2, run_table1, run_table2
 from dpm.fitter import (
+    RecordingFitter,
     StoppingRule,
     fit_double_penalty,
     verify_rate_bound,
@@ -154,6 +155,12 @@ def test_c05_alternation_matches_joint_solve():
                    f"worst gap {worst:.2e} over 20 seeds (limit 1e-6)"), worst
 
 
+def _distances(ff, fg, reference):
+    """d_m = ||f_m - f_ref||_n + ||g_m - g_ref||_n over the recorded iterates (f_0 skipped)."""
+    return [empirical_norm(f.fitted - reference[0]) + empirical_norm(g.fitted - reference[1])
+            for f, g in zip(ff.members[1:], fg.members)]
+
+
 def test_c06_separability_rate_bound():
     failures = 0
     worst = 0.0
@@ -166,14 +173,10 @@ def test_c06_separability_rate_bound():
         beta = np.linalg.lstsq(design, y, rcond=None)[0]
         reference = (beta[0] * x, beta[1] * np.sin(3.0 * x))
         theta2 = empirical_theta(x, np.sin(3.0 * x)).theta_estimate
-        fit = fit_double_penalty(
-            data,
-            FiniteBasisFitter([lambda t: t]),
-            FiniteBasisFitter([lambda t: np.sin(3.0 * t)]),
-            StoppingRule(max_iters=30, change_tol=1e-12),
-            reference=reference,
-        )
-        report = verify_rate_bound(fit.trace, theta2, "theorem1")
+        ff = RecordingFitter(FiniteBasisFitter([lambda t: t]))
+        fg = RecordingFitter(FiniteBasisFitter([lambda t: np.sin(3.0 * t)]))
+        fit_double_penalty(data, ff, fg, StoppingRule(max_iters=30, change_tol=1e-12))
+        report = verify_rate_bound(_distances(ff, fg, reference), theta2, "theorem1")
         failures += 0 if report.passed else 1
         worst = max(worst, report.worst_ratio)
     ok = failures == 0
@@ -197,11 +200,10 @@ def test_c07_strong_convexity_rate_bound():
                                  KernelRidgeFitter(spec, lam=0.1),
                                  StoppingRule(max_iters=4000, change_tol=1e-14))
         reference = (ref.f_hat(data.X), ref.g_hat(data.X))
-        fit = fit_double_penalty(data, LinearFitter(ridge_gamma=gamma),
-                                 KernelRidgeFitter(spec, lam=0.1),
-                                 StoppingRule(max_iters=40, change_tol=0.0),
-                                 reference=reference)
-        report = verify_rate_bound(fit.trace, rate, "theorem3")
+        ff = RecordingFitter(LinearFitter(ridge_gamma=gamma))
+        fg = RecordingFitter(KernelRidgeFitter(spec, lam=0.1))
+        fit_double_penalty(data, ff, fg, StoppingRule(max_iters=40, change_tol=0.0))
+        report = verify_rate_bound(_distances(ff, fg, reference), rate, "theorem3")
         failures += 0 if report.passed else 1
         worst = max(worst, report.worst_ratio)
     ok = failures == 0

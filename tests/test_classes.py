@@ -194,7 +194,7 @@ def test_invalid_bounds_raise(name, value):
 @pytest.mark.parametrize("fit, name", [(fit_lasso, "lambda_f"), (fit_boosted_stumps, "lambda_g")])
 def test_nan_penalty_raises(fit, name):
     for value in (math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+        with pytest.raises(ValueError, match=f"{name} must be non-negative and finite"):
             fit(_BOUND_DATA, _BOUND_DATA.y, value)
 
 

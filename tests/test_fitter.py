@@ -17,6 +17,7 @@ from dpm.classes import (
 from dpm.core import AdditiveFit, Dataset, TraceRecord, empirical_inner, empirical_norm
 from dpm.fitter import (
     FitterError,
+    RecordingFitter,
     StoppingRule,
     estimate_convergence_slope,
     fit_double_penalty,
@@ -193,14 +194,10 @@ class TestFitLoop:
         np.testing.assert_allclose(fit.g_hat(data.X), joint[1] * np.sin(3.0 * x),
                                    atol=1e-6)
 
-    def test_trace_contents_and_reference_distance(self):
-        data, x = _sine_data(seed=3)
-        ref = (0.8 * x, np.zeros(data.n))
-        fit = fit_double_penalty(
-            data, LinearFitter(), ZeroFitter(),
-            StoppingRule(max_iters=4, change_tol=0.0),
-            reference=ref,
-        )
+    def test_trace_contents_and_recorded_members(self):
+        data, _ = _sine_data(seed=3)
+        ff, fg = RecordingFitter(LinearFitter()), RecordingFitter(ZeroFitter())
+        fit = fit_double_penalty(data, ff, fg, StoppingRule(max_iters=4, change_tol=0.0))
         assert isinstance(fit, AdditiveFit)
         assert len(fit.trace) >= 1
         rec = fit.trace[0]
@@ -208,8 +205,10 @@ class TestFitLoop:
         assert rec.iteration == 1
         assert rec.delta_f >= 0.0 and rec.delta_g == 0.0
         assert rec.penalty_g == 0.0
-        expected = empirical_norm(fit.f_hat(data.X) - ref[0])
-        assert fit.trace[-1].ref_distance == pytest.approx(expected, rel=1e-12)
+        # f's list starts with f_0, so it holds one member more than g's
+        assert len(ff.members) == fit.iterations + 1
+        assert len(fg.members) == fit.iterations
+        assert ff.members[-1] is fit.f_hat and fg.members[-1] is fit.g_hat
 
     def test_max_iters_stop(self):
         data, x = _sine_data(seed=5)
@@ -253,6 +252,15 @@ class TestSlopeEstimation:
         slope, _, used = estimate_convergence_slope(errors)
         assert used == 3
         assert slope == pytest.approx(np.log(0.5), abs=1e-10)
+
+    @pytest.mark.parametrize("errors, position, bad", [
+        ([1.0, 0.5, np.inf, 0.2, 0.1], 3, "inf"),     # once read (nan, nan, 3)
+        ([1.0, np.nan, 0.5, 0.25], 2, "nan"),         # once dropped as under the floor
+        ([1.0, 0.5, 0.25, -np.inf], 4, "-inf"),
+    ])
+    def test_non_finite_error_raises_at_its_position(self, errors, position, bad):
+        with pytest.raises(ValueError, match=f"error {position} is {bad}; need finite"):
+            estimate_convergence_slope(errors)
 
     def test_too_few_points_raises(self):
         # fewer than three errors above the floor, wherever they sit
@@ -307,16 +315,11 @@ def _burn_in_cascade(errors):
     return None
 
 
-def _trace_from_distances(dists):
-    return tuple(TraceRecord(m, 0.0, 0.0, 0.0, 0.0, 0.0, d)
-                 for m, d in enumerate(dists, start=1))
-
-
 class TestRateBound:
     def test_exact_theorem3_sequence_passes(self):
         rate = 0.6
         dists = [0.8 * rate ** (m - 1) for m in range(1, 12)]
-        report = verify_rate_bound(_trace_from_distances(dists), rate, "theorem3")
+        report = verify_rate_bound(dists, rate, "theorem3")
         assert report.passed
         assert report.checked == 11
         assert report.first_violation is None
@@ -325,7 +328,7 @@ class TestRateBound:
     def test_violating_sequence_fails_at_right_step(self):
         rate = 0.5
         dists = [1.0, 0.5, 0.25, 0.5, 0.0625]
-        report = verify_rate_bound(_trace_from_distances(dists), rate, "theorem3")
+        report = verify_rate_bound(dists, rate, "theorem3")
         assert not report.passed
         assert report.first_violation == 4
         assert report.worst_ratio == pytest.approx(4.0)
@@ -334,26 +337,28 @@ class TestRateBound:
         # 2m - 6 < 0 for m <= 2, so early iterations can exceed d_1
         rate = 0.7
         dists = [1.0, 1.5, 1.0 * rate ** 0 , 0.9 * rate ** 2, 0.8 * rate ** 4]
-        report = verify_rate_bound(_trace_from_distances(dists), rate, "theorem1")
+        report = verify_rate_bound(dists, rate, "theorem1")
         assert report.passed
 
     def test_tolerance_slack(self):
         rate = 0.5
         dists = [1.0, 0.5 * 1.05, 0.25]
-        assert verify_rate_bound(_trace_from_distances(dists), rate,
-                                 "theorem3", tol=0.1).passed
-        assert not verify_rate_bound(_trace_from_distances(dists), rate,
-                                     "theorem3", tol=0.01).passed
+        assert verify_rate_bound(dists, rate, "theorem3", tol=0.1).passed
+        assert not verify_rate_bound(dists, rate, "theorem3", tol=0.01).passed
 
     def test_validation(self):
-        trace = _trace_from_distances([1.0, 0.5])
+        dists = [1.0, 0.5]
         with pytest.raises(ValueError, match="rule"):
-            verify_rate_bound(trace, 0.5, "theorem2")
+            verify_rate_bound(dists, 0.5, "theorem2")
         with pytest.raises(ValueError, match="rate"):
-            verify_rate_bound(trace, 1.5, "theorem3")
-        bare = tuple(TraceRecord(m, 0.0, 0.0, 0.0, 0.0, 0.0) for m in (1, 2))
-        with pytest.raises(ValueError, match="reference"):
-            verify_rate_bound(bare, 0.5, "theorem3")
+            verify_rate_bound(dists, 1.5, "theorem3")
+        with pytest.raises(ValueError, match="at least one distance"):
+            verify_rate_bound([], 0.5, "theorem3")
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_distance_raises_at_its_position(self, bad):
+        with pytest.raises(ValueError, match=f"distance 3 is {bad}; need finite"):
+            verify_rate_bound([1.0, 0.5, bad, 0.1], 0.5, "theorem3")
 
     def test_end_to_end_trace_obeys_strong_convexity_rate(self):
         # ridge-penalized f against a kernel g tracks the (2/(2+gamma))^(m-1)
@@ -372,9 +377,10 @@ class TestRateBound:
         ref_fit = fit_double_penalty(data, ff, fg,
                                      StoppingRule(max_iters=4000, change_tol=1e-14))
         reference = (ref_fit.f_hat(data.X), ref_fit.g_hat(data.X))
-        ff, fg = make()
-        fit = fit_double_penalty(data, ff, fg,
-                                 StoppingRule(max_iters=40, change_tol=0.0),
-                                 reference=reference)
-        report = verify_rate_bound(fit.trace, 2.0 / (2.0 + gamma), "theorem3")
+        ff, fg = (RecordingFitter(fitter) for fitter in make())
+        fit_double_penalty(data, ff, fg, StoppingRule(max_iters=40, change_tol=0.0))
+        dists = [empirical_norm(f.fitted - reference[0]) + empirical_norm(g.fitted - reference[1])
+                 for f, g in zip(ff.members[1:], fg.members)]
+        assert len(dists) == 40
+        report = verify_rate_bound(dists, 2.0 / (2.0 + gamma), "theorem3")
         assert report.passed, report

@@ -54,17 +54,28 @@ class TestMaternSpec:
             with pytest.raises(ValueError, match="nu|phi"):
                 MaternSpec(nu=nu, p=1, phi=phi)
 
-    @pytest.mark.parametrize("mu", [151.14, 152.0, 165.2, 170.5, 200.0, 1e6])
+    @pytest.mark.parametrize("mu", [40.01, 45.5, 60.5, 140.5, 151.14, 152.0, 165.2, 170.5,
+                                    200.0, 1e6])
     def test_orders_whose_normalizer_overflows_rejected(self, mu):
-        # past mu = 151.1385 Gamma(mu) 2^(mu-1) is inf, which would divide
-        # every off-diagonal entry to 0 and leave an identity Gram
-        with pytest.raises(ValueError, match="151.1385"):
+        # past mu = 40 the kernel's limit 1, taken where K_mu overflows, costs
+        # accuracy (1.6e-14 at 42.5, 4.5e-10 at 60.5); from 135.5 the Gram
+        # once raised OverflowError, and past 151.1385 Gamma(mu) 2^(mu-1) is inf
+        with pytest.raises(ValueError, match="above 40: past it, setting the kernel to 1"):
             MaternSpec(nu=mu + 0.5, p=1, phi=1.0)
 
-    def test_largest_orders_still_give_a_gram(self):
-        K = MaternSpec(nu=151.5, p=1, phi=1.0).gram(np.array([0.2, 0.7]))
-        assert K[0, 1] == pytest.approx(0.77767, abs=1e-5)
-        MaternSpec(nu=151.638, p=1, phi=1.0)      # mu = 151.138, just below the limit
+    def test_largest_order_matches_mpmath(self):
+        # the kernel at mu = 40 against 40-digit mpmath, at z = 2 sqrt(40) r.
+        # K_40 overflows below z of about 5.6e-7, where the kernel is taken as 1
+        z = np.array([4e-7, 5.5e-7, 8e-7, 1e-6, 1e-4, 1.0, 5.0, 20.0])
+        expected = np.array([0.99999999999999897436, 0.9999999999999980609,
+                             0.99999999999999589744, 0.99999999999999358974,
+                             0.9999999999358974359, 0.99361078255002380236,
+                             0.85221160260155724707, 0.08335294099550243317])
+        spec = MaternSpec(nu=40.5, p=1, phi=1.0)
+        r = z / (2.0 * math.sqrt(40.0))
+        np.testing.assert_allclose(matern_of_distance(spec, r), expected, rtol=0.0, atol=5e-15)
+        K = spec.gram(np.concatenate([[0.3], 0.3 + r]))
+        np.testing.assert_allclose(K[0, 1:], expected, rtol=0.0, atol=5e-15)
 
 
 class TestMaternValues:
@@ -497,7 +508,7 @@ class TestKernelRidge:
     def test_factor_rejects_nonpositive_lambda(self):
         # an infinite lambda would factor, with warnings, into NaN entries
         for lam in (0.0, -0.1, math.nan, math.inf):
-            with pytest.raises(ValueError, match="lambda"):
+            with pytest.raises(ValueError, match="lambda must be positive and finite"):
                 RidgeSystem.factor(np.eye(3), lam)
 
     def test_factor_takes_l_inverse_and_jitter_without_a_solve(self, monkeypatch):

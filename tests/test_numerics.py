@@ -300,6 +300,23 @@ class TestBesselK:
             assert bessel_k(order, x) == pytest.approx(expected, rel=1e-12)
             assert bessel_k(order, np.array([x, 1.0]))[0] == bessel_k(order, x)
 
+    # the closed form's coefficient (n+k)!/(k!(n-k)!) overflows float64 from
+    # n = 135, so these orders take the trapezoid rule; 40-digit mpmath
+    @pytest.mark.parametrize("order,x,expected", [
+        (135.5, 1.0, 7.1119184257420032e+269),
+        (135.5, 100.0, 1.8135047085669522e-9),
+        (135.5, 300.0, 4.2387476997550585e-119),
+        (150.5, 10.0, 1.2585966039777569e+156),
+        (200.5, 50.0, 6.4275414961938903e+91),
+    ])
+    def test_large_half_integer_orders(self, order, x, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bessel_k(order, x) == pytest.approx(expected, rel=3e-14)
+            values = bessel_k(order, np.array([1e-300, 0.5, x]))
+        assert values[0] == values[1] == math.inf      # K_135.5(0.5) is 4.4e310
+        assert values[2] == bessel_k(order, x)
+
     @pytest.mark.parametrize("order,x", [(3, 1e-104), (200, 1e-2), (3.5, 1e-160), (1, 5e-324)])
     def test_overflow_is_inf(self, order, x):
         with warnings.catch_warnings():
