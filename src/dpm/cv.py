@@ -92,10 +92,12 @@ def fold_indices(n: int, cv: CvConfig) -> list[list[np.ndarray]]:
     return out
 
 
-def _training_folds(data: Dataset, cv: CvConfig) -> list[list[tuple[Dataset, np.ndarray]]]:
-    """Per repeat, each fold's (training subset, test indices)."""
+def _training_folds(data: Dataset,
+                    cv: CvConfig) -> list[list[tuple[Dataset, np.ndarray, np.ndarray]]]:
+    """Per repeat, each fold's (training subset, test indices, held-out points)."""
     everything = np.arange(data.n)
-    return [[(data.subset(np.setdiff1d(everything, test_idx)), test_idx) for test_idx in folds]
+    return [[(data.subset(np.setdiff1d(everything, test_idx)), test_idx, data.X[test_idx])
+             for test_idx in folds]
             for folds in fold_indices(data.n, cv)]
 
 
@@ -105,20 +107,21 @@ def cross_validated_predictions(data: Dataset, pair: LearnerPair,
     """Out-of-fold f and g predictions, averaged across repeats.
 
     Every call on the same dataset object and ``cv`` fits on the same
-    training subsets, so sweep cells share what fitters derive from them.
+    training subsets and predicts at the same held-out points, so sweep
+    cells share what fitters derive from them: a kernel g, for one, builds
+    each fold's held-out block once (see ``CrossBlock``).
     """
     f_sum = np.zeros(data.n)
     g_sum = np.zeros(data.n)
     splits = data.derived(("folds", cv), lambda: _training_folds(data, cv))
     for repeat, folds in enumerate(splits):
-        for fold, (train, test_idx) in enumerate(folds):
+        for fold, (train, test_idx, held_out) in enumerate(folds):
             fitter_f, fitter_g = pair.fitters(train, lambda_f, lambda_g)
             try:
                 fit = fit_double_penalty(train, fitter_f, fitter_g)
             except Exception as exc:
                 raise CvCellError(
                     f"fit failed at repeat {repeat}, fold {fold}: {exc}") from exc
-            held_out = data.X[test_idx]
             f_sum[test_idx] += fit.f_hat(held_out)
             g_sum[test_idx] += fit.g_hat(held_out)
     return f_sum / cv.repeats, g_sum / cv.repeats

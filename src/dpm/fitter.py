@@ -161,13 +161,15 @@ def verify_rate_bound(distances: Sequence[float], rate: float,
     """Check d_m <= rate^exponent(m) * d_1 * (1 + tol) over distances d_1, d_2, ...
 
     The exponent is 2m - 6 for the separability-based bound and m - 1 for
-    the strong-convexity bound.  An empty sequence or a non-finite distance
-    is an error.
+    the strong-convexity bound.  An empty sequence, a non-finite distance
+    or a ``tol`` that is negative or not finite is an error.
     """
     if offset_exponent_rule not in _EXPONENTS:
         raise ValueError(f"unknown rule {offset_exponent_rule!r}")
     if not 0.0 < rate < 1.0:
         raise ValueError("rate must be in (0, 1)")
+    if not 0.0 <= tol < math.inf:       # NaN fails this too
+        raise ValueError(f"tol must be non-negative and finite, got {tol}")
     dists = _finite_sequence(distances, "distance").tolist()
     if not dists:
         raise ValueError("need at least one distance")

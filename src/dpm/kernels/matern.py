@@ -121,7 +121,20 @@ def matern_gram(spec: MaternSpec, A: np.ndarray, B: np.ndarray | None = None) ->
     added in order, which for p < 8 is bit for bit the order in which numpy
     sums a short last axis; from p = 8 numpy sums pairwise, and the two
     orders can differ in the last few bits of a distance.
+
+    With ``B`` omitted, or ``B is A``, the block is symmetric: the kernel
+    is evaluated below the diagonal alone and mirrored, and the
+    diagonal is the limit 1.  Since (a - b)^2 = (b - a)^2 exactly, that is
+    the full evaluation bit for bit, at half the Bessel arguments.
     """
+    square = B is None or B is A
     A = as_points(A)
-    B = A if B is None else as_points(B)
-    return _kernel_of_distance(spec, _distances(A, B))
+    if not square:
+        return _kernel_of_distance(spec, _distances(A, as_points(B)))
+    z = _distances(A, A)
+    lower = np.tri(A.shape[0], k=-1, dtype=bool)     # cheaper than np.tril_indices
+    values = _kernel_of_distance(spec, z[lower])
+    K = np.ones_like(z)
+    K[lower] = values
+    K.T[lower] = values
+    return K

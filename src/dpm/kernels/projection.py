@@ -67,7 +67,7 @@ class ProjectedKernel:
         self._transform = Vt.T / s                    # columns of raw @ T are rule-orthonormal
         self._rule_points = sq
         self._weighted_basis = wq[:, None] * (raw @ self._transform)   # (m, d)
-        psi_qq = matern_gram(base, sq, sq)
+        psi_qq = matern_gram(base, sq)
         self._rule_gram = psi_qq
         self._rule_moments = psi_qq @ self._weighted_basis                  # (m, d)
         self._moment_matrix = self._weighted_basis.T @ psi_qq @ self._weighted_basis
@@ -96,7 +96,7 @@ class ProjectedKernel:
         if square and np.array_equal(A, self._rule_points):
             psi = self._rule_gram
         else:
-            psi = matern_gram(self.base, A, B)
+            psi = matern_gram(self.base, A, None if square else B)
         ea = self._basis_at(A)
         eb = ea if square else self._basis_at(B)
         if not square and np.array_equal(B, self._rule_points):

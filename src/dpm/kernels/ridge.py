@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
-from ..core import Dataset, FunctionClassFitter, FunctionClassMember, to_unit
+from ..core import Dataset, FunctionClassFitter, FunctionClassMember, as_points, to_unit
 from ..numerics import cholesky_solve
 from .matern import MaternSpec
 from .projection import ProjectedKernel
@@ -17,6 +17,32 @@ __all__ = ["KernelRidgeModel", "KernelRidgeFitter", "RidgeSystem", "kernel_ridge
            "gcv_select_lambda"]
 
 KernelLike = Union[MaternSpec, ProjectedKernel]
+
+
+class CrossBlock:
+    """The last kernel block between some points and a training set's points.
+
+    Every model fitted on one ``Dataset`` with one kernel shares one of
+    these, kept in ``data.derived``, so the models of a cross-validation
+    fold evaluate the fold's held-out block once per sweep, not once per
+    (lambda_f, lambda_g) cell.  It holds one block, keyed by the values of
+    the points it was built for; other points replace it.
+    """
+
+    def __init__(self, kernel: KernelLike, centers: np.ndarray):
+        self.kernel = kernel
+        self.centers = centers
+        self._points: Optional[np.ndarray] = None
+        self._block: Optional[np.ndarray] = None
+
+    def at(self, points: np.ndarray) -> np.ndarray:
+        """kernel.gram(points, centers), rebuilt only when the points' values change."""
+        points = as_points(points)
+        if self._points is None or not np.array_equal(points, self._points):
+            self._block = self.kernel.gram(points, self.centers)
+            self._block.flags.writeable = False
+            self._points = points.copy()
+        return self._block
 
 
 @dataclass(frozen=True, eq=False)    # compared by identity: its fields include arrays
@@ -30,12 +56,13 @@ class KernelRidgeModel:
     jitter: float                # diagonal jitter the Cholesky solve needed; 0.0 if none
     lo: np.ndarray               # the training domain's box, which predict maps to the unit cube
     hi: np.ndarray
+    cross: CrossBlock = field(repr=False)    # shared by the models of one dataset and kernel
 
     def predict(self, points: np.ndarray) -> np.ndarray:
         return self.predict_unit(to_unit(points, self.lo, self.hi))
 
     def predict_unit(self, unit_points: np.ndarray) -> np.ndarray:
-        return self.kernel.gram(unit_points, self.centers) @ self.alpha
+        return self.cross.at(unit_points) @ self.alpha
 
 
 @dataclass(frozen=True, eq=False)    # compared by identity: its fields include arrays
@@ -73,10 +100,12 @@ def kernel_ridge_fit(kernel: KernelLike, data: Dataset, residual: np.ndarray,
     is read from it.  alpha = (K + n*lambda*I)^{-1} r on the rescaled
     design; the penalty recorded on the member is lambda * alpha^T K alpha
     and its ``fitted`` values are K alpha.  If the system only factored
-    with added diagonal jitter, the model's ``jitter`` says how much.
+    with added diagonal jitter, the model's ``jitter`` says how much.  The
+    model predicts through the ``CrossBlock`` of ``data`` and the kernel.
     """
+    cross = data.derived(("cross block", kernel), lambda: CrossBlock(kernel, data.unit_X))
     model = KernelRidgeModel(data.unit_X, system.solve(data.residual(residual)), system.lam, kernel,
-                             system.jitter, data.lo, data.hi)
+                             system.jitter, data.lo, data.hi, cross)
     fitted = system.gram @ model.alpha
     # K is positive semidefinite: a negative alpha^T K alpha is rounding
     penalty = system.lam * max(float(model.alpha @ fitted), 0.0)

@@ -1,4 +1,25 @@
-"""Small dense linear algebra: a rank-revealing thin SVD and jittered Cholesky solves."""
+"""Small dense linear algebra: a rank-revealing thin SVD and jittered Cholesky solves.
+
+Numpy has no triangular solve, so ``cholesky_solve`` inverts its Cholesky
+factor L by blocks of 32 columns, the last block taking the remainder, in
+the order of LAPACK's ``trtri`` for a lower triangular matrix (Du Croz &
+Higham 1992, IMA J. Numer. Anal. 12:1): the last block of columns first,
+each diagonal block by one ``np.linalg.solve`` and the rows below it by two
+products.  A factor of fewer than 64 rows is one block, inverted by the
+single ``solve`` used before, bit for bit.  A larger one costs about
+n^3/3 flops, where the pivoted LU of the whole factor and its n-column
+solve cost about 8 n^3/3.  With one BLAS thread the inverse took 0.16 ms
+against 0.27 ms at n = 96, 0.39 against 1.9 ms at n = 200 and 2.5
+against 17 ms at n = 442.
+
+Accuracy, measured: on well-conditioned factors (m m^T + n I, n up to
+300) ||X L - I||_max stays below 0.03 n eps.  On the near-singular
+jittered ridge systems of duplicated Matern centres (condition about
+1e16, n = 80 to 140) the ridge solution L^{-T} L^{-1} r has a backward
+error of 9 to 10 eps, where the single solve read 33 to 184 eps.
+Taking block rows first instead, X[r, :s] = -X[r, r] L[r, :s] X[:s, :s],
+read 200 to 18,000 eps on such systems: hence the column order.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["CholeskySolveResult", "cholesky_solve", "truncated_svd"]
+
+_INVERSE_BLOCK = 32     # columns per diagonal block of L^{-1}; the last block takes the rest
 
 
 def truncated_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -22,14 +45,15 @@ def truncated_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return U[:, :rank], s[:rank], Vt[:rank]
 
 
-def _require_symmetric(A: np.ndarray, name: str) -> np.ndarray:
+def _require_symmetric(A: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+    """A as a float array and max|A|; ValueError unless A is square and symmetric."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
-    scale = np.max(np.abs(A)) if A.size else 0.0
+    scale = float(np.max(np.abs(A))) if A.size else 0.0
     if np.max(np.abs(A - A.T)) > 1e-12 * max(scale, 1e-300):
         raise ValueError(f"{name} must be symmetric")
-    return A
+    return A, scale
 
 
 @dataclass(frozen=True, eq=False)    # compared by identity: its fields include arrays
@@ -44,30 +68,52 @@ def cholesky_solve(A: np.ndarray, B: np.ndarray) -> CholeskySolveResult:
 
     If A does not factor, a diagonal jitter is added: first a
     scale-relative floor, then 10 and 100 times it.  The jitter actually
-    used (0.0 if none) is reported alongside the solution.  Numpy has no
-    triangular solve, so the factor L is inverted once and the solution is
-    L^{-T} (L^{-1} B); the result keeps L^{-1} for further right-hand sides.
+    used (0.0 if none) is reported alongside the solution.  The factor L
+    is inverted once, by blocks of 32 columns (see the module docstring
+    for the scheme, its cost and its measured accuracy), and the solution
+    is L^{-T} (L^{-1} B); the result keeps L^{-1} for further right-hand
+    sides.  Entries of L^{-1} above its diagonal blocks are exact zeros.
+    Within a diagonal block the pivoted ``solve`` may leave rounding-level
+    entries above the diagonal when L is ill conditioned (up to 1e-13 seen
+    on Matern ridge systems), as the single ``solve`` of the whole factor did.
     B may have zero columns, (n, 0): the call then only factors A, and
     returns L^{-1} and the jitter with an empty solution.
     """
-    A = _require_symmetric(A, "A")
+    A, scale = _require_symmetric(A, "A")
     B = np.asarray(B, dtype=float)
     n = A.shape[0]
-    floor = 1e-14 * max(1.0, float(np.max(np.abs(A))) if A.size else 1.0)
+    floor = 1e-14 * max(1.0, scale)
     attempts = [0.0, floor]
     for _ in range(2):
         attempts.append(attempts[-1] * 10.0)
-    eye = np.eye(n)
     last_error = None
     for j in attempts:
-        M = A + j * eye if j > 0.0 else A
+        M = A + j * np.eye(n) if j > 0.0 else A
         try:
             L = np.linalg.cholesky(M)
         except np.linalg.LinAlgError as exc:
             last_error = exc
             continue
-        L_inv = np.linalg.solve(L, eye)
+        L_inv = _inverse_factor(L)
         return CholeskySolveResult(L_inv.T @ (L_inv @ B), j, L_inv)
     raise np.linalg.LinAlgError(
         f"matrix ({n}x{n}) not positive definite after jitter escalation "
         f"to {attempts[-1]:g}: {last_error}")
+
+
+def _inverse_factor(L: np.ndarray) -> np.ndarray:
+    """L^{-1} of a lower triangular L, one column block at a time, last block first.
+
+    For the columns c of a diagonal block and the rows b below it,
+    X[b, b] L[b, c] + X[b, c] L[c, c] vanishes, so with X[b, b] already known
+    X[b, c] = -(X[b, b] L[b, c]) X[c, c].
+    """
+    n = L.shape[0]
+    X = np.zeros((n, n))
+    # blocks of _INVERSE_BLOCK columns, the last one taking the remainder
+    edges = [0, *range(_INVERSE_BLOCK, n - _INVERSE_BLOCK + 1, _INVERSE_BLOCK), n]
+    for s, e in reversed(list(zip(edges, edges[1:]))):
+        c, b = slice(s, e), slice(e, n)
+        X[c, c] = np.linalg.solve(L[c, c], np.eye(e - s))
+        X[b, c] = -(X[b, b] @ L[b, c]) @ X[c, c]
+    return X

@@ -16,7 +16,7 @@ import dpm.kernels.matern as matern_module
 import dpm.transect as transect_module
 from dpm.classes import LinearFitter
 from dpm.cli import _parse_log_grid, main
-from dpm.core import Dataset
+from dpm.core import Dataset, to_unit
 from dpm.cv import (
     CvCellError,
     CvConfig,
@@ -27,6 +27,7 @@ from dpm.cv import (
 from dpm.data_io import CsvFormatError, load_csv
 from dpm.experiments import run_example1
 from dpm.kernels import MaternSpec, gcv_select_lambda, matern_gram
+from dpm.kernels.ridge import CrossBlock
 from dpm.transect import DiagnosticRow, grid_sweep, pearson, transect_sweep
 
 
@@ -227,6 +228,51 @@ class TestFoldsSharedAcrossCells:
         # 3 folds, not 4 cells x 3 folds, nor once per linear fit
         assert fit_grams == [(24, 2)] * 3
         assert solve_matrices == [(24, 3)] * 3
+
+    def test_kernel_transect_builds_each_held_out_block_once_per_fold(self, monkeypatch):
+        grams, fits, g_by_cell = [], [], []
+        original_gram = matern_module.matern_gram
+        original_fit = cv_module.fit_double_penalty
+        original_cell = transect_module.cross_validated_predictions
+
+        def counted_gram(spec, A, B=None):
+            grams.append("fold gram" if B is None else "held-out block")
+            return original_gram(spec, A, B)
+
+        def recorded_fit(train, *args):
+            fits.append((train, original_fit(train, *args)))
+            return fits[-1][1]
+
+        def recorded_cell(*args):
+            f, g = original_cell(*args)
+            g_by_cell.append(g)
+            return f, g
+
+        monkeypatch.setattr(matern_module, "matern_gram", counted_gram)
+        monkeypatch.setattr(cv_module, "fit_double_penalty", recorded_fit)
+        monkeypatch.setattr(transect_module, "cross_validated_predictions", recorded_cell)
+        data, cv = _cv_dataset(n=60), CvConfig(folds=5, repeats=1, seed=1)
+        rows = transect_sweep(data, tuple(np.logspace(-3, 1, 10)), -2.0, cv,
+                              LearnerPair("linear", "kernel"))
+        assert len(rows) == 10
+        # 5 fold Grams and 5 held-out blocks, not 5 + 10 cells x 5 folds
+        assert sorted(grams) == ["fold gram"] * 5 + ["held-out block"] * 5
+        test_folds = fold_indices(data.n, cv)[0]
+        for cell, g in enumerate(g_by_cell):
+            for fold, test_idx in enumerate(test_folds):
+                # one repeat: the out-of-fold g is the fold member's, and it
+                # equals a fresh evaluation of that member's block bit for bit
+                model = fits[5 * cell + fold][1].g_hat.coefficients
+                unit = to_unit(data.X[test_idx], model.lo, model.hi)
+                fresh = original_gram(model.kernel, unit, model.centers) @ model.alpha
+                assert g[test_idx].tobytes() == fresh.tobytes()
+        # every cell fits on the same 5 fold objects; each keeps one block,
+        # the one at its held-out points
+        assert len({id(train) for train, _ in fits}) == 5
+        for (train, _), test_idx in zip(fits[:5], test_folds):
+            blocks = [v for v in train._derived.values() if isinstance(v, CrossBlock)]
+            assert len(blocks) == 1
+            assert np.array_equal(blocks[0]._points, to_unit(data.X[test_idx], train.lo, train.hi))
 
     def test_grid_builds_each_table_once_per_fold(self, monkeypatch):
         built = []

@@ -1,6 +1,7 @@
 """Alternating fit loop, slope estimation, and rate-bound verification."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -359,6 +360,13 @@ class TestRateBound:
     def test_non_finite_distance_raises_at_its_position(self, bad):
         with pytest.raises(ValueError, match=f"distance 3 is {bad}; need finite"):
             verify_rate_bound([1.0, 0.5, bad, 0.1], 0.5, "theorem3")
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -0.1])
+    def test_tolerance_that_is_negative_or_not_finite_raises(self, tol):
+        # a NaN or infinite bound is never exceeded: this sequence, 36 times
+        # its bound at step 3, read passed=True
+        with pytest.raises(ValueError, match="tol must be non-negative and finite"):
+            verify_rate_bound([1.0, 5.0, 9.0], 0.5, "theorem3", tol=tol)
 
     def test_end_to_end_trace_obeys_strong_convexity_rate(self):
         # ridge-penalized f against a kernel g tracks the (2/(2+gamma))^(m-1)

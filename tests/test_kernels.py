@@ -176,6 +176,24 @@ class TestMaternBlockPath:
                 assert np.all(np.diag(K) == 1.0)
                 np.testing.assert_array_equal(K, _old_matern_gram(spec, A, A))
 
+    def test_symmetric_gram_evaluates_one_triangle(self, monkeypatch):
+        # 20 points: 190 Bessel arguments below the diagonal with B omitted
+        # or B is A; an equal copy of A takes the full block's 380 off the diagonal
+        sizes = []
+        original = matern_module.bessel_k
+
+        def recorded(order, x):
+            sizes.append(np.size(x))
+            return original(order, x)
+
+        monkeypatch.setattr(matern_module, "bessel_k", recorded)
+        A = np.random.default_rng(20).uniform(0, 1, (20, 1))
+        spec = MaternSpec(nu=3.5, p=1, phi=1.0)
+        K = matern_gram(spec, A)
+        assert K.tobytes() == matern_gram(spec, A, A).tobytes()
+        assert K.tobytes() == matern_gram(spec, A, A.copy()).tobytes()
+        assert sizes == [190, 190, 380]
+
     def test_gram_from_eight_coordinates_is_within_sixteen_eps(self):
         # numpy sums a last axis of 8 or more pairwise, the block path in
         # order: distances differ in their last few bits, and kernel values,
@@ -551,6 +569,23 @@ class TestKernelRidge:
         assert model.jitter > 0.0
         system = K + (data.n * lam + model.jitter) * np.eye(data.n)
         np.testing.assert_allclose(system @ model.alpha, data.y, atol=1e-6)
+
+    def test_jitter_of_singular_system_over_two_inverse_blocks(self):
+        # the duplicated-centers system at 80 points, whose inverse factor
+        # has two diagonal blocks: the jittered system is solved with a
+        # backward error of 9 eps (the single pivoted solve of the whole
+        # factor read 40 eps, with alpha near 1e9)
+        base = self._data(n=40, seed=6)
+        data = Dataset(np.repeat(base.X, 2, axis=0), np.repeat(base.y, 2))
+        spec = MaternSpec(nu=2.5, p=1, phi=1.0)
+        lam = 1e-18
+        K = matern_gram(spec, data.unit_X)
+        model = kernel_ridge_fit(spec, data, data.y, RidgeSystem.factor(K, lam)).coefficients
+        assert model.jitter > 0.0
+        system = K + (data.n * lam + model.jitter) * np.eye(data.n)
+        residual = np.max(np.abs(system @ model.alpha - data.y))
+        scale = np.max(np.abs(system)) * np.max(np.abs(model.alpha)) + np.max(np.abs(data.y))
+        assert residual <= 30 * np.finfo(float).eps * scale
 
     def test_jitter_of_singular_system_is_kept_through_the_alternation(self):
         # the same singular system, factored once by the fitter and reused

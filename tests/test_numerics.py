@@ -809,6 +809,32 @@ class TestCholeskySolve:
         assert factored.jitter_used == res.jitter_used
         np.testing.assert_array_equal(factored.inverse_factor, L_inv)
 
+    @staticmethod
+    def _spd(n, seed):
+        # condition number 1 to 5.1 for these n
+        m = np.random.default_rng(seed).normal(size=(n, n))
+        return m @ m.T + n * np.eye(n)
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 50, 96, 97, 130])
+    def test_blocked_inverse_factor_is_triangular_and_inverts_the_factor(self, n):
+        # one diagonal block below 64 rows; 96 and 97 rows make three, 130 four
+        a = self._spd(n, seed=n)
+        L = np.linalg.cholesky(a)
+        L_inv = cholesky_solve(a, np.empty((n, 0))).inverse_factor
+        assert np.array_equal(np.tril(L_inv), L_inv)
+        assert np.max(np.abs(L_inv @ L - np.eye(n))) <= 10 * n * np.finfo(float).eps
+        if n < 64:    # one block: the single solve, bit for bit
+            assert L_inv.tobytes() == np.linalg.solve(L, np.eye(n)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 50, 96, 97, 130])
+    def test_blocked_solution_agrees_with_numpy_solve(self, n):
+        # within 1e-13 of the largest entry; 6 eps was the worst seen
+        a = self._spd(n, seed=1000 + n)
+        B = np.random.default_rng(n).normal(size=(n, 3))
+        expected = np.linalg.solve(a, B)
+        np.testing.assert_allclose(cholesky_solve(a, B).solution, expected,
+                                   rtol=0, atol=1e-13 * np.max(np.abs(expected)))
+
     def test_near_singular_residual_stays_small(self):
         # duplicated points with a tiny ridge: the jittered system's condition
         # number is about 6e16; a product with the explicit inverse from the
