@@ -20,29 +20,34 @@ KernelLike = Union[MaternSpec, ProjectedKernel]
 
 
 class CrossBlock:
-    """The last kernel block between some points and a training set's points.
+    """The kernel block of the last points a training set's models predicted at.
 
     Every model fitted on one ``Dataset`` with one kernel shares one of
     these, kept in ``data.derived``, so the models of a cross-validation
     fold evaluate the fold's held-out block once per sweep, not once per
-    (lambda_f, lambda_g) cell.  It holds one block, keyed by the values of
-    the points it was built for; other points replace it.
+    (lambda_f, lambda_g) cell.  It keeps one block, with a copy of its
+    points, and only one no larger than the n x n training Gram the dataset
+    already keeps: a prediction at more points than the training set has
+    is evaluated afresh and not kept.  Points with other values replace the
+    kept block.  The block and its points are read and replaced as one
+    tuple, so concurrent predictions never pair one's points with
+    another's block.
     """
 
-    def __init__(self, kernel: KernelLike, centers: np.ndarray):
-        self.kernel = kernel
-        self.centers = centers
-        self._points: Optional[np.ndarray] = None
-        self._block: Optional[np.ndarray] = None
+    def __init__(self):
+        self._cached: Optional[tuple[np.ndarray, np.ndarray]] = None
 
-    def at(self, points: np.ndarray) -> np.ndarray:
-        """kernel.gram(points, centers), rebuilt only when the points' values change."""
+    def at(self, points: np.ndarray, kernel: KernelLike, centers: np.ndarray) -> np.ndarray:
+        """kernel.gram(points, centers), reusing the kept block when the points' values match."""
         points = as_points(points)
-        if self._points is None or not np.array_equal(points, self._points):
-            self._block = self.kernel.gram(points, self.centers)
-            self._block.flags.writeable = False
-            self._points = points.copy()
-        return self._block
+        cached = self._cached
+        if cached is not None and np.array_equal(points, cached[0]):
+            return cached[1]
+        block = kernel.gram(points, centers)
+        if len(points) <= len(centers):
+            block.flags.writeable = False
+            self._cached = (points.copy(), block)
+        return block
 
 
 @dataclass(frozen=True, eq=False)    # compared by identity: its fields include arrays
@@ -62,7 +67,7 @@ class KernelRidgeModel:
         return self.predict_unit(to_unit(points, self.lo, self.hi))
 
     def predict_unit(self, unit_points: np.ndarray) -> np.ndarray:
-        return self.cross.at(unit_points) @ self.alpha
+        return self.cross.at(unit_points, self.kernel, self.centers) @ self.alpha
 
 
 @dataclass(frozen=True, eq=False)    # compared by identity: its fields include arrays
@@ -103,7 +108,7 @@ def kernel_ridge_fit(kernel: KernelLike, data: Dataset, residual: np.ndarray,
     with added diagonal jitter, the model's ``jitter`` says how much.  The
     model predicts through the ``CrossBlock`` of ``data`` and the kernel.
     """
-    cross = data.derived(("cross block", kernel), lambda: CrossBlock(kernel, data.unit_X))
+    cross = data.derived(("cross block", kernel), CrossBlock)
     model = KernelRidgeModel(data.unit_X, system.solve(data.residual(residual)), system.lam, kernel,
                              system.jitter, data.lo, data.hi, cross)
     fitted = system.gram @ model.alpha

@@ -1,24 +1,17 @@
 """Small dense linear algebra: a rank-revealing thin SVD and jittered Cholesky solves.
 
 Numpy has no triangular solve, so ``cholesky_solve`` inverts its Cholesky
-factor L by blocks of 32 columns, the last block taking the remainder, in
-the order of LAPACK's ``trtri`` for a lower triangular matrix (Du Croz &
-Higham 1992, IMA J. Numer. Anal. 12:1): the last block of columns first,
-each diagonal block by one ``np.linalg.solve`` and the rows below it by two
-products.  A factor of fewer than 64 rows is one block, inverted by the
-single ``solve`` used before, bit for bit.  A larger one costs about
-n^3/3 flops, where the pivoted LU of the whole factor and its n-column
-solve cost about 8 n^3/3.  With one BLAS thread the inverse took 0.16 ms
-against 0.27 ms at n = 96, 0.39 against 1.9 ms at n = 200 and 2.5
-against 17 ms at n = 442.
-
-Accuracy, measured: on well-conditioned factors (m m^T + n I, n up to
-300) ||X L - I||_max stays below 0.03 n eps.  On the near-singular
-jittered ridge systems of duplicated Matern centres (condition about
-1e16, n = 80 to 140) the ridge solution L^{-T} L^{-1} r has a backward
-error of 9 to 10 eps, where the single solve read 33 to 184 eps.
-Taking block rows first instead, X[r, :s] = -X[r, r] L[r, :s] X[:s, :s],
-read 200 to 18,000 eps on such systems: hence the column order.
+factor L by blocks of 32 columns, the last block taking the remainder,
+last block first, as LAPACK's ``trtri`` does (Du Croz & Higham 1992, IMA
+J. Numer. Anal. 12:1).  A factor of fewer than 64 rows is one block: the
+single ``np.linalg.solve`` of the whole factor, bit for bit.  Larger ones
+cost about n^3/3 flops against that solve's 8 n^3/3: on one BLAS thread
+0.15 against 0.26 ms at n = 96, 2.5 against 17 ms at n = 442.  Accuracy,
+measured: ||X L - I||_max stays below 0.03 n eps on well-conditioned
+factors; on near-singular jittered Matern ridge systems (condition about
+1e16) the ridge solution has a backward error of 9 to 10 eps, where the
+single solve read 33 to 184 eps.  Taking block rows first instead read up
+to 18,000 eps there, hence the column order.
 """
 
 from __future__ import annotations

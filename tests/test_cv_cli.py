@@ -272,7 +272,8 @@ class TestFoldsSharedAcrossCells:
         for (train, _), test_idx in zip(fits[:5], test_folds):
             blocks = [v for v in train._derived.values() if isinstance(v, CrossBlock)]
             assert len(blocks) == 1
-            assert np.array_equal(blocks[0]._points, to_unit(data.X[test_idx], train.lo, train.hi))
+            kept_points, _ = blocks[0]._cached
+            assert np.array_equal(kept_points, to_unit(data.X[test_idx], train.lo, train.hi))
 
     def test_grid_builds_each_table_once_per_fold(self, monkeypatch):
         built = []

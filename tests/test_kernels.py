@@ -14,7 +14,7 @@ import dpm.kernels.matern as matern_module
 import dpm.kernels.projection as projection_module
 import dpm.kernels.ridge as ridge_module
 from dpm.classes import LinearFitter, fit_linear_ols
-from dpm.core import Dataset
+from dpm.core import Dataset, to_unit
 from dpm.fitter import StoppingRule, fit_double_penalty
 from dpm.kernels import (
     KernelRidgeFitter,
@@ -421,6 +421,31 @@ class TestKernelRidgeFitterCaches:
         np.testing.assert_allclose(cached.coefficients.alpha, direct.coefficients.alpha,
                                    rtol=0, atol=1e-12)
         np.testing.assert_array_equal(cached.fitted, cached(data.X))
+
+    def test_predictions_keep_one_block_no_larger_than_the_gram(self, monkeypatch):
+        # the models of one dataset and kernel share the block of the last
+        # points predicted at, if those are no more than the 30 training points
+        data = self._data(seed=5)
+        fitter = KernelRidgeFitter(MaternSpec(nu=4.5, p=2, phi=1.0), lam=0.01)
+        members = [fitter.fit(data, data.y), fitter.fit(data, 0.5 * data.y)]
+        assert members[0].coefficients.cross is members[1].coefficients.cross
+        rng = np.random.default_rng(0)
+        few, many = rng.uniform(0, 1, (30, 2)), rng.uniform(0, 1, (31, 2))
+        fresh = []
+        for member in members:
+            model = member.coefficients
+            unit = to_unit(few, model.lo, model.hi)
+            fresh.append(model.kernel.gram(unit, model.centers) @ model.alpha)
+        grams = _counting(monkeypatch, matern_module, "matern_gram")
+        for member, expected in zip(members + members, fresh + fresh):
+            assert member(few).tobytes() == expected.tobytes()
+        assert len(grams) == 1
+        members[0](many)
+        members[0](many)
+        assert len(grams) == 3
+        # the larger grid was evaluated afresh and did not replace the block
+        assert members[1](few).tobytes() == fresh[1].tobytes()
+        assert len(grams) == 3
 
     def test_member_does_not_keep_its_dataset_alive(self):
         # the model keeps the domain's corners, not the Dataset and its caches

@@ -5,17 +5,20 @@ Usage, from anywhere inside the repository:
     python3 tools/ab_bench.py --workload sweep_kernel_cli
     python3 tools/ab_bench.py --workload study_5d --pairs 10 --seed 3 --base HEAD~2
 
-Each side is the committed tree of one revision (``--base``, default the
-parent of HEAD; ``--change``, default HEAD), unpacked by ``git archive`` into
-its own fresh directory, so both run under the same conditions and no
+The change is the committed tree of HEAD and the base that of ``--base``
+(default the parent of HEAD), each unpacked by ``git archive`` into its own
+fresh temporary directory, so both run under the same conditions and no
 worktree is registered in the repository.  Pair i runs
-``bench/run.py --workload W --seed S --trace 0`` once on each side, the base
-first in even pairs and the change first in odd ones.  For every end-to-end
+``bench/run.py --workload W --seed S --trace 0`` once on each side, at the
+run length the benchmark sets, the base first in even pairs and the change
+first in odd ones.  For every end-to-end
 metric in the change's BENCHMARK.json the script prints each side's median
 and quartiles, the change of the medians, and in how many pairs the change
 read better (ties count for neither side).  A gain is claimable when the
 change wins at least nine tenths of the pairs and its median beats the
-base's by more than the base's interquartile range.  Standard library only.
+base's by more than the base's interquartile range.  Standard library only;
+on Python releases without tarfile's extraction filters (before 3.10.12 and
+3.11.4) the trees are unpacked unfiltered.
 """
 
 from __future__ import annotations
@@ -40,15 +43,16 @@ def unpack(repo: Path, rev: str, dest: Path) -> str:
     commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}", cwd=repo).decode().strip()
     dest.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(_git("archive", commit, cwd=repo))) as tar:
-        tar.extractall(dest, filter="data")
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)        # git archive of our own commit: trusted
     return commit
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float | None) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", "0"]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -89,29 +93,24 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length passed to bench/run.py (default: its own)")
     parser.add_argument("--base", default="HEAD^")
-    parser.add_argument("--change", default="HEAD")
-    parser.add_argument("--workdir", default=None,
-                        help="where the two trees are unpacked (default: the system temp dir)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
 
     repo = Path(_git("rev-parse", "--show-toplevel", cwd=Path.cwd()).decode().strip())
-    with tempfile.TemporaryDirectory(prefix="ab_bench_", dir=args.workdir) as tmp:
+    with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
         sides = {}
-        for side in ("base", "change"):
-            commit = unpack(repo, getattr(args, side), Path(tmp) / side)
+        for side, rev in (("base", args.base), ("change", "HEAD")):
             sides[side] = Path(tmp) / side
-            print(f"{side}: {getattr(args, side)} = {commit[:12]}", flush=True)
+            commit = unpack(repo, rev, sides[side])
+            print(f"{side}: {rev} = {commit[:12]}", flush=True)
         spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
         runs: dict[str, list[dict]] = {"base": [], "change": []}
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                runs[side].append(run_once(sides[side], args.workload, args.seed, args.seconds))
+                runs[side].append(run_once(sides[side], args.workload, args.seed))
             print(f"pair {i + 1}/{args.pairs}: wall_s base {runs['base'][-1]['wall_s']:.5g} "
                   f"change {runs['change'][-1]['wall_s']:.5g}", flush=True)
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} alternated pairs")
