@@ -11,10 +11,10 @@ fresh temporary directory, so both run under the same conditions and no
 worktree is registered in the repository.  Pair i runs
 ``bench/run.py --workload W --seed S --trace 0`` once on each side, at the
 run length the benchmark sets, the base first in even pairs and the change
-first in odd ones.  For every end-to-end
-metric in the change's BENCHMARK.json the script prints each side's median
-and quartiles, the change of the medians, and in how many pairs the change
-read better (ties count for neither side).  A gain is claimable when the
+first in odd ones.  For every end-to-end metric in the change's
+BENCHMARK.json the script prints each side's median and quartiles, the
+change of the medians, and in how many pairs the change read better (ties
+count for neither side).  A gain is claimable when the
 change wins at least nine tenths of the pairs and its median beats the
 base's by more than the base's interquartile range.  Standard library only;
 on Python releases without tarfile's extraction filters (before 3.10.12 and
