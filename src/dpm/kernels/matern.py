@@ -23,7 +23,7 @@ __all__ = ["MaternSpec", "matern_gram"]
 
 # Largest mu = nu - p/2 accepted.  Where K_mu(z) overflows the kernel is set
 # to its limit 1.  Against 40-digit mpmath on z in [1e-12, 50], up to mu = 40
-# that costs at most 2.0e-15 and the kernel stays within 4.6e-15, but the
+# that costs at most 2.0e-15 and the kernel stays within 2.3e-15, but the
 # limit alone is off by 1.6e-14 at mu = 42.5 and 4.5e-10 at 60.5.
 _MU_MAX = 40.0
 
@@ -58,16 +58,8 @@ class MaternSpec:
         return matern_gram(self, A, B)
 
 
-def matern_of_distance(spec: MaternSpec, r: np.ndarray) -> np.ndarray:
-    """Kernel value as a function of Euclidean distance (vectorized).
-
-    Returns an array of r's shape (0-d for a scalar); r is not changed.
-    """
-    return _kernel_of_distance(spec, np.array(r, dtype=float))
-
-
 def _kernel_of_distance(spec: MaternSpec, z: np.ndarray) -> np.ndarray:
-    """``matern_of_distance`` on a float array of distances it overwrites.
+    """Kernel values at a float array of Euclidean distances, which it overwrites.
 
     Distances that are not positive (and NaN) give the limit value 1; the
     gather and scatter they need are skipped when every distance is positive.

@@ -1,18 +1,18 @@
 """Modified Bessel function of the second kind, self-contained.
 
-Evaluation strategy by order:
+Every order is split as ``order = mu + n``, n a non-negative integer and
+-1/2 < mu <= 1/2.  The seeds e^x K_mu(x) and e^x K_{mu+1}(x) are
+sqrt(pi/2) / sqrt(x) and that times (1 + 1/x) for half-integer orders
+(DLMF 10.39.2), and otherwise the trapezoid rule on (DLMF 10.32.9)
 
-* half-integer orders below 135 use the closed elementary form
-  ``K_{n+1/2}(x) = sqrt(pi/(2x)) e^{-x} sum_k (n+k)! / (k! (n-k)! (2x)^k)``,
-  whose largest coefficient (2n)! / n! overflows float64 from n = 135,
-* every other order is split as ``order = mu + nl`` with ``nl`` the
-  nearest integer and ``|mu| <= 1/2``.  ``K_mu`` and ``K_{mu+1}`` come from
-  the trapezoid rule on the integral (DLMF 10.32.9)
+    e^x K_nu(x) = int_0^inf exp(-x (cosh t - 1)) cosh(nu t) dt.
 
-      K_nu(x) = e^{-x} int_0^inf exp(-x (cosh t - 1)) cosh(nu t) dt,
-
-  and the upward recurrence ``K_{nu+1}(x) = K_{nu-1}(x) + (2 nu/x) K_nu(x)``
-  carries them to the requested order.
+The upward recurrence ``K_{nu+1}(x) = K_{nu-1}(x) + (2 nu/x) K_nu(x)``
+(DLMF 10.29.1), stable since K is its dominant solution (Gautschi 1967,
+SIAM Review 9:24), carries them to the order.  The seeds take e^-x up to
+x = 700, where their product is still normal, and K the rest after the
+recurrence, so a subnormal K is rounded once and no normal one passes
+through a subnormal seed.
 
 The integrand is analytic in the strip |Im t| < pi/2, so the trapezoid rule
 converges geometrically in its step h (Trefethen & Weideman 2014, SIAM
@@ -25,16 +25,24 @@ K_nu(x) e^x >= 1 / sqrt(max(x, 1)).  Both bounds are set to e^-39
 (about 1.2e-17), so the error left is rounding, which grows as the
 argument shrinks.  Against 30-digit mpmath (mpmath 1.3.0), for orders
 0.3, 0.7, 1.3, 2.2, 3 and 4 at 150 log-spaced arguments per range, the
-largest relative error is 6.9e-16 on [1e-3, 700], 9.6e-16 on
+largest relative error is 6.1e-16 on [1e-3, 700], 9.6e-16 on
 [1e-20, 1e-3], 8.9e-15 on [1e-100, 1e-20] and 3.1e-14 on
 [1e-300, 1e-100], about 140 ulps, at K_1.3(1.47e-225).  K_0 stays within
 5.1e-15 down to 1e-100 but reads 2.1e-14 at 1e-300 and 2.9e-14 at
 5e-324, where its rows hold up to 3,480 nearly equal terms and each is
-summed in SIMD lanes rather than pairwise.  Half-integer orders below 135
-take the closed form and are not part of these figures.  From 135.5 the
-upward recurrence runs over 136 or more steps: at 135.5, 150.5 and 200.5
-on 200 log-spaced arguments up to 700 the largest relative error is
-1.5e-14, 1.5e-14 and 1.9e-14.
+summed in SIMD lanes rather than pairwise.
+
+Against 40-digit mpmath, the largest relative error on 200 log-spaced
+arguments in [1e-6, 700] and 200 in [690, 745] where K is normal:
+
+    orders                 [1e-6, 700]   [690, 745]
+    0, 0.3, 2.7, 3         6.2e-16       4.2e-16
+    0.5, 1.5, 3.5, 4.5     7.8e-16       3.6e-16
+    10.5, 20.5, 39.5       2.5e-15       5.5e-16
+    40, 134.7, 200         3.6e-15       1.7e-15
+    135.5, 150.5, 200.5    2.7e-15       1.7e-15
+
+A subnormal K is within half a subnormal spacing of the true value.
 
 Arguments are banded by their binary octave [2^(e-1), 2^e), e the
 ``np.frexp`` exponent.  The kappa bound grows with x, so the octave's step
@@ -62,11 +70,11 @@ number of rows.  Octaves where e^-x underflows are exactly 0 without
 quadrature.
 
 No external special-function dependency, and no stand-in value: every
-argument goes through its order's method, and K is inf where it overflows
-float64.  At the smallest arguments the weights cosh((mu+1) t_k) overflow
-before K does.  There the octave's rule scales each overflowing row of
-weights cosh(nu t_k) by e^-s, s half its largest nu t_k, and that row's
-sums are multiplied by e^s, which costs a rounding or two.
+argument goes through the same seeds and recurrence, and K is inf where it
+overflows float64.  At the smallest arguments the weights cosh((mu+1) t_k)
+overflow before K does.  There the octave's rule scales each overflowing
+row of weights cosh(nu t_k) by e^-s, s half its largest nu t_k, and that
+row's sums are multiplied by e^s, which costs a rounding or two.
 """
 
 from __future__ import annotations
@@ -88,11 +96,9 @@ _STRIP_WIDTHS = np.linspace(0.005, 1.565, 313)
 _BLOCK_ENTRIES = 1 << 13
 # Bytes of (octave, mu) rules kept between calls.
 _RULE_CACHE_BYTES = 4 << 20
-# Below this argument pi/(2x) overflows float64.
-_PI_OVER_2_MAX = 0.5 * math.pi / np.finfo(float).max
-# Half-integer orders from this one on take the trapezoid rule: the closed
-# form's coefficient (n+k)! / (k! (n-k)!) overflows float64 from n = 135.
-_CLOSED_FORM_MAX = 135.0
+# The seeds e^x K take e^-x up to this argument, where their product is
+# normal (sqrt(pi/1400) e^-700 is 4.7e-306), and K the rest of it.
+_DECAY_SPLIT = 700.0
 
 
 def _build_rule(e: int, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -118,7 +124,7 @@ def _build_rule(e: int, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray |
     weights = h * np.cosh(nu_t)
     factor = None
     if not np.isfinite(weights).all():
-        # cosh(nu t_k) overflowed (under _k_general's errstate) before K does:
+        # cosh(nu t_k) overflowed (under _k_1d's errstate) before K does:
         # scale by e^-s, s half the row's largest nu t_k, so both are finite
         nu_t = np.abs(nu_t)
         s = np.where(np.isfinite(weights).all(axis=1), 0.0, 0.5 * nu_t.max(axis=1))[:, None]
@@ -170,7 +176,7 @@ _octave_rule = _RuleCache(_build_rule, _RULE_CACHE_BYTES)
 
 
 def _trapezoid(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K_mu(x) and K_{mu+1}(x) (|mu| <= 1/2), each in the order of x."""
+    """e^x K_mu(x) and e^x K_{mu+1}(x) (|mu| <= 1/2), each in the order of x."""
     mantissa, octave = np.frexp(x)
     first = int(octave.min())
     octave -= first
@@ -199,52 +205,42 @@ def _trapezoid(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             del block                        # before the next chunk's block is made
         if factor is not None:
             sums[:, start:stop] *= factor
-    # back to the order of x, in the spent mantissas and the first row of sums;
-    # the second row then holds e^-x
-    k_mu, k_mu1, decay = mantissa, sums[0], sums[1]
+    # back to the order of x, the first row into the spent mantissas
+    k_mu, k_mu1 = mantissa, np.empty_like(mantissa)
     k_mu[order] = sums[0]
     k_mu1[order] = sums[1]
-    np.exp(np.negative(x, out=decay), out=decay)
-    k_mu *= decay
-    k_mu1 *= decay
     return k_mu, k_mu1
 
 
-def _k_general(order: float, x: np.ndarray) -> np.ndarray:
-    """K_order(x) for any order >= 0 by the trapezoid rule plus upward recurrence."""
-    nl = round(order)
-    mu = order - nl
-    # at tiny x a new rule's cosh(nu t_k), 2/x, K_mu and K_{mu+1} may overflow;
-    # the rule rescales its weights and every term is positive, so K reads
-    # inf where it overflows, never NaN
+def _k_1d(order: float, x: np.ndarray) -> np.ndarray:
+    """K_order(x), order >= 0, by upward recurrence from K_mu and K_{mu+1}, -1/2 < mu <= 1/2."""
+    n = math.ceil(order - 0.5)
+    mu = order - n
+    # at tiny x 1/x, 2/x, the seeds and a new rule's cosh(nu t_k) may
+    # overflow; the rule rescales its weights and every term is positive, so
+    # K reads inf where it overflows, never NaN
     with np.errstate(over="ignore"):
-        k_mu, k_mu1 = _trapezoid(mu, x)
-        two_over_x = 2.0 / x
-        for j in range(1, nl + 1):
-            k_mu += (mu + j) * two_over_x * k_mu1     # K_{mu+j+1}, over K_{mu+j-1}
+        if mu == 0.5:    # e^x K_{1/2}(x) = sqrt(pi/2) / sqrt(x), e^x K_{3/2} = that (1 + 1/x)
+            k_mu = math.sqrt(0.5 * math.pi) / np.sqrt(x)
+            k_mu1 = k_mu * (1.0 + 1.0 / x)
+        else:
+            k_mu, k_mu1 = _trapezoid(mu, x)
+        step = np.minimum(x, _DECAY_SPLIT)
+        np.exp(np.negative(step, out=step), out=step)
+        k_mu *= step
+        k_mu1 *= step
+        for j in range(1, n):
+            # K_{mu+j+1} = K_{mu+j-1} + (2 (mu+j) / x) K_{mu+j}, over K_{mu+j-1}
+            np.divide(2.0 * (mu + j), x, out=step)
+            step *= k_mu1
+            k_mu += step
             k_mu, k_mu1 = k_mu1, k_mu
-    return k_mu.copy()                  # not a view that keeps both rows alive
-
-
-def _k_half_integer(n: int, x: np.ndarray) -> np.ndarray:
-    """K_{n+1/2}(x) closed form, n >= 0, in three x-sized buffers."""
-    # (2x)^k underflows to 0 at tiny x, and coeff / (2x)^k then overflows to inf
-    with np.errstate(over="ignore", divide="ignore"):
-        two_x = np.multiply(2.0, x)
-        term = np.empty_like(x)
-        total = np.zeros_like(x)
-        for k in range(n + 1):
-            coeff = math.factorial(n + k) / (math.factorial(k) * math.factorial(n - k))
-            np.power(two_x, k, out=term)
-            np.divide(coeff, term, out=term)
-            total += term
-        prefactor = np.sqrt(np.divide(math.pi, two_x, out=two_x), out=two_x)
-        if x.min() < _PI_OVER_2_MAX:             # pi/(2x) overflowed; sqrt(pi/2)/sqrt(x) does not
-            far = np.isinf(prefactor)
-            prefactor[far] = math.sqrt(0.5 * math.pi) / np.sqrt(x[far])
-        decay = np.exp(np.negative(x, out=term), out=term)
-        np.multiply(prefactor, decay, out=prefactor)
-        return np.multiply(prefactor, total, out=total)
+        k = k_mu1 if n else k_mu
+        if x.max() > _DECAY_SPLIT:
+            np.subtract(_DECAY_SPLIT, x, out=step)
+            np.exp(np.minimum(step, 0.0, out=step), out=step)
+            k *= step
+    return k
 
 
 def bessel_k(order: float, x: float | np.ndarray) -> float | np.ndarray:
@@ -271,8 +267,8 @@ def bessel_k(order: float, x: float | np.ndarray) -> float | np.ndarray:
     Notes
     -----
     Arguments are validated with two reductions, ``min(x) > 0`` (which NaN
-    fails) and ``max(x) < inf``.  The half-integer closed form works in
-    three buffers the size of x.
+    fails) and ``max(x) < inf``.  The recurrence works in three buffers the
+    size of x, two orders and a step; the trapezoid rule in up to five.
     """
     if not math.isfinite(order) or order < 0.0:
         raise ValueError(f"order must be a finite non-negative real, got {order!r}")
@@ -283,10 +279,7 @@ def bessel_k(order: float, x: float | np.ndarray) -> float | np.ndarray:
     if not (arr.min() > 0.0 and arr.max() < math.inf):    # NaN fails the first test
         raise ValueError("x must be strictly positive and finite")
 
-    if (2.0 * order) % 2.0 == 1.0 and order < _CLOSED_FORM_MAX:     # order n + 1/2
-        out = _k_half_integer(int(order), arr.ravel())
-    else:
-        out = _k_general(order, arr.ravel())
+    out = _k_1d(order, arr.ravel())
     if scalar:
         return float(out[0])
     return out.reshape(arr.shape)

@@ -3,9 +3,9 @@
 Numpy has no triangular solve, so ``cholesky_solve`` inverts its Cholesky
 factor L by blocks of 32 columns, the last block taking the remainder,
 last block first, as LAPACK's ``trtri`` does (Du Croz & Higham 1992, IMA
-J. Numer. Anal. 12:1).  A factor of fewer than 64 rows is one block: the
-single ``np.linalg.solve`` of the whole factor, bit for bit.  Larger ones
-cost about n^3/3 flops against that solve's 8 n^3/3: on one BLAS thread
+J. Numer. Anal. 12:1).  A factor of fewer than 64 rows is one block.
+Larger ones cost about n^3/3 flops against the 8 n^3/3 of one
+``np.linalg.solve`` of the whole factor: on one BLAS thread
 0.15 against 0.26 ms at n = 96, 2.5 against 17 ms at n = 442.  Accuracy,
 measured: ||X L - I||_max stays below 0.03 n eps on well-conditioned
 factors; on near-singular jittered Matern ridge systems (condition about
@@ -65,10 +65,7 @@ def cholesky_solve(A: np.ndarray, B: np.ndarray) -> CholeskySolveResult:
     is inverted once, by blocks of 32 columns (see the module docstring
     for the scheme, its cost and its measured accuracy), and the solution
     is L^{-T} (L^{-1} B); the result keeps L^{-1} for further right-hand
-    sides.  Entries of L^{-1} above its diagonal blocks are exact zeros.
-    Within a diagonal block the pivoted ``solve`` may leave rounding-level
-    entries above the diagonal when L is ill conditioned (up to 1e-13 seen
-    on Matern ridge systems), as the single ``solve`` of the whole factor did.
+    sides.  Entries of L^{-1} above its diagonal are exact zeros.
     B may have zero columns, (n, 0): the call then only factors A, and
     returns L^{-1} and the jitter with an empty solution.
     """
@@ -107,6 +104,8 @@ def _inverse_factor(L: np.ndarray) -> np.ndarray:
     edges = [0, *range(_INVERSE_BLOCK, n - _INVERSE_BLOCK + 1, _INVERSE_BLOCK), n]
     for s, e in reversed(list(zip(edges, edges[1:]))):
         c, b = slice(s, e), slice(e, n)
-        X[c, c] = np.linalg.solve(L[c, c], np.eye(e - s))
+        # the transposed block is upper triangular, so the pivoted LU solve
+        # swaps no rows and leaves exact zeros above the block's diagonal
+        X[c, c] = np.linalg.solve(L[c, c].T, np.eye(e - s)).T
         X[b, c] = -(X[b, b] @ L[b, c]) @ X[c, c]
     return X

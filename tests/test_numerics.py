@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import dpm.numerics.bessel as bessel_module
 import dpm.numerics.design as design_module
+from dpm.kernels import MaternSpec, matern_gram
 from dpm.numerics import (
     CholeskySolveResult,
     QuadratureRule,
@@ -194,10 +195,21 @@ def _old_k_half_integer(n, x):
 
 
 def _old_bessel_k(order, x):
-    """bessel_k on a 1-D array by the order's method, with the unbuffered closed form."""
-    if (2.0 * order) % 2.0 == 1.0:
+    """bessel_k on a 1-D array as it was computed before one recurrence served
+    every order: the closed form for half-integer orders below 135, otherwise
+    the trapezoid sums times e^-x carried up by a recurrence that shares 2/x."""
+    if (2.0 * order) % 2.0 == 1.0 and order < 135.0:
         return _old_k_half_integer(int(round(order - 0.5)), x)
-    return bessel_module._k_general(order, x)
+    nl = round(order)
+    mu = order - nl
+    with np.errstate(over="ignore"):
+        k_mu, k_mu1 = bessel_module._trapezoid(mu, x)
+        k_mu, k_mu1 = k_mu * np.exp(-x), k_mu1 * np.exp(-x)
+        two_over_x = 2.0 / x
+        for j in range(1, nl + 1):
+            k_mu += (mu + j) * two_over_x * k_mu1
+            k_mu, k_mu1 = k_mu1, k_mu
+    return k_mu
 
 
 class TestBesselK:
@@ -300,8 +312,7 @@ class TestBesselK:
             assert bessel_k(order, x) == pytest.approx(expected, rel=1e-12)
             assert bessel_k(order, np.array([x, 1.0]))[0] == bessel_k(order, x)
 
-    # the closed form's coefficient (n+k)!/(k!(n-k)!) overflows float64 from
-    # n = 135, so these orders take the trapezoid rule; 40-digit mpmath
+    # 40-digit mpmath; a factorial closed form would overflow float64 here
     @pytest.mark.parametrize("order,x,expected", [
         (135.5, 1.0, 7.1119184257420032e+269),
         (135.5, 100.0, 1.8135047085669522e-9),
@@ -312,10 +323,44 @@ class TestBesselK:
     def test_large_half_integer_orders(self, order, x, expected):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert bessel_k(order, x) == pytest.approx(expected, rel=3e-14)
+            assert bessel_k(order, x) == pytest.approx(expected, rel=3e-15)
             values = bessel_k(order, np.array([1e-300, 0.5, x]))
         assert values[0] == values[1] == math.inf      # K_135.5(0.5) is 4.4e310
         assert values[2] == bessel_k(order, x)
+
+    # 40-digit mpmath: the recurrence from K_{1/2} and K_{3/2} over up to 200 steps
+    @pytest.mark.parametrize("order,x,expected", [
+        (0.5, 1e-3, 39.593659513116643),
+        (0.5, 50.0, 3.4186200954570746e-23),
+        (1.5, 0.2, 13.766936038790848),
+        (3.5, 0.05, 672430.83124818726),
+        (3.5, 7.0, 0.00095334765937837541),
+        (4.5, 2.0, 4.4302014520702697),
+        (10.5, 0.5, 1180539231998.5248),
+        (10.5, 30.0, 1.279044369153198e-13),
+        (20.5, 1.0, 3.9574417023871115e+23),
+        (20.5, 100.0, 3.7415633308864162e-44),
+        (39.5, 1e-6, 1.265655978756768e+294),
+        (39.5, 3.0, 1.7008460369596495e+38),
+        (39.5, 400.0, 8.4018413304543119e-175),
+        (135.5, 60.0, 1.1901071932222522e+26),
+        (200.5, 13.0, 2.3121635675658277e+210),
+        (200.5, 700.0, 1.1169853460597779e-293),
+    ])
+    def test_half_integer_orders_match_mpmath(self, order, x, expected):
+        assert bessel_k(order, x) == pytest.approx(expected, rel=3e-15)
+
+    # where e^-x is subnormal but K is not, or K is subnormal: e^-x is applied
+    # after the recurrence there, so no seed loses its bits; 40-digit mpmath
+    @pytest.mark.parametrize("order,x,expected,rel", [
+        (200.5, 730.0, 3.2209656823873906e-307, 3e-15),
+        (200, 725.0, 5.0420097877076544e-305, 3e-15),
+        (200.5, 742.0, 1.2683139619906423e-312, 0.0),
+        (134.5, 742.111, 4.400782748606145e-319, 0.0),
+    ])
+    def test_near_underflow(self, order, x, expected, rel):
+        # a subnormal K is within one subnormal spacing, 5e-324
+        assert bessel_k(order, x) == pytest.approx(expected, rel=rel, abs=5e-324)
 
     @pytest.mark.parametrize("order,x", [(3, 1e-104), (200, 1e-2), (3.5, 1e-160), (1, 5e-324)])
     def test_overflow_is_inf(self, order, x):
@@ -346,17 +391,21 @@ class TestBesselK:
         for x in (0.8, 1e-300, np.float64(0.8), np.array(0.8), np.array(1e-300)):
             value = bessel_k(order, x)
             assert type(value) is float
-            assert value == _old_bessel_k(order, np.atleast_1d(np.asarray(x, dtype=float)))[0]
+            assert value == bessel_k(order, np.atleast_1d(np.asarray(x, dtype=float)))[0]
 
-    # arrays that mix overflowing, finite and underflowing values
+    # arrays that mix overflowing, finite and underflowing values: inf and 0
+    # fall where they did, and finite values move by less than the old
+    # recurrence's error (2e-14 at order 200)
     @pytest.mark.parametrize("order", [0.5, 1.5, 3.5, 10.5, 0.0, 1.0, 3.0, 2.7, 40.0, 200.0])
     def test_mixed_saturated_array_matches_old_code(self, order):
         rng = np.random.default_rng(int(order * 10))
         x = np.concatenate([np.geomspace(1e-300, 800.0, 300), rng.uniform(1e-3, 30.0, 200)])
         rng.shuffle(x)
-        np.testing.assert_array_equal(bessel_k(order, x), _old_bessel_k(order, x))
-        block = x.reshape(20, 25)
-        np.testing.assert_array_equal(bessel_k(order, block), _old_bessel_k(order, x).reshape(20, 25))
+        new, old = bessel_k(order, x), _old_bessel_k(order, x)
+        np.testing.assert_array_equal(np.isinf(new), np.isinf(old))
+        np.testing.assert_array_equal(new == 0.0, old == 0.0)
+        np.testing.assert_allclose(new, old, rtol=3e-14, atol=0.0)
+        np.testing.assert_array_equal(bessel_k(order, x.reshape(20, 25)), new.reshape(20, 25))
 
     @given(st.floats(0.1, 20.0), st.integers(1, 3))
     @settings(max_examples=50, deadline=None)
@@ -402,11 +451,12 @@ class TestBesselK:
 
     @pytest.mark.parametrize("x", [1e-310, 5e-324])
     def test_half_order_on_subnormal_arguments(self, x):
-        # pi/(2x) overflows below 8.7e-309; K_{1/2} = sqrt(pi/(2x)) e^-x does not
+        # pi/(2x) overflows below 8.7e-309; K_{1/2} = sqrt(pi/2) e^-x / sqrt(x) does not
         assert bessel_k(0.5, x) == pytest.approx(math.sqrt(math.pi / 2) / math.sqrt(x), rel=1e-13)
         normal = np.array([8.8e-309, 1e-308, 2.5])
-        np.testing.assert_array_equal(bessel_k(0.5, np.append(normal, x))[:3],
-                                      _old_k_half_integer(0, normal))
+        values = bessel_k(0.5, np.append(normal, x))[:3]
+        np.testing.assert_array_equal(values, bessel_k(0.5, normal))
+        np.testing.assert_allclose(values, _old_k_half_integer(0, normal), rtol=3e-15)
 
     @given(st.floats(0.0, 6.0), st.floats(math.log(1e-6), math.log(700.0)))
     @settings(max_examples=100, deadline=None)
@@ -823,8 +873,15 @@ class TestCholeskySolve:
         L_inv = cholesky_solve(a, np.empty((n, 0))).inverse_factor
         assert np.array_equal(np.tril(L_inv), L_inv)
         assert np.max(np.abs(L_inv @ L - np.eye(n))) <= 10 * n * np.finfo(float).eps
-        if n < 64:    # one block: the single solve, bit for bit
-            assert L_inv.tobytes() == np.linalg.solve(L, np.eye(n)).tobytes()
+
+    @pytest.mark.parametrize("n", range(20, 34))
+    def test_inverse_factor_of_a_matern_ridge_system_is_exactly_triangular(self, n):
+        # a pivoted solve of the lower factor itself left entries up to 2e-13
+        # above the diagonal of these ill-conditioned factors
+        x = np.random.default_rng(n).uniform(0, 1, (n, 1))
+        a = matern_gram(MaternSpec(nu=4.0, p=1, phi=1.0), x) + n * 1e-6 * np.eye(n)
+        L_inv = cholesky_solve(a, np.empty((n, 0))).inverse_factor
+        assert np.array_equal(np.tril(L_inv), L_inv)
 
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 50, 96, 97, 130])
     def test_blocked_solution_agrees_with_numpy_solve(self, n):

@@ -16,7 +16,12 @@ BENCHMARK.json the script prints each side's median and quartiles, the
 change of the medians, and in how many pairs the change read better (ties
 count for neither side).  A gain is claimable when the
 change wins at least nine tenths of the pairs and its median beats the
-base's by more than the base's interquartile range.  Standard library only;
+base's by more than the base's interquartile range.  The no-regression
+verdict is "within" when the change's median is worse than the base's by
+at most the metric's relative ``bound`` in BENCHMARK.json, "worse" when it
+is worse by more, and "unresolved" when the base's interquartile range
+exceeds that bound relative to its median, unless every run of the change
+beats every run of the base.  Standard library only;
 on Python releases without tarfile's extraction filters (before 3.10.12 and
 3.11.4) the trees are unpacked unfiltered.
 """
@@ -70,9 +75,20 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def no_regression(base: list[float], change: list[float], bound: float, lower: bool) -> str:
+    """"within", "worse" or "unresolved" under the benchmark's relative bound."""
+    a1, a2, a3 = quartiles(base)
+    b2 = statistics.median(change)
+    if (max(change) < min(base)) if lower else (min(change) > max(base)):
+        return "within"                  # every change run beats every base run
+    if not a2 or (a3 - a1) / abs(a2) > bound:
+        return "unresolved"
+    return "within" if (b2 - a2 if lower else a2 - b2) / abs(a2) <= bound else "worse"
+
+
 def summarize(spec: dict, base: list[dict], change: list[dict]) -> list[str]:
     lines = ["metric        base median [q1, q3]              change median [q1, q3]"
-             "            delta   wins  claimable"]
+             "            delta   wins  claimable  bound  no-regression"]
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
         a = [run[name] for run in base]
@@ -82,9 +98,11 @@ def summarize(spec: dict, base: list[dict], change: list[dict]) -> list[str]:
         gain = a2 - b2 if lower else b2 - a2
         claimable = wins >= 0.9 * len(a) and gain > a3 - a1
         delta = (b2 - a2) / a2 if a2 else float("nan")
+        verdict = no_regression(a, b, metric["bound"], lower)
         lines.append(f"{name:<13} {a2:<10.5g} [{a1:.5g}, {a3:.5g}]".ljust(48)
                      + f"{b2:<10.5g} [{b1:.5g}, {b3:.5g}]".ljust(36)
-                     + f"{delta:+7.1%}  {wins:>2}/{len(a):<3} {'yes' if claimable else 'no'}")
+                     + f"{delta:+7.1%}  {wins:>2}/{len(a):<3} {'yes' if claimable else 'no':<9}"
+                     + f"  {metric['bound']:<5g}  {verdict}")
     return lines
 
 
