@@ -94,8 +94,7 @@ class TestMaternValues:
         spec = MaternSpec(nu=1.0, p=1, phi=1.0)
         for r in (0.1, 0.7, 2.0):
             z = 2.0 * math.sqrt(0.5) * r
-            assert _of_distance(spec, r) == pytest.approx(math.exp(-z),
-                                                                rel=1e-12)
+            assert _of_distance(spec, r) == pytest.approx(math.exp(-z), rel=1e-12)
 
     def test_five_dim_unit_argument_realization(self):
         # this parameterization makes the kernel argument equal the distance
@@ -158,7 +157,7 @@ def _old_matern_gram(spec, A, B):
     return _old_matern_of_distance(spec, np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(-1)))
 
 
-# half-integer (closed form) and general (trapezoid rule) orders mu
+# half-integer (elementary seeds) and general (trapezoid rule seeds) orders mu
 _BLOCK_ORDERS = (0.5, 1.5, 3.5, 1.0, 2.2)
 
 
