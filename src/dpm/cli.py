@@ -40,14 +40,6 @@ EXIT_NUMERICAL = 3
 _DEFAULT_GRID = "1e-4:1e2:25"
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
-    return value
-
-
 def _given(args, *names) -> dict:
     """The named flags that were given, so the library owns every default."""
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
@@ -144,7 +136,7 @@ _SIMULATORS = {"table1": run_table1, "table2": run_table2,
 
 def _cmd_simulate(args) -> int:
     if args.experiment == "table2" and args.n is not None:
-        raise ValueError("table2 sweeps its own sample sizes; --n not supported")
+        raise ValueError(f"table2 sweeps its own sample sizes; --n {args.n} not supported")
     result = _SIMULATORS[args.experiment](**_given(args, "seed", "n", "reps"))
     csv_path, json_path = write_result_files(result, args.out_dir)
     print(f"wrote {csv_path} and {json_path} "
@@ -184,10 +176,7 @@ def _basis_terms(spec: str) -> list:
 
 def _cmd_separability(args) -> int:
     if args.analytic_psi is not None:
-        theta = args.analytic_psi
-        if theta <= 0:
-            raise ValueError("theta must be positive")
-        print(repr(psi(theta)))
+        print(repr(psi(args.analytic_psi)))
         return EXIT_OK
     if (args.data is None or args.response is None
             or args.basis_f is None or args.basis_g is None):
@@ -255,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("experiment", choices=sorted(_SIMULATORS))
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--out-dir", required=True)
-    p_sim.add_argument("--reps", type=_positive_int, default=None,
+    p_sim.add_argument("--reps", type=int, default=None,
                        help="override replication count")
-    p_sim.add_argument("--n", type=_positive_int, default=None,
+    p_sim.add_argument("--n", type=int, default=None,
                        help="override sample size")
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -30,9 +30,10 @@ def empirical_norm(a: np.ndarray) -> float:
 def objective(data: "Dataset", f_vals: np.ndarray, g_vals: np.ndarray,
               lf_val: float, lg_val: float) -> float:
     """(1/n) sum (y_i - f_i - g_i)^2 + L_f + L_g."""
-    resid = data.y - np.asarray(f_vals, float) - np.asarray(g_vals, float)
-    if resid.shape != data.y.shape:
+    f_vals, g_vals = np.asarray(f_vals, float), np.asarray(g_vals, float)
+    if f_vals.shape != data.y.shape or g_vals.shape != data.y.shape:
         raise ValueError("f and g values must match the dataset length")
+    resid = data.y - f_vals - g_vals
     return empirical_inner(resid, resid) + lf_val + lg_val
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +43,9 @@ def load_csv(path, response_column: str) -> LoadedCsv:
 
     Every column but the response is a feature and keeps its values; its
     (min, max) is its side of ``omega_bounds``.  Constant feature columns
-    are dropped with a warning.  Row numbers in errors count physical file
-    lines, header included.
+    are dropped with a warning.  Each row's cells are parsed as it is
+    read, so of several problems in the rows the first in file order is
+    reported; row numbers count physical file lines, header included.
     """
     path = Path(path)
     if not path.exists():
@@ -51,10 +53,9 @@ def load_csv(path, response_column: str) -> LoadedCsv:
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise CsvFormatError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
         repeated = sorted({h for h in header if header.count(h) > 1})
         if repeated:
             raise CsvFormatError(f"duplicated column names in header: {repeated}")
@@ -65,44 +66,34 @@ def load_csv(path, response_column: str) -> LoadedCsv:
         if not feature_columns:
             raise CsvFormatError("no feature columns left")
 
-        col_index = {name: header.index(name) for name in header}
         rows = []
         for record in reader:
-            if not record or all(not cell.strip() for cell in record):
+            if not any(cell.strip() for cell in record):
                 continue
             if len(record) != len(header):
                 raise CsvFormatError(
                     f"row {reader.line_num} has {len(record)} cells, expected {len(header)}")
-            rows.append((reader.line_num, record))
+            rows.append([_parse_cell(cell.strip(), reader.line_num, name)
+                         for cell, name in zip(record, header)])
 
     if len(rows) < 2:
         raise CsvFormatError(f"{path}: need at least 2 data rows, got {len(rows)}")
-
-    y = np.array([_parse_cell(rec[col_index[response_column]].strip(), num, response_column)
-                  for num, rec in rows])
-    raw = np.column_stack([
-        np.array([_parse_cell(rec[col_index[name]].strip(), num, name)
-                  for num, rec in rows])
-        for name in feature_columns])
-
+    table = np.array(rows)
+    response = header.index(response_column)
+    y, raw = table[:, response], np.delete(table, response, axis=1)
     if np.ptp(y) == 0.0:
         raise CsvFormatError("response column is constant")
 
-    kept, dropped, ranges = [], [], []
-    for j, name in enumerate(feature_columns):
-        lo, hi = float(raw[:, j].min()), float(raw[:, j].max())
-        if lo == hi:
-            dropped.append(name)
-            continue
-        kept.append(j)
-        ranges.append((lo, hi))
+    lo, hi = raw.min(axis=0), raw.max(axis=0)
+    kept = lo < hi
+    dropped = list(compress(feature_columns, ~kept))
     if dropped:
         warnings.warn(f"dropping constant feature columns: {dropped}")
-    if not kept:
+    if not kept.any():
         raise CsvFormatError("all feature columns are constant")
 
     return LoadedCsv(
-        data=Dataset(raw[:, kept], y, omega_bounds=tuple(ranges)),
-        feature_names=tuple(feature_columns[j] for j in kept),
+        data=Dataset(raw[:, kept], y, omega_bounds=list(zip(lo[kept], hi[kept]))),
+        feature_names=tuple(compress(feature_columns, kept)),
         dropped_columns=tuple(dropped),
     )

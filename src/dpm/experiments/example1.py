@@ -18,7 +18,7 @@ from ..core import Dataset
 from ..fitter import StoppingRule, fit_double_penalty
 from ..kernels import KernelRidgeFitter, MaternSpec, ProjectedKernel
 from ..numerics import QuadratureRule
-from .results import ExperimentResult
+from .results import ExperimentResult, check_count
 from .testfuncs import gramacy1d
 
 _DOMAIN = (0.5, 2.5)
@@ -29,6 +29,8 @@ _NOISE_VAR = 0.1
 
 def run_example1(n: int = 20, nu: float = 3.5, phi: float = 1.0,
                  reps: int = 100, seed: int = 0) -> ExperimentResult:
+    check_count("n", n)
+    check_count("reps", reps)
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     spec = MaternSpec(nu=nu, p=1, phi=phi)

@@ -20,7 +20,7 @@ from ..core import Dataset
 from ..fitter import RecordingFitter, StoppingRule, fit_double_penalty
 from ..kernels import KernelRidgeFitter, MaternSpec, matern_gram
 from ..numerics import halton, maximin_lhs
-from .results import ExperimentResult
+from .results import ExperimentResult, check_count
 from .testfuncs import sun5d
 
 _P = 5
@@ -32,6 +32,8 @@ _ITERS = 5                             # alternation iterations at each level
 def run_example2(noise_sds=(0.1, 0.01), n: int = 50, reps: int = 100,
                  seed: int = 0) -> ExperimentResult:
     """Each noise level uses generator seed ``seed + level_index``."""
+    check_count("n", n)
+    check_count("reps", reps)
     start = time.perf_counter()
     # nu - p/2 = 3.5 and phi makes the kernel argument equal the distance
     spec = MaternSpec(nu=_BESSEL_ORDER + _P / 2.0, p=_P,

@@ -1,4 +1,4 @@
-"""Result container and CSV/JSON emission for the simulation harnesses."""
+"""Result container, count checks and CSV/JSON emission for the simulation harnesses."""
 
 from __future__ import annotations
 
@@ -22,6 +22,12 @@ class ExperimentResult:
     def column(self, key: str) -> list:
         j = self.columns.index(key)
         return [row[j] for row in self.rows]
+
+
+def check_count(name: str, value: int, least: int = 1) -> None:
+    """ValueError unless the study's count ``name`` is at least ``least``."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def _cell(value) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..fitter import estimate_convergence_slope
 from ..separability import psi
-from .results import ExperimentResult
+from .results import ExperimentResult, check_count
 from .testfuncs import sine_linear
 
 _BETA = (1.0, 3.0)
@@ -38,6 +38,8 @@ def _sine_linear_cell(theta: float, n: int, reps: int, seed: int) -> dict:
     sequence is too short for a slope fit are excluded from the slope
     mean (the count of usable replications is reported).
     """
+    check_count("reps", reps)
+    check_count("n", n, least=2)    # one point would leave every rep running to MAX_CYCLES
     rng = np.random.default_rng(seed)
     noise_sd = float(np.sqrt(_NOISE_VAR))
     slopes = []
@@ -71,11 +73,8 @@ def _sine_linear_cell(theta: float, n: int, reps: int, seed: int) -> dict:
             slopes.append(estimate_convergence_slope(cycle_dists)[0])
         sub_counts.append(n_sub)
     return {
-        "theta": float(theta),
-        "n": int(n),
         "mean_slope": float(np.mean(slopes)) if slopes else float("nan"),
         "mean_iterations": float(np.mean(sub_counts)),
-        "sd_iterations": float(np.std(sub_counts)),
         "reps_with_slope": len(slopes),
     }
 

@@ -43,6 +43,16 @@ def test_objective_arithmetic():
     assert objective(data, f, g, 0.1, 0.2) == pytest.approx(0.25 + 0.3)
 
 
+@pytest.mark.parametrize("f", [np.zeros(1), np.zeros(3), np.zeros((2, 1))])
+def test_objective_rejects_values_of_another_length(f):
+    # a length-1 f once broadcast silently and a length-3 one raised numpy's own error
+    data = Dataset(np.array([[0.1], [0.9]]), np.array([1.0, 3.0]))
+    with pytest.raises(ValueError, match="f and g values must match the dataset length"):
+        objective(data, f, np.zeros(2), 0.0, 0.0)
+    with pytest.raises(ValueError, match="f and g values must match the dataset length"):
+        objective(data, np.zeros(2), f, 0.0, 0.0)
+
+
 class TestDataset:
     def test_basic_shape_handling(self):
         d = Dataset(np.array([0.1, 0.4, 0.8]), np.array([1.0, 2.0, 3.0]))
@@ -79,6 +89,12 @@ class TestDataset:
                        [(0.0, 1.0), (-np.inf, 1.0)], [(0.0, 1.0), (0.0, np.nan)]):
             with pytest.raises(ValueError, match="finite"):
                 Dataset(np.full((2, 2), 0.5), np.zeros(2), omega_bounds=bounds)
+
+    @pytest.mark.parametrize("X, y", [(np.zeros((3, 1)), np.zeros(2)),
+                                      (np.zeros((0, 1)), np.zeros(0))])
+    def test_inconsistent_shapes_rejected(self, X, y):
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            Dataset(X, y)
 
     def test_subset_keeps_bounds(self):
         d = Dataset(np.array([[0.5], [1.0], [2.0]]), np.array([1.0, 2.0, 3.0]),

@@ -108,6 +108,41 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError):
             load_csv(path, "y")
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "no such file"),
+        ("", "is empty"),
+        ("y\n1\n2\n", "no feature columns left"),
+        ("x,y\n1,2\n3\n", "row 3 has 1 cells, expected 2"),
+        ("x,y\n1,nan\n2,3\n", "non-finite value 'nan' at row 2, column y"),
+        ("x,y\n1,2\ninf,3\n", "non-finite value 'inf' at row 3, column x"),
+        # of several problems, the first in file order is reported
+        ("a,b,y\n1,oops,2\n1,1,nope\n", "non-numeric value 'oops' at row 2, column b"),
+        ("a,b,y\n1,oops,3\n4,5\n", "non-numeric value 'oops' at row 2, column b"),
+    ])
+    def test_malformed_file_names_its_first_problem(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(CsvFormatError, match=message):
+            load_csv(path, "y")
+
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("x,y\n\n1,2\n , \n3,5\n")
+        loaded = load_csv(path, "y")
+        np.testing.assert_array_equal(loaded.data.X[:, 0], [1.0, 3.0])
+        np.testing.assert_array_equal(loaded.data.y, [2.0, 5.0])
+        path.write_text("x,y\n\n1,2\n\n3,oops\n")
+        with pytest.raises(CsvFormatError, match="row 5, column y"):
+            load_csv(path, "y")
+
+    def test_every_feature_constant_rejected(self, tmp_path):
+        path = _write_csv(tmp_path / "flat.csv", ["a", "y", "b"],
+                          [[1.0, 2.0, 5.0], [1.0, 3.0, 5.0]])
+        with pytest.warns(UserWarning, match=r"\['a', 'b'\]"), \
+                pytest.raises(CsvFormatError, match="all feature columns are constant"):
+            load_csv(path, "y")
+
 
 class TestPearson:
     def test_perfect_correlation(self):
@@ -125,6 +160,10 @@ class TestPearson:
     def test_constant_input_rejected(self):
         with pytest.raises(ValueError, match="constant"):
             pearson(np.ones(5), np.arange(5.0))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            pearson(np.arange(3.0), np.arange(4.0))
 
 
 class TestFolds:
@@ -168,6 +207,14 @@ def _cv_dataset(n=36, seed=3):
 
 
 class TestCrossValidation:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"interp": "ridge"}, "interp must be one of"),
+        ({"flex": "forest"}, "flex must be one of"),
+    ])
+    def test_learner_pair_rejects_unknown_names(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            LearnerPair(**kwargs)
+
     def test_single_repeat_is_plain_oof(self):
         # repeats=1: the average is just the one out-of-fold pass
         data = _cv_dataset()
@@ -682,10 +729,15 @@ class TestCli:
     @pytest.mark.parametrize("flag", ["--reps", "--n"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_simulate_rejects_counts_below_one(self, tmp_path, capsys, experiment, flag, value):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", experiment, "--out-dir", str(tmp_path), flag, value])
-        assert exc.value.code == 2
-        assert "must be an integer >= 1" in capsys.readouterr().err
+        # the study checks its own counts; table2 takes no --n at all
+        code = main(["simulate", experiment, "--out-dir", str(tmp_path), flag, value])
+        assert code == 2
+        if (experiment, flag) == ("table2", "--n"):
+            expected = f"--n {value} not supported"
+        else:
+            least = 2 if (experiment, flag) == ("table1", "--n") else 1
+            expected = f"{flag[2:]} must be at least {least}, got {value}"
+        assert expected in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_simulate_passes_only_the_flags_given(self, tmp_path, monkeypatch):
@@ -735,6 +787,18 @@ class TestCli:
     def test_separability_without_args(self):
         assert main(["separability"]) == 2
 
+    def test_separability_unknown_basis_term_is_validation_error(self, tmp_path, capsys):
+        path = self._data_file(tmp_path)
+        code = main(["separability", "--data", str(path), "--response", "y",
+                     "--basis-f", "linear", "--basis-g", "sin:2,cubic"])
+        assert code == 2
+        assert "unknown basis term 'cubic'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theta", ["0", "-1", "nan"])
+    def test_separability_theta_not_positive_is_validation_error(self, capsys, theta):
+        assert main(["separability", "--analytic-psi", theta]) == 2
+        assert "theta must be positive" in capsys.readouterr().err
+
     def test_fit_non_finite_lambda_is_validation_error(self, tmp_path, capsys):
         path = self._data_file(tmp_path)
         code = main(["fit", "--data", str(path), "--response", "y",
@@ -768,6 +832,9 @@ class TestCli:
         assert code == 2
         assert "positive and finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_grid_of_one_value(self):
+        assert _parse_log_grid("0.5:2:1") == (0.5,)
 
     def test_bad_grid_spec(self, tmp_path):
         path = self._data_file(tmp_path)

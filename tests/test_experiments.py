@@ -119,6 +119,21 @@ class TestTableRuns:
             assert vals["mean_slope"] < 0
 
 
+@pytest.mark.parametrize("run, kwargs, message", [
+    (run_table1, {"reps": 0}, "reps must be at least 1, got 0"),
+    # one point cannot separate the two coefficients: every rep ran to MAX_CYCLES
+    (run_table1, {"n": 1}, "n must be at least 2, got 1"),
+    (run_table2, {"reps": -3}, "reps must be at least 1, got -3"),
+    (run_example1, {"reps": 0}, "reps must be at least 1, got 0"),
+    (run_example1, {"n": 0}, "n must be at least 1, got 0"),
+    (run_example2, {"reps": 0}, "reps must be at least 1, got 0"),
+    (run_example2, {"n": -1}, "n must be at least 1, got -1"),
+])
+def test_studies_reject_counts_below_their_minimum(run, kwargs, message):
+    with pytest.raises(ValueError, match=message):     # and no RuntimeWarning first
+        run(**kwargs)
+
+
 class TestRecordedSettings:
     """Each study's fixed settings, read back from the written config."""
 

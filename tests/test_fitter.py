@@ -361,6 +361,16 @@ class TestRateBound:
         with pytest.raises(ValueError, match=f"distance 3 is {bad}; need finite"):
             verify_rate_bound([1.0, 0.5, bad, 0.1], 0.5, "theorem3")
 
+    @pytest.mark.parametrize("dists, passed, first_violation, worst", [
+        ([0.0, 0.0, 0.0], True, None, 0.0),
+        ([0.0, 0.0, 0.1], False, 3, math.inf),
+    ])
+    def test_zero_first_distance(self, dists, passed, first_violation, worst):
+        # with d_1 = 0 every bound is 0: a later distance of 0 meets it, any other does not
+        report = verify_rate_bound(dists, 0.5, "theorem3")
+        assert (report.passed, report.first_violation, report.worst_ratio) == \
+            (passed, first_violation, worst)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -0.1])
     def test_tolerance_that_is_negative_or_not_finite_raises(self, tol):
         # a NaN or infinite bound is never exceeded: this sequence, 36 times

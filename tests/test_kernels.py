@@ -53,6 +53,11 @@ class TestMaternSpec:
             with pytest.raises(ValueError, match="nu|phi"):
                 MaternSpec(nu=nu, p=1, phi=phi)
 
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_dimension_below_one_rejected(self, p):
+        with pytest.raises(ValueError, match="dimension p must be at least 1"):
+            MaternSpec(nu=3.5, p=p, phi=1.0)
+
     @pytest.mark.parametrize("mu", [40.01, 45.5, 60.5, 140.5, 151.14, 152.0, 165.2, 170.5,
                                     200.0, 1e6])
     def test_orders_whose_normalizer_overflows_rejected(self, mu):
@@ -284,6 +289,10 @@ class TestProjectedKernel:
         assert worst < 1e-8
         # a 1-D array is one-dimensional points, as gram reads it
         assert pk.orthogonality_residual(ys) == pk.orthogonality_residual(ys[:, None])
+
+    def test_rule_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="quadrature dimension 2 != kernel dimension 1"):
+            ProjectedKernel(MaternSpec(nu=3.5, p=1, phi=1.0), tensor_or_qmc_rule(2, 16))
 
     def test_symmetry(self):
         pk = self._kernel()

@@ -386,6 +386,11 @@ class TestBesselK:
             with pytest.raises(ValueError, match="strictly positive and finite"):
                 bessel_k(order, x)
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+    def test_empty_array_keeps_its_shape(self, shape):
+        out = bessel_k(2.5, np.empty(shape))
+        assert out.shape == shape and out.dtype == np.float64
+
     @pytest.mark.parametrize("order", [0.5, 3.5, 0.0, 2.7, 200.0])
     def test_scalar_and_0d_inputs_return_floats(self, order):
         for x in (0.8, 1e-300, np.float64(0.8), np.array(0.8), np.array(1e-300)):
@@ -568,6 +573,19 @@ class TestQuadratureRule:
             QuadratureRule(np.array([[1.5], [0.5]]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             QuadratureRule(pts, np.array([1.2, -0.2]))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: QuadratureRule(np.array([0.25, 0.75]), np.array([0.5, 0.5])),
+         "points must be a 2-D array"),
+        (lambda: QuadratureRule(np.array([[0.25], [0.75]]), np.array([1.0])),
+         "weights must have one entry per point"),
+        (lambda: gauss_legendre_01(0), "need at least one node, got n=0"),
+        (lambda: tensor_or_qmc_rule(0, 16), "dimension must be at least 1, got 0"),
+        (lambda: tensor_or_qmc_rule(2, 0), "budget must be at least 1, got 0"),
+    ])
+    def test_malformed_rule_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     def test_integrate_constant(self):
         rule = QuadratureRule(np.array([[0.2], [0.9]]), np.array([0.3, 0.7]))
@@ -834,6 +852,11 @@ class TestCholeskySolve:
         a = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ValueError):
             cholesky_solve(a, np.ones(2))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match=rf"A must be square, got shape \({shape[0]},"):
+            cholesky_solve(np.ones(shape), np.ones(shape[0]))
 
     def test_matrix_rhs(self):
         rng = np.random.default_rng(8)
