@@ -27,8 +27,8 @@ def psi(theta: float) -> float:
     psi(theta) = 2 sqrt(3 theta) |sin(theta) - theta cos(theta)|
                  / (theta^2 sqrt(2 theta - sin(2 theta)))
     """
-    if not theta > 0.0:
-        raise ValueError("theta must be positive")
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
     num = 2.0 * math.sqrt(3.0 * theta) * abs(math.sin(theta) - theta * math.cos(theta))
     den = theta ** 2 * math.sqrt(2.0 * theta - math.sin(2.0 * theta))
     return num / den

@@ -794,10 +794,11 @@ class TestCli:
         assert code == 2
         assert "unknown basis term 'cubic'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("theta", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("theta", ["0", "-1", "nan", "inf"])
     def test_separability_theta_not_positive_is_validation_error(self, capsys, theta):
+        # psi owns the check; inf once failed inside math.sin as "math domain error"
         assert main(["separability", "--analytic-psi", theta]) == 2
-        assert "theta must be positive" in capsys.readouterr().err
+        assert f"theta must be positive and finite, got {theta}" in capsys.readouterr().err
 
     def test_fit_non_finite_lambda_is_validation_error(self, tmp_path, capsys):
         path = self._data_file(tmp_path)
